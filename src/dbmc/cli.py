@@ -26,6 +26,7 @@ from .harness import (
     compute_bound_curves,
     errors_csv,
     initial_state_vector,
+    resolve_chi0,
     resolve_graph,
     run_scenario,
     trajectory_csv,
@@ -157,8 +158,7 @@ def _cmd_bounds(args) -> int:
     model = build_model(sc.disturbance, g, seed, horizon=sc.params.deadline)
     sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
     x0 = initial_state_vector(g, sc)
-    e0_max = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
-    chi0 = sc.chi0 if sc.chi0 is not None else e0_max
+    chi0 = resolve_chi0(g, sol, x0, sc.chi0)
 
     from .scenario import parse_t_end_rule
 

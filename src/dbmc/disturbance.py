@@ -46,25 +46,35 @@ class DisturbanceSpec:
 
 @dataclass(frozen=True)
 class DisturbanceModel:
-    """Concrete signals for one graph; freely shareable across threads."""
+    """Concrete signals for one graph; freely shareable across threads.
+
+    Every nonzero kind evaluates a per-edge carrier.  The sinusoid carrier
+    ``s*sin(omega*t + phase)`` is stored in quadrature form,
+    ``sin_coef*sin(omega*t) + cos_coef*cos(omega*t)`` with
+    ``sin_coef = s*cos(phase)`` and ``cos_coef = s*sin(phase)``, so a
+    sample costs two scalar sines and two scalar-vector products; ``s`` is
+    ``amplitude*w`` for the ``sinusoid`` kind and 1 for the proportional
+    carrier.  The piecewise carrier interpolates ``knot_values`` linearly,
+    already scaled by ``amplitude*w`` for the ``piecewise`` kind.  The
+    proportional kind multiplies its carrier by the edge's upper or lower
+    envelope according to the carrier's sign.
+    """
 
     kind: str
     graph: WeightedDigraph
     horizon: float
-    weights: np.ndarray
     edge_lower: np.ndarray
     edge_upper: np.ndarray
     u_minus: float
     u_plus: float
     slope_limit: float
     proportional_fractions: tuple[float, float] | None
-    amplitude: float = 0.0
     omega: float = 0.0
     phases: np.ndarray | None = None
+    sin_coef: np.ndarray | None = None
+    cos_coef: np.ndarray | None = None
     knot_values: np.ndarray | None = None
     knot_spacing: float | None = None
-    alpha_lower: float = 0.0
-    alpha_upper: float = 0.0
     carrier: str | None = None
 
     def _check_time(self, t: float) -> None:
@@ -73,7 +83,8 @@ class DisturbanceModel:
 
     def _carrier_values(self, t: float) -> np.ndarray:
         if self.carrier == "sinusoid":
-            return np.sin(self.omega * t + self.phases)
+            wt = self.omega * t
+            return self.sin_coef * math.sin(wt) + self.cos_coef * math.cos(wt)
         k = min(int(t / self.knot_spacing), self.knot_values.shape[1] - 2)
         frac = t / self.knot_spacing - k
         return self.knot_values[:, k] * (1.0 - frac) + self.knot_values[:, k + 1] * frac
@@ -81,20 +92,12 @@ class DisturbanceModel:
     def sample_all(self, t: float) -> np.ndarray:
         """Disturbance value of every edge at time t, in ``graph.edges`` order."""
         self._check_time(t)
-        if self.kind == "zero":
-            return np.zeros(len(self.weights))
-        if self.kind == "sinusoid":
-            return self.amplitude * self.weights * np.sin(self.omega * t + self.phases)
-        if self.kind == "piecewise":
-            k = min(int(t / self.knot_spacing), self.knot_values.shape[1] - 2)
-            frac = t / self.knot_spacing - k
-            return (
-                self.knot_values[:, k] * (1.0 - frac)
-                + self.knot_values[:, k + 1] * frac
-            )
+        if self.carrier is None:
+            return np.zeros(len(self.edge_lower))
         c = self._carrier_values(t)
-        scale = np.where(c >= 0.0, self.alpha_upper, self.alpha_lower)
-        return self.weights * scale * c
+        if self.kind != "proportional":
+            return c
+        return np.where(c >= 0.0, self.edge_upper, self.edge_lower) * c
 
     def sample(self, edge: tuple[int, int], t: float) -> float:
         """Disturbance on one edge; raises UnknownEdgeError for non-edges."""
@@ -132,6 +135,7 @@ def build_model(
     rng = np.random.default_rng(seed)
 
     phases = None
+    sin_coef = cos_coef = None
     knots = None
     knot_dt = None
     carrier = None
@@ -146,20 +150,17 @@ def build_model(
         _check_fraction(spec.amplitude, "amplitude")
         if spec.omega <= 0.0:
             raise SpecError("omega must be positive")
-        phases = (
-            np.full(n_edges, float(spec.phase))
-            if spec.phase is not None
-            else rng.uniform(0.0, TWO_PI, n_edges)
-        )
+        carrier = "sinusoid"
+        phases = _phases(spec, rng, n_edges)
         lower = spec.amplitude * w
         upper = lower.copy()
+        sin_coef, cos_coef = lower * np.cos(phases), lower * np.sin(phases)
         slope = spec.amplitude * float(w.max()) * spec.omega
         fractions = (spec.amplitude, spec.amplitude)
     elif spec.kind == "piecewise":
         _check_fraction(spec.amplitude, "amplitude")
-        knot_dt = spec.knot_spacing if spec.knot_spacing is not None else horizon / 500.0
-        if knot_dt <= 0.0:
-            raise SpecError("knot_spacing must be positive")
+        carrier = "piecewise"
+        knot_dt = _knot_spacing(spec, horizon)
         n_knots = int(math.ceil(horizon / knot_dt)) + 1
         knots = rng.uniform(-1.0, 1.0, (n_edges, n_knots)) * (spec.amplitude * w)[:, None]
         lower = np.maximum(0.0, -knots.min(axis=1))
@@ -176,18 +177,11 @@ def build_model(
         if carrier == "sinusoid":
             if spec.omega <= 0.0:
                 raise SpecError("omega must be positive")
-            phases = (
-                np.full(n_edges, float(spec.phase))
-                if spec.phase is not None
-                else rng.uniform(0.0, TWO_PI, n_edges)
-            )
+            phases = _phases(spec, rng, n_edges)
+            sin_coef, cos_coef = np.cos(phases), np.sin(phases)
             base_slope = spec.omega
         else:
-            knot_dt = (
-                spec.knot_spacing if spec.knot_spacing is not None else horizon / 500.0
-            )
-            if knot_dt <= 0.0:
-                raise SpecError("knot_spacing must be positive")
+            knot_dt = _knot_spacing(spec, horizon)
             n_knots = int(math.ceil(horizon / knot_dt)) + 1
             knots = rng.uniform(-1.0, 1.0, (n_edges, n_knots))
             base_slope = 2.0 / knot_dt
@@ -215,22 +209,33 @@ def build_model(
         kind=spec.kind,
         graph=g,
         horizon=float(horizon),
-        weights=w,
         edge_lower=lower,
         edge_upper=upper,
         u_minus=u_minus,
         u_plus=u_plus,
         slope_limit=slope,
         proportional_fractions=fractions,
-        amplitude=spec.amplitude,
         omega=spec.omega,
         phases=phases,
+        sin_coef=sin_coef,
+        cos_coef=cos_coef,
         knot_values=knots,
         knot_spacing=knot_dt,
-        alpha_lower=spec.alpha_lower,
-        alpha_upper=spec.alpha_upper,
         carrier=carrier,
     )
+
+
+def _phases(spec: DisturbanceSpec, rng: np.random.Generator, n_edges: int) -> np.ndarray:
+    if spec.phase is not None:
+        return np.full(n_edges, float(spec.phase))
+    return rng.uniform(0.0, TWO_PI, n_edges)
+
+
+def _knot_spacing(spec: DisturbanceSpec, horizon: float) -> float:
+    knot_dt = spec.knot_spacing if spec.knot_spacing is not None else horizon / 500.0
+    if knot_dt <= 0.0:
+        raise SpecError("knot_spacing must be positive")
+    return knot_dt
 
 
 def _check_fraction(value: float, name: str) -> None:

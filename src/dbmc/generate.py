@@ -30,12 +30,14 @@ def hop_random_graph(n: int, extra_edge_prob: float, seed: int) -> WeightedDigra
         raise SpecError("extra_edge_prob must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     edges = [(k, int(rng.integers(1, k)), 1.0) for k in range(2, n + 1)]
-    present = {(i, j) for i, j, _ in edges}
-    for i in range(2, n + 1):
-        for j in range(1, n + 1):
-            if i != j and (i, j) not in present and rng.random() < extra_edge_prob:
-                edges.append((i, j, 1.0))
-                present.add((i, j))
+    # Row i draws one number per head other than i and its tree parent, in
+    # increasing head order: n - 2 draws, the same stream as one draw per
+    # candidate pair.
+    heads = np.arange(1, n + 1)
+    for i, parent, _ in edges[: n - 1]:
+        eligible = heads[(heads != i) & (heads != parent)]
+        chosen = eligible[rng.random(n - 2) < extra_edge_prob]
+        edges.extend((i, j, 1.0) for j in chosen.tolist())
     return WeightedDigraph(n, frozenset({1}), tuple(edges))
 
 

@@ -156,6 +156,11 @@ def dump_graph(g: WeightedDigraph) -> str:
 
 def check_reachability(g: WeightedDigraph) -> bool:
     """True iff every node has a directed path to some source."""
+    return not _unreachable_nodes(g)
+
+
+def _unreachable_nodes(g: WeightedDigraph) -> list[int]:
+    """Nodes with no directed path to any source, by reverse DFS from the sources."""
     rev: list[list[int]] = [[] for _ in range(g.node_count + 1)]
     for i, j, _ in g.edges:
         rev[j].append(i)
@@ -167,7 +172,7 @@ def check_reachability(g: WeightedDigraph) -> bool:
             if i not in seen:
                 seen.add(i)
                 stack.append(i)
-    return len(seen) == g.node_count
+    return [i for i in range(1, g.node_count + 1) if i not in seen]
 
 
 @dataclass(frozen=True)
@@ -197,8 +202,8 @@ def solve_shortest_paths(g: WeightedDigraph) -> ShortestPathSolution:
     Argmin-set membership uses the ``ARGMIN_TOL`` cushion so that floating
     point dust cannot drop a genuinely optimal parent.
     """
-    if not check_reachability(g):
-        missing = _unreachable_nodes(g)
+    missing = _unreachable_nodes(g)
+    if missing:
         raise UnreachableError(f"nodes {missing} cannot reach any source")
     n = g.node_count
     rev: list[list[tuple[int, float]]] = [[] for _ in range(n + 1)]
@@ -250,21 +255,6 @@ def solve_shortest_paths(g: WeightedDigraph) -> ShortestPathSolution:
         effective_diameter=diameter,
         path_gap=gap,
     )
-
-
-def _unreachable_nodes(g: WeightedDigraph) -> list[int]:
-    rev: list[list[int]] = [[] for _ in range(g.node_count + 1)]
-    for i, j, _ in g.edges:
-        rev[j].append(i)
-    seen = set(g.sources)
-    stack = list(g.sources)
-    while stack:
-        j = stack.pop()
-        for i in rev[j]:
-            if i not in seen:
-                seen.add(i)
-                stack.append(i)
-    return [i for i in range(1, g.node_count + 1) if i not in seen]
 
 
 def parent_chain(sol: ShortestPathSolution, node: int) -> list[int]:

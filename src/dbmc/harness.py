@@ -97,6 +97,24 @@ def initial_state_vector(
     return x0
 
 
+def resolve_chi0(
+    g: WeightedDigraph, sol: ShortestPathSolution, x0: np.ndarray, chi0: float | None
+) -> float:
+    """The scenario's chi0, or the largest initial error when it sets none.
+
+    Raises SpecError when ``chi0`` lies below the largest initial error: the
+    envelope bound and t_s would then not hold.
+    """
+    e0_max = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
+    if chi0 is None:
+        return e0_max
+    if chi0 < e0_max:
+        raise SpecError(
+            f"[run] chi0 = {chi0} is below the actual largest initial error {e0_max}"
+        )
+    return chi0
+
+
 def compute_bound_curves(
     g: WeightedDigraph,
     sol: ShortestPathSolution,
@@ -279,12 +297,7 @@ def run_scenario(
     x0 = initial_state_vector(g, sc)
 
     sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
-    e0_max = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
-    chi0 = sc.chi0 if sc.chi0 is not None else e0_max
-    if chi0 < e0_max:
-        raise SpecError(
-            f"[run] chi0 = {chi0} is below the actual largest initial error {e0_max}"
-        )
+    chi0 = resolve_chi0(g, sol, x0, sc.chi0)
 
     ts_status, ts_value, ts_detail = "ok", None, ""
     if math.isinf(sol.path_gap):

@@ -68,6 +68,20 @@ def random_weighted_graph(seed: int, max_nodes: int = 10) -> WeightedDigraph:
     return WeightedDigraph(n, frozenset({1}), tuple(edges))
 
 
+def hop_random_graph_loop(n: int, extra_edge_prob: float, seed: int) -> WeightedDigraph:
+    """Scalar-draw reference for ``hop_random_graph``: one ``rng.random()`` per
+    candidate pair, short-circuited past self-loops and tree edges."""
+    rng = np.random.default_rng(seed)
+    edges = [(k, int(rng.integers(1, k)), 1.0) for k in range(2, n + 1)]
+    present = {(i, j) for i, j, _ in edges}
+    for i in range(2, n + 1):
+        for j in range(1, n + 1):
+            if i != j and (i, j) not in present and rng.random() < extra_edge_prob:
+                edges.append((i, j, 1.0))
+                present.add((i, j))
+    return WeightedDigraph(n, frozenset({1}), tuple(edges))
+
+
 def constant_initial(g: WeightedDigraph, value: float) -> np.ndarray:
     x0 = np.full(g.node_count, float(value))
     for s in g.sources:

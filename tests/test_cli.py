@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,17 @@ def test_bounds_verb_grid(tmp_path, capsys):
     lines = (out_dir / "bounds.csv").read_text().splitlines()
     assert lines[0] == "t,node,lower,upper,kind"
     assert len(lines) > 40
+
+
+def test_bounds_verb_refuses_chi0_below_initial_error(tmp_path, capsys):
+    text = Path("scenarios/case_study_3pct.ini").read_text()
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(text.replace("chi0 = 12", "chi0 = 1"))
+    out_dir = tmp_path / "out"
+    code = main(["bounds", "--scenario", str(scenario), "--out", str(out_dir)])
+    assert code == 1
+    assert "chi0" in capsys.readouterr().err
+    assert not (out_dir / "bounds.csv").exists()
 
 
 def test_error_paths_exit_one(tmp_path, capsys):

@@ -113,6 +113,33 @@ def test_continuity_slope_proxy(spec):
         assert np.all(step <= m.slope_limit * delta * (1 + 1e-9) + 1e-15)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DisturbanceSpec(kind="sinusoid", amplitude=0.03),
+        DisturbanceSpec(kind="sinusoid", amplitude=0.4),
+        DisturbanceSpec(kind="proportional", alpha_lower=0.1, alpha_upper=0.4,
+                        carrier="sinusoid"),
+    ],
+    ids=["sinusoid-3pct", "sinusoid-40pct", "prop-sin"],
+)
+def test_quadrature_sampler_matches_phase_shifted_sine(spec):
+    # Reference s*sin(omega*t + phase), with s = amplitude*w for the sinusoid
+    # kind and s = 1 for the proportional carrier.  Rounding omega*t + phase
+    # (up to about 38 here) alone costs the reference ~4e-15 relative.
+    g = random_weighted_graph(123, max_nodes=8)
+    m = build_model(spec, g, 42, HORIZON)
+    w = np.array([wt for _, _, wt in g.edges])
+    tol = 1e-14 * np.maximum(m.edge_lower, m.edge_upper)
+    for t in np.random.default_rng(3).uniform(0.0, HORIZON, 10_000):
+        ref = np.sin(spec.omega * t + m.phases)
+        if spec.kind == "sinusoid":
+            ref = spec.amplitude * w * ref
+        else:
+            ref = w * np.where(ref >= 0.0, spec.alpha_upper, spec.alpha_lower) * ref
+        assert np.all(np.abs(m.sample_all(float(t)) - ref) <= tol)
+
+
 def test_identical_seeds_give_bit_identical_streams():
     g = random_weighted_graph(5)
     spec = DisturbanceSpec(kind="piecewise", amplitude=0.25)

@@ -21,6 +21,8 @@ from dbmc import (
 )
 from dbmc.scenario import parse_t_end_rule
 
+from helpers import hop_random_graph_loop
+
 BASE_SCENARIO = """
 [graph]
 kind = line
@@ -64,6 +66,12 @@ class TestGenerators:
         assert check_reachability(a)
         sol = solve_shortest_paths(a)
         assert sol.path_gap == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 13, 200])
+    def test_hop_random_matches_scalar_draw_loop(self, n, p, seed):
+        assert hop_random_graph(n, p, seed) == hop_random_graph_loop(n, p, seed)
 
     def test_hop_random_unit_weights(self):
         g = hop_random_graph(9, 0.3, 1)
