@@ -25,15 +25,11 @@ from .harness import (
     bounds_csv,
     compute_bound_curves,
     errors_csv,
-    initial_state_vector,
-    resolve_chi0,
-    resolve_graph,
+    plan_scenario,
     run_scenario,
     trajectory_csv,
     write_atomic,
 )
-from .disturbance import build_model
-from .graph import minus_graph
 from .scenario import load_scenario
 
 log = logging.getLogger("dbmc")
@@ -142,48 +138,34 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _out_dir(args, sc) -> Path:
+    out = Path(args.out or sc.out_dir or "out")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
-    result = run_scenario(sc, args.out, seed=args.seed, q=args.q, t_end=args.t_end)
-    print(f"wrote {result.out_dir}/trajectory.csv ({result.summary['steps']} steps)")
-    return result.exit_code
+    plan = plan_scenario(sc, seed=args.seed, q=args.q, t_end=args.t_end)
+    traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
+    out = _out_dir(args, sc)
+    write_atomic(out / "trajectory.csv", trajectory_csv(traj))
+    write_atomic(out / "errors.csv", errors_csv(traj))
+    print(f"wrote {out}/trajectory.csv and errors.csv ({len(traj.times) - 1} steps)")
+    return 0
 
 
 def _cmd_bounds(args) -> int:
     sc = load_scenario(args.scenario)
-    g = resolve_graph(sc.graph_spec)
-    sol = solve_shortest_paths(g)
-    seed = sc.seed if args.seed is None else args.seed
-    q = sc.q if args.q is None else args.q
-    model = build_model(sc.disturbance, g, seed, horizon=sc.params.deadline)
-    sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
-    x0 = initial_state_vector(g, sc)
-    chi0 = resolve_chi0(g, sol, x0, sc.chi0)
-
-    from .scenario import parse_t_end_rule
-
-    rule = parse_t_end_rule(args.t_end) if args.t_end else sc.t_end_rule
-    if rule[0] == "explicit":
-        t_stop = rule[1]
-    elif rule[0] == "fraction":
-        t_stop = rule[1] * sc.params.deadline
-    else:
-        t_stop = early_termination_time(
-            sol.path_gap, model.u_minus, model.u_plus,
-            sol.effective_diameter, sol_minus.effective_diameter, chi0, q, sc.params,
-        )
-    times = np.linspace(0.0, t_stop, args.points)
-    kinds = ("chain", "uniform", "envelope")
-    if model.proportional_fractions is not None and all(
-        f < 1.0 for f in model.proportional_fractions
-    ):
-        kinds = ("chain", "proportional", "uniform", "envelope")
+    plan = plan_scenario(sc, seed=args.seed, q=args.q, t_end=args.t_end)
+    times = np.linspace(0.0, plan.t_stop, args.points)
+    kinds = plan.auto_kinds
     curves = compute_bound_curves(
-        g, sol, sol_minus, model, x0, q, chi0, sc.params, times, kinds
+        plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+        sc.params, times, kinds,
     )
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "bounds.csv", bounds_csv(g, times, curves))
+    out = _out_dir(args, sc)
+    write_atomic(out / "bounds.csv", bounds_csv(plan.g, times, curves))
     print(f"wrote {out}/bounds.csv ({args.points} grid points, kinds: {', '.join(kinds)})")
     return 0
 

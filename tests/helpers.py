@@ -2,10 +2,13 @@
 
 The brute-force solver enumerates every simple path with plain DFS, so it
 shares no code with the production Dijkstra path and serves as its oracle.
+The ``*_csv_loop`` writers format every value on its own, one ``%.17g`` call
+per cell, and serve as the oracle for the CSV writers in ``dbmc.harness``.
 """
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -87,3 +90,56 @@ def constant_initial(g: WeightedDigraph, value: float) -> np.ndarray:
     for s in g.sources:
         x0[s - 1] = 0.0
     return x0
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def trajectory_csv_loop(traj) -> str:
+    n = traj.errors.shape[1]
+    buf = io.StringIO()
+    buf.write("t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + "\n")
+    states = traj.states
+    for k in range(len(traj.times)):
+        buf.write(_fmt(traj.times[k]) + "," + ",".join(_fmt(v) for v in states[k]) + "\n")
+    return buf.getvalue()
+
+
+def errors_csv_loop(traj) -> str:
+    n = traj.errors.shape[1]
+    buf = io.StringIO()
+    buf.write("t," + ",".join(f"e_{i}" for i in range(1, n + 1)) + "\n")
+    for k in range(len(traj.times)):
+        buf.write(
+            _fmt(traj.times[k]) + "," + ",".join(_fmt(v) for v in traj.errors[k]) + "\n"
+        )
+    return buf.getvalue()
+
+
+def bounds_csv_loop(g: WeightedDigraph, times: np.ndarray, curves: dict) -> str:
+    buf = io.StringIO()
+    buf.write("t,node,lower,upper,kind\n")
+    ns = g.non_sources
+    for kind in ("chain", "proportional", "uniform", "envelope"):
+        if kind not in curves:
+            continue
+        lower, upper = curves[kind]
+        for k, t in enumerate(times):
+            ts = _fmt(t)
+            for col, i in enumerate(ns):
+                buf.write(f"{ts},{i},{_fmt(lower[k, col])},{_fmt(upper[k, col])},{kind}\n")
+    return buf.getvalue()
+
+
+def focus_csv_loop(g: WeightedDigraph, traj, curves: dict, focus: int, kind: str) -> str:
+    col = g.non_sources.index(focus)
+    lower, upper = curves[kind]
+    buf = io.StringIO()
+    buf.write("t,error,lower,upper\n")
+    err = traj.error_of(focus)
+    for k, t in enumerate(traj.times):
+        buf.write(
+            f"{_fmt(t)},{_fmt(err[k])},{_fmt(lower[k, col])},{_fmt(upper[k, col])}\n"
+        )
+    return buf.getvalue()

@@ -111,6 +111,9 @@ def test_simulate_verb(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["simulate", "--scenario", str(scenario), "--out", str(out_dir)]) == 0
     assert (out_dir / "trajectory.csv").exists()
+    assert (out_dir / "errors.csv").exists()
+    assert not (out_dir / "bounds.csv").exists()
+    assert not (out_dir / "summary.json").exists()
 
 
 def test_bounds_verb_grid(tmp_path, capsys):
@@ -125,6 +128,16 @@ def test_bounds_verb_grid(tmp_path, capsys):
     lines = (out_dir / "bounds.csv").read_text().splitlines()
     assert lines[0] == "t,node,lower,upper,kind"
     assert len(lines) > 40
+
+
+def test_bounds_verb_auto_stop_needs_guaranteed_time(tmp_path, capsys):
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(SCENARIO.replace("kind = standin13", "kind = grid\nrows = 3\ncols = 4"))
+    out_dir = tmp_path / "out"
+    code = main(["bounds", "--scenario", str(scenario), "--out", str(out_dir)])
+    assert code == 1
+    assert "t_end = auto needs a guaranteed stop time" in capsys.readouterr().err
+    assert not (out_dir / "bounds.csv").exists()
 
 
 def test_bounds_verb_refuses_chi0_below_initial_error(tmp_path, capsys):

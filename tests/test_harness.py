@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,24 @@ from dbmc import (
     standin13,
     synthetic_positions,
 )
+from dbmc.dynamics import PTGainParams, Trajectory, simulate
+from dbmc.harness import (
+    bounds_csv,
+    compute_bound_curves,
+    errors_csv,
+    focus_csv,
+    plan_scenario,
+    trajectory_csv,
+)
 from dbmc.scenario import parse_t_end_rule
 
-from helpers import hop_random_graph_loop
+from helpers import (
+    bounds_csv_loop,
+    errors_csv_loop,
+    focus_csv_loop,
+    hop_random_graph_loop,
+    trajectory_csv_loop,
+)
 
 BASE_SCENARIO = """
 [graph]
@@ -269,18 +285,109 @@ class TestRunScenario:
 
     def test_emitted_bounds_bracket_emitted_errors(self, tmp_path):
         sc = load_scenario("scenarios/case_study_40pct.ini")
-        run_scenario(sc, tmp_path)
-        errors = np.genfromtxt(tmp_path / "errors.csv", delimiter=",", names=True)
-        bounds = np.genfromtxt(
-            tmp_path / "bounds.csv", delimiter=",", names=True, dtype=None,
-            encoding="utf-8",
+        result = run_scenario(sc, tmp_path)
+        errors = np.loadtxt(tmp_path / "errors.csv", delimiter=",", skiprows=1)
+        times = errors[:, 0]
+        t, node, lower, upper = np.loadtxt(
+            tmp_path / "bounds.csv", delimiter=",", skiprows=1, usecols=(0, 1, 2, 3),
+            unpack=True,
         )
-        err_by_node = {
-            i: np.array([row[f"e_{i}"] for row in errors]) for i in range(2, 14)
+        kind = np.loadtxt(
+            tmp_path / "bounds.csv", delimiter=",", skiprows=1, usecols=4, dtype=str
+        )
+        # every enabled kind has a row for every non-source node at every stored time
+        kinds = result.summary["bound_kinds"]
+        assert set(kind) == set(kinds)
+        for name in kinds:
+            assert np.count_nonzero(kind == name) == 12 * len(times), name
+        k = np.searchsorted(times, t)
+        assert np.array_equal(times[k], t)
+        e = errors[k, node.astype(int)]  # column 0 is t, column i is e_i
+        assert np.all(lower - 1e-6 <= e)
+        assert np.all(e <= upper + 1e-6)
+
+
+def _zero_disturbance_scenario() -> str:
+    text = Path("scenarios/case_study_3pct.ini").read_text()
+    return text.replace("kind = sinusoid", "kind = zero").replace("t_end = auto", "t_end = 0.5Ts")
+
+
+def _assert_writers_match_loops(g, traj, curves, focus):
+    assert trajectory_csv(traj) == trajectory_csv_loop(traj)
+    assert errors_csv(traj) == errors_csv_loop(traj)
+    assert bounds_csv(g, traj.times, curves) == bounds_csv_loop(g, traj.times, curves)
+    for kind in curves:
+        assert focus_csv(g, traj, curves, focus, kind) == focus_csv_loop(
+            g, traj, curves, focus, kind
+        ), kind
+
+
+class TestWritersMatchPerValueLoops:
+    """The writers format each distinct value once; their output must equal
+    the one-``%.17g``-per-cell loops in ``helpers`` character for character."""
+
+    @pytest.mark.parametrize("scenario", ["case_study_3pct", "case_study_40pct", "zero"])
+    def test_scenario_artifacts(self, scenario):
+        if scenario == "zero":  # emits -0 lower bands
+            sc = parse_scenario(_zero_disturbance_scenario())
+        else:
+            sc = load_scenario(f"scenarios/{scenario}.ini")
+        plan = plan_scenario(sc)
+        traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
+        curves = compute_bound_curves(
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+            sc.params, traj.times, plan.kinds,
+        )
+        assert len(curves) == 4
+        _assert_writers_match_loops(plan.g, traj, curves, sc.focus_node)
+        if scenario == "zero":
+            assert ",-0," in bounds_csv(plan.g, traj.times, curves)
+
+    def test_crafted_curves(self):
+        g = line_graph(4)  # non-sources 2, 3, 4
+        rows = 6
+        times = np.linspace(0.0, 1.0, rows)
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((rows, 3))
+        # columns 0 and 1 agree except in the last row
+        neighbour = base.copy()
+        neighbour[:, 1] = neighbour[:, 0]
+        neighbour[-1, 1] += 1.0
+        # every column equal row by row, except one cell of the last row
+        near_band = np.repeat(base[:, :1], 3, axis=1)
+        near_band[-1, 2] = 7.0
+        # 0.0 and -0.0 mixed down column 0 and across every row
+        zeros = np.zeros((rows, 3))
+        zeros[::2, 0] = -0.0
+        zeros[:, 1] = -0.0
+        # a band whose value is 0.0 in some rows and -0.0 in others
+        signs = np.where(np.arange(rows) % 2, -0.0, 0.0)
+        signed_band = np.broadcast_to(signs[:, None], (rows, 3))
+        # constant columns, and one that is constant except in the last row
+        step = np.full(rows, 2.5)
+        step[-1] = 3.5
+        constants = np.column_stack((np.full(rows, -np.inf), step, np.full(rows, 2.5)))
+        band = np.abs(base[:, 0]) + 1.0
+        curves = {
+            "chain": (np.broadcast_to(-np.inf, (rows, 3)), near_band),
+            "proportional": (zeros, neighbour),
+            "uniform": (constants, signed_band),
+            "envelope": (
+                np.broadcast_to(-band[:, None], (rows, 3)),
+                np.broadcast_to(band[:, None], (rows, 3)),
+            ),
         }
-        times = np.array([row["t"] for row in errors])
-        time_index = {t: k for k, t in enumerate(times)}
-        for row in bounds[:5000]:
-            k = time_index[row["t"]]
-            e = err_by_node[int(row["node"])][k]
-            assert row["lower"] - 1e-6 <= e <= row["upper"] + 1e-6
+        errors = np.column_stack((np.zeros(rows), zeros[:, 0], neighbour[:, :2]))
+        traj = Trajectory(
+            params=PTGainParams(gamma=2.0, h=12.0, deadline=5.0),
+            p=np.array([0.0, 1.0, 2.0, 3.0]),
+            source_mask=np.array([True, False, False, False]),
+            times=times,
+            errors=errors,
+            x0=errors[0] + np.array([0.0, 1.0, 2.0, 3.0]),
+            t_end=1.0,
+        )
+        for focus in g.non_sources:
+            _assert_writers_match_loops(g, traj, curves, focus)
+        text = bounds_csv(g, times, curves)
+        assert ",-0," in text and ",0," in text and ",-inf," in text
