@@ -109,8 +109,7 @@ def uniform_bounds(
     lower = -(D_minus - 1) * u_minus with D_minus the effective diameter of
     the shrunk-weight graph; upper = depth * u_plus + nominal envelope.
     """
-    if min(u_minus, u_plus) < 0.0:
-        raise DomainError("uniform disturbance bounds must be nonnegative")
+    _check_uniform_bounds(u_minus, u_plus)
     chain = parent_chain(sol, node)
     depth = len(chain) - 1
     env = nominal_envelope(chain_initial_errors(sol, x0, chain), params, t)
@@ -146,13 +145,20 @@ def power_law_envelope(
     return float(out) if np.ndim(t) == 0 else out
 
 
+def _check_uniform_bounds(u_minus: float, u_plus: float) -> None:
+    if not (0.0 <= u_minus < math.inf and 0.0 <= u_plus < math.inf):
+        raise DomainError(
+            f"uniform disturbance bounds must be finite and nonnegative, "
+            f"got {u_minus!r} and {u_plus!r}"
+        )
+
+
 def worst_case_offset(
     u_minus: float, u_plus: float, diameter: int, diameter_minus: int
 ) -> float:
     """Largest steady error offset the disturbances can sustain network-wide:
     max{(diameter_minus - 1) u_minus, (diameter - 1) u_plus}."""
-    if min(u_minus, u_plus) < 0.0:
-        raise DomainError("uniform disturbance bounds must be nonnegative")
+    _check_uniform_bounds(u_minus, u_plus)
     if min(diameter, diameter_minus) < 1:
         raise DomainError("diameters must be at least 1")
     return max((diameter_minus - 1) * u_minus, (diameter - 1) * u_plus)
@@ -187,11 +193,13 @@ def early_termination_time(
         raise DomainError(f"q must exceed 1, got {q!r}")
     if not (math.isfinite(path_gap) and path_gap > 0.0):
         raise DomainError(f"path gap must be positive and finite, got {path_gap!r}")
-    if max_initial_error < 0.0:
-        raise DomainError("max_initial_error must be nonnegative")
+    if not 0.0 <= max_initial_error < math.inf:
+        raise DomainError(
+            f"max_initial_error must be finite and nonnegative, got {max_initial_error!r}"
+        )
     offset = worst_case_offset(u_minus, u_plus, diameter, diameter_minus)
     margin = 0.5 * (path_gap - u_minus - u_plus) - offset
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise InfeasibleError(
             f"margin condition fails: (u- + u+)/2 + {offset} >= {path_gap}/2"
         )

@@ -4,12 +4,16 @@ A model assigns every edge a signal u_ij(t) on [0, horizon] together with
 its envelope [-edge_lower, edge_upper]; u_minus/u_plus are uniform bounds
 covering all edges.  Signals are pure functions of time (no state feedback)
 and deterministic for a fixed seed.
+
+Every kind is one model: fractions (alpha_lower, alpha_upper) of each edge
+weight times a carrier (none, sinusoid or piecewise).  The sinusoid and
+piecewise kinds are that model with alpha_lower = alpha_upper = amplitude.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,7 +22,6 @@ from .graph import WeightedDigraph
 
 TWO_PI = 2.0 * math.pi
 
-KINDS = ("zero", "sinusoid", "piecewise", "proportional")
 CARRIERS = ("sinusoid", "piecewise")
 
 
@@ -48,29 +51,26 @@ class DisturbanceSpec:
 class DisturbanceModel:
     """Concrete signals for one graph; freely shareable across threads.
 
-    Every nonzero kind evaluates a per-edge carrier.  The sinusoid carrier
+    A sample is ``alpha_upper*c`` where the carrier ``c`` is nonnegative and
+    ``alpha_lower*c`` elsewhere, with ``proportional_fractions = (alpha_lower,
+    alpha_upper)`` and ``c`` scaled by each edge weight ``w``.  When the two
+    fractions are equal the carrier is scaled by ``alpha*w`` instead, and a
+    sample is the carrier itself.  The sinusoid carrier
     ``s*sin(omega*t + phase)`` is stored in quadrature form,
     ``sin_coef*sin(omega*t) + cos_coef*cos(omega*t)`` with
-    ``sin_coef = s*cos(phase)`` and ``cos_coef = s*sin(phase)``, so a
-    sample costs two scalar sines and two scalar-vector products; ``s`` is
-    ``amplitude*w`` for the ``sinusoid`` kind and 1 for the proportional
-    carrier.  The piecewise carrier interpolates ``knot_values`` linearly,
-    already scaled by ``amplitude*w`` for the ``piecewise`` kind.  The
-    proportional kind multiplies its carrier by the edge's upper or lower
-    envelope according to the carrier's sign.
+    ``sin_coef = s*cos(phase)`` and ``cos_coef = s*sin(phase)``, so a sample
+    costs two scalar sines and two scalar-vector products.  The piecewise
+    carrier interpolates ``knot_values`` linearly.
     """
 
-    kind: str
     graph: WeightedDigraph
     horizon: float
     edge_lower: np.ndarray
     edge_upper: np.ndarray
     u_minus: float
     u_plus: float
-    slope_limit: float
-    proportional_fractions: tuple[float, float] | None
+    proportional_fractions: tuple[float, float]
     omega: float = 0.0
-    phases: np.ndarray | None = None
     sin_coef: np.ndarray | None = None
     cos_coef: np.ndarray | None = None
     knot_values: np.ndarray | None = None
@@ -95,24 +95,24 @@ class DisturbanceModel:
         if self.carrier is None:
             return np.zeros(len(self.edge_lower))
         c = self._carrier_values(t)
-        if self.kind != "proportional":
+        lo, hi = self.proportional_fractions
+        if lo == hi:
             return c
-        return np.where(c >= 0.0, self.edge_upper, self.edge_lower) * c
+        return np.where(c >= 0.0, hi, lo) * c
+
+    def _edge(self, edge: tuple[int, int]) -> int:
+        try:
+            return self.graph.edge_index[edge]
+        except KeyError:
+            raise UnknownEdgeError(f"{edge} is not an edge") from None
 
     def sample(self, edge: tuple[int, int], t: float) -> float:
         """Disturbance on one edge; raises UnknownEdgeError for non-edges."""
-        try:
-            k = self.graph.edge_index[edge]
-        except KeyError:
-            raise UnknownEdgeError(f"{edge} is not an edge") from None
-        return float(self.sample_all(t)[k])
+        return float(self.sample_all(t)[self._edge(edge)])
 
     def bounds(self, edge: tuple[int, int]) -> tuple[float, float]:
         """(lower, upper) envelope magnitudes of one edge's signal."""
-        try:
-            k = self.graph.edge_index[edge]
-        except KeyError:
-            raise UnknownEdgeError(f"{edge} is not an edge") from None
+        k = self._edge(edge)
         return float(self.edge_lower[k]), float(self.edge_upper[k])
 
 
@@ -121,102 +121,62 @@ def build_model(
 ) -> DisturbanceModel:
     """Instantiate signals for ``g`` and record their analytic envelopes.
 
-    The recorded per-edge bounds always contain every sample on
-    [0, horizon]; the uniform bounds are their maxima unless the spec
-    loosens them.  Raises SpecError for fractions that would let a weight
-    reach zero (amplitude or alpha_lower >= 1) and for malformed specs.
+    The per-edge envelope is each fraction times the carrier's own extremes
+    (the scale for the sinusoid, the knot extremes for the piecewise
+    carrier), so it contains every sample on [0, horizon]; the uniform
+    bounds are its maxima unless the spec loosens them.  Raises SpecError
+    for non-finite numbers, for fractions that would let a weight reach
+    zero (amplitude or alpha_lower >= 1) and for malformed specs.
     """
-    if horizon <= 0.0:
-        raise SpecError("horizon must be positive")
-    if spec.kind not in KINDS:
-        raise SpecError(f"unknown disturbance kind {spec.kind!r}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise SpecError(f"horizon must be positive and finite, got {horizon!r}")
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SpecError(f"{f.name} must be finite, got {value!r}")
+    alpha_lower, alpha_upper, carrier = _fractions_and_carrier(spec)
     w = np.array([e[2] for e in g.edges])
     n_edges = len(g.edges)
-    rng = np.random.default_rng(seed)
 
-    phases = None
-    sin_coef = cos_coef = None
-    knots = None
-    knot_dt = None
-    carrier = None
-    fractions: tuple[float, float] | None
-
-    if spec.kind == "zero":
+    sin_coef = cos_coef = knots = knot_dt = None
+    if carrier is None:
         lower = np.zeros(n_edges)
         upper = np.zeros(n_edges)
-        slope = 0.0
-        fractions = (0.0, 0.0)
-    elif spec.kind == "sinusoid":
-        _check_fraction(spec.amplitude, "amplitude")
-        if spec.omega <= 0.0:
-            raise SpecError("omega must be positive")
-        carrier = "sinusoid"
-        phases = _phases(spec, rng, n_edges)
-        lower = spec.amplitude * w
-        upper = lower.copy()
-        sin_coef, cos_coef = lower * np.cos(phases), lower * np.sin(phases)
-        slope = spec.amplitude * float(w.max()) * spec.omega
-        fractions = (spec.amplitude, spec.amplitude)
-    elif spec.kind == "piecewise":
-        _check_fraction(spec.amplitude, "amplitude")
-        carrier = "piecewise"
-        knot_dt = _knot_spacing(spec, horizon)
-        n_knots = int(math.ceil(horizon / knot_dt)) + 1
-        knots = rng.uniform(-1.0, 1.0, (n_edges, n_knots)) * (spec.amplitude * w)[:, None]
-        lower = np.maximum(0.0, -knots.min(axis=1))
-        upper = np.maximum(0.0, knots.max(axis=1))
-        slope = 2.0 * spec.amplitude * float(w.max()) / knot_dt
-        fractions = (spec.amplitude, spec.amplitude)
-    else:  # proportional
-        _check_fraction(spec.alpha_lower, "alpha_lower")
-        if spec.alpha_upper < 0.0:
-            raise SpecError("alpha_upper must be nonnegative")
-        if spec.carrier not in CARRIERS:
-            raise SpecError(f"unknown carrier {spec.carrier!r}")
-        carrier = spec.carrier
-        if carrier == "sinusoid":
-            if spec.omega <= 0.0:
-                raise SpecError("omega must be positive")
-            phases = _phases(spec, rng, n_edges)
-            sin_coef, cos_coef = np.cos(phases), np.sin(phases)
-            base_slope = spec.omega
+    else:
+        if alpha_lower == alpha_upper:
+            scale, f_lower, f_upper = alpha_lower * w, 1.0, 1.0
         else:
-            knot_dt = _knot_spacing(spec, horizon)
+            scale, f_lower, f_upper = w, alpha_lower, alpha_upper
+        rng = np.random.default_rng(seed)
+        if carrier == "sinusoid":
+            if not spec.omega > 0.0:
+                raise SpecError("omega must be positive")
+            if spec.phase is not None:
+                phases = np.full(n_edges, float(spec.phase))
+            else:
+                phases = rng.uniform(0.0, TWO_PI, n_edges)
+            sin_coef, cos_coef = scale * np.cos(phases), scale * np.sin(phases)
+            c_lower = c_upper = scale
+        else:
+            knot_dt = spec.knot_spacing if spec.knot_spacing is not None else horizon / 500.0
+            if not knot_dt > 0.0:
+                raise SpecError("knot_spacing must be positive")
             n_knots = int(math.ceil(horizon / knot_dt)) + 1
-            knots = rng.uniform(-1.0, 1.0, (n_edges, n_knots))
-            base_slope = 2.0 / knot_dt
-        lower = spec.alpha_lower * w
-        upper = spec.alpha_upper * w
-        slope = max(spec.alpha_lower, spec.alpha_upper) * float(w.max()) * base_slope
-        fractions = (spec.alpha_lower, spec.alpha_upper)
-
-    u_minus = float(lower.max(initial=0.0))
-    u_plus = float(upper.max(initial=0.0))
-    if spec.uniform_lower is not None:
-        if spec.uniform_lower < u_minus:
-            raise SpecError(
-                f"uniform_lower {spec.uniform_lower} tighter than per-edge bound {u_minus}"
-            )
-        u_minus = float(spec.uniform_lower)
-    if spec.uniform_upper is not None:
-        if spec.uniform_upper < u_plus:
-            raise SpecError(
-                f"uniform_upper {spec.uniform_upper} tighter than per-edge bound {u_plus}"
-            )
-        u_plus = float(spec.uniform_upper)
+            knots = rng.uniform(-1.0, 1.0, (n_edges, n_knots)) * scale[:, None]
+            c_lower = np.maximum(0.0, -knots.min(axis=1))
+            c_upper = np.maximum(0.0, knots.max(axis=1))
+        lower = f_lower * c_lower
+        upper = f_upper * c_upper
 
     return DisturbanceModel(
-        kind=spec.kind,
         graph=g,
         horizon=float(horizon),
         edge_lower=lower,
         edge_upper=upper,
-        u_minus=u_minus,
-        u_plus=u_plus,
-        slope_limit=slope,
-        proportional_fractions=fractions,
+        u_minus=_loosened(float(lower.max(initial=0.0)), spec.uniform_lower, "uniform_lower"),
+        u_plus=_loosened(float(upper.max(initial=0.0)), spec.uniform_upper, "uniform_upper"),
+        proportional_fractions=(alpha_lower, alpha_upper),
         omega=spec.omega,
-        phases=phases,
         sin_coef=sin_coef,
         cos_coef=cos_coef,
         knot_values=knots,
@@ -225,17 +185,30 @@ def build_model(
     )
 
 
-def _phases(spec: DisturbanceSpec, rng: np.random.Generator, n_edges: int) -> np.ndarray:
-    if spec.phase is not None:
-        return np.full(n_edges, float(spec.phase))
-    return rng.uniform(0.0, TWO_PI, n_edges)
+def _fractions_and_carrier(spec: DisturbanceSpec) -> tuple[float, float, str | None]:
+    """(alpha_lower, alpha_upper, carrier) of any kind, with its fractions checked."""
+    if spec.kind == "zero":
+        return 0.0, 0.0, None
+    if spec.kind in CARRIERS:
+        _check_fraction(spec.amplitude, "amplitude")
+        return spec.amplitude, spec.amplitude, spec.kind
+    if spec.kind != "proportional":
+        raise SpecError(f"unknown disturbance kind {spec.kind!r}")
+    _check_fraction(spec.alpha_lower, "alpha_lower")
+    if spec.alpha_upper < 0.0:
+        raise SpecError("alpha_upper must be nonnegative")
+    if spec.carrier not in CARRIERS:
+        raise SpecError(f"unknown carrier {spec.carrier!r}")
+    return spec.alpha_lower, spec.alpha_upper, spec.carrier
 
 
-def _knot_spacing(spec: DisturbanceSpec, horizon: float) -> float:
-    knot_dt = spec.knot_spacing if spec.knot_spacing is not None else horizon / 500.0
-    if knot_dt <= 0.0:
-        raise SpecError("knot_spacing must be positive")
-    return knot_dt
+def _loosened(bound: float, override: float | None, name: str) -> float:
+    """The spec's uniform override of ``bound``, which may only loosen it."""
+    if override is None:
+        return bound
+    if override < bound:
+        raise SpecError(f"{name} {override} tighter than per-edge bound {bound}")
+    return float(override)
 
 
 def _check_fraction(value: float, name: str) -> None:

@@ -176,9 +176,10 @@ def simulate(
 ) -> Trajectory:
     """Integrate the disturbed dynamics on [0, t_end] with classic RK4.
 
-    Preconditions: source states start at exactly 0, every other initial
-    state is at or above its shortest-path distance, and t_end stays a
-    relative 1e-9 short of the deadline (the gain is singular there).
+    Preconditions: every initial state is finite, source states start at
+    exactly 0, every other initial state is at or above its shortest-path
+    distance, and t_end stays a relative 1e-9 short of the deadline (the
+    gain is singular there).
     Disturbances are sampled at each internal stage time.  Deterministic for
     fixed inputs; every accepted step is stored.
     """
@@ -190,6 +191,9 @@ def simulate(
     if x0.shape != (n,):
         raise PreconditionError(f"x0 must have one entry per node, got shape {x0.shape}")
     p = np.asarray(sol.p, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(x0))
+    if bad.size:
+        raise PreconditionError(f"initial state of node {bad[0] + 1} is not finite")
     for s in sorted(g.sources):
         if x0[s - 1] != 0.0:
             raise PreconditionError(f"source node {s} must start at 0, got {x0[s - 1]!r}")

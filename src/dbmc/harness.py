@@ -49,12 +49,11 @@ from .graph import (
     parent_chain,
     solve_shortest_paths,
 )
-from .scenario import Scenario, parse_t_end_rule
+from .scenario import BOUND_KINDS, Scenario, parse_t_end_rule
 from .termination import TerminationReport, build_report
 
 log = logging.getLogger("dbmc")
 
-BOUND_KINDS = ("chain", "proportional", "uniform", "envelope")
 BRACKET_TOL = 1e-6
 
 
@@ -103,12 +102,17 @@ def resolve_chi0(
 ) -> float:
     """The scenario's chi0, or the largest initial error when it sets none.
 
-    Raises SpecError when ``chi0`` lies below the largest initial error: the
-    envelope bound and t_s would then not hold.
+    Raises SpecError when an initial state or ``chi0`` is not finite, or when
+    ``chi0`` lies below the largest initial error: the envelope bound and t_s
+    would then not hold.
     """
+    if not np.all(np.isfinite(x0)):
+        raise SpecError("[initial] every initial state must be finite")
     e0_max = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
     if chi0 is None:
         return e0_max
+    if not math.isfinite(chi0):
+        raise SpecError(f"[run] chi0 must be finite, got {chi0!r}")
     if chi0 < e0_max:
         raise SpecError(
             f"[run] chi0 = {chi0} is below the actual largest initial error {e0_max}"
@@ -184,11 +188,9 @@ def plan_scenario(
             raise SpecError(f"t_end = auto needs a guaranteed stop time: {ts_detail}")
         t_stop = max(ts_value, 1e-6 * sc.params.deadline)
 
-    auto_kinds = ("chain", "uniform", "envelope")
-    if model.proportional_fractions is not None and all(
-        f < 1.0 for f in model.proportional_fractions
-    ):
-        auto_kinds = ("chain", "proportional", "uniform", "envelope")
+    auto_kinds = BOUND_KINDS
+    if not all(f < 1.0 for f in model.proportional_fractions):
+        auto_kinds = ("chain", "uniform", "envelope")
     if sc.bound_kinds == ("none",):
         kinds: tuple[str, ...] = ()
     elif sc.bound_kinds == ("auto",):
@@ -241,8 +243,6 @@ def compute_bound_curves(
 
     if "proportional" in kinds:
         fr = model.proportional_fractions
-        if fr is None:
-            raise SpecError("proportional bounds need a proportionally bounded disturbance")
         lower = np.empty((len(times), len(ns)))
         upper = np.empty_like(lower)
         for col, i in enumerate(ns):
@@ -283,11 +283,14 @@ def check_brackets(
     curves: dict[str, tuple[np.ndarray, np.ndarray]],
     tol: float = BRACKET_TOL,
 ) -> None:
-    """Every emitted curve must bracket the simulated errors pointwise."""
+    """Every emitted curve must bracket the simulated errors pointwise.
+
+    The comparisons are negated so that a NaN anywhere fails the check.
+    """
     ns = g.non_sources
     err = traj.errors[:, [i - 1 for i in ns]]
     for kind, (lower, upper) in curves.items():
-        if np.any(err < lower - tol) or np.any(err > upper + tol):
+        if not (np.all(err >= lower - tol) and np.all(err <= upper + tol)):
             worst_low = float(np.min(err - lower))
             worst_high = float(np.min(upper - err))
             raise DbmcError(

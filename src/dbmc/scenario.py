@@ -15,6 +15,7 @@ Sections and keys (see README for the full reference):
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .disturbance import DisturbanceSpec
 from .dynamics import PTGainParams
 from .errors import ParseError, SpecError
 
-BOUND_KIND_NAMES = ("chain", "proportional", "uniform", "envelope")
+BOUND_KINDS = ("chain", "proportional", "uniform", "envelope")
 
 
 @dataclass
@@ -86,8 +87,8 @@ def parse_t_end_rule(raw: str) -> tuple:
         value = float(raw)
     except ValueError:
         raise SpecError(f"t_end: expected 'auto', seconds, or '<frac>Ts', got {raw!r}") from None
-    if value <= 0.0:
-        raise SpecError(f"t_end: must be positive, got {value!r}")
+    if not 0.0 < value < math.inf:
+        raise SpecError(f"t_end: must be positive and finite, got {value!r}")
     return ("explicit", value)
 
 
@@ -166,7 +167,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         bound_kinds = tuple(bounds_raw)
     else:
         for name in bounds_raw:
-            if name not in BOUND_KIND_NAMES:
+            if name not in BOUND_KINDS:
                 raise SpecError(f"[run] bounds: unknown kind {name!r}")
         bound_kinds = tuple(bounds_raw)
 

@@ -4,16 +4,19 @@ The brute-force solver enumerates every simple path with plain DFS, so it
 shares no code with the production Dijkstra path and serves as its oracle.
 The ``*_csv_loop`` writers format every value on its own, one ``%.17g`` call
 per cell, and serve as the oracle for the CSV writers in ``dbmc.harness``.
+``build_model_per_kind`` is the earlier disturbance builder, one branch per
+kind, and serves as the oracle for ``dbmc.disturbance.build_model``.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from dbmc import WeightedDigraph
+from dbmc import DisturbanceSpec, WeightedDigraph
 
 
 def brute_force_distances(g: WeightedDigraph) -> dict[int, float]:
@@ -143,3 +146,87 @@ def focus_csv_loop(g: WeightedDigraph, traj, curves: dict, focus: int, kind: str
             f"{_fmt(t)},{_fmt(err[k])},{_fmt(lower[k, col])},{_fmt(upper[k, col])}\n"
         )
     return buf.getvalue()
+
+
+@dataclass
+class PerKindModel:
+    """Samples and envelopes of the per-kind builder below."""
+
+    kind: str
+    edge_lower: np.ndarray
+    edge_upper: np.ndarray
+    u_minus: float
+    u_plus: float
+    omega: float
+    sin_coef: np.ndarray | None
+    cos_coef: np.ndarray | None
+    knot_values: np.ndarray | None
+    knot_spacing: float
+    carrier: str | None
+
+    def _carrier_values(self, t: float) -> np.ndarray:
+        if self.carrier == "sinusoid":
+            wt = self.omega * t
+            return self.sin_coef * math.sin(wt) + self.cos_coef * math.cos(wt)
+        k = min(int(t / self.knot_spacing), self.knot_values.shape[1] - 2)
+        frac = t / self.knot_spacing - k
+        return self.knot_values[:, k] * (1.0 - frac) + self.knot_values[:, k + 1] * frac
+
+    def sample_all(self, t: float) -> np.ndarray:
+        if self.carrier is None:
+            return np.zeros(len(self.edge_lower))
+        c = self._carrier_values(t)
+        if self.kind != "proportional":
+            return c
+        return np.where(c >= 0.0, self.edge_upper, self.edge_lower) * c
+
+
+def build_model_per_kind(
+    spec: DisturbanceSpec, g: WeightedDigraph, seed: int, horizon: float
+) -> PerKindModel:
+    """One branch per kind: the sinusoid and piecewise kinds scale their
+    carrier by amplitude*w, the proportional kind keeps a unit carrier and
+    multiplies each sample by alpha*w, and its envelope is alpha*w."""
+    w = np.array([e[2] for e in g.edges])
+    n_edges = len(g.edges)
+    rng = np.random.default_rng(seed)
+
+    def phases() -> np.ndarray:
+        if spec.phase is not None:
+            return np.full(n_edges, float(spec.phase))
+        return rng.uniform(0.0, 2.0 * math.pi, n_edges)
+
+    knot_dt = spec.knot_spacing if spec.knot_spacing is not None else horizon / 500.0
+    n_knots = int(math.ceil(horizon / knot_dt)) + 1
+    sin_coef = cos_coef = knots = carrier = None
+    if spec.kind == "zero":
+        lower = np.zeros(n_edges)
+        upper = np.zeros(n_edges)
+    elif spec.kind == "sinusoid":
+        carrier = "sinusoid"
+        ph = phases()
+        lower = spec.amplitude * w
+        upper = lower.copy()
+        sin_coef, cos_coef = lower * np.cos(ph), lower * np.sin(ph)
+    elif spec.kind == "piecewise":
+        carrier = "piecewise"
+        knots = rng.uniform(-1.0, 1.0, (n_edges, n_knots)) * (spec.amplitude * w)[:, None]
+        lower = np.maximum(0.0, -knots.min(axis=1))
+        upper = np.maximum(0.0, knots.max(axis=1))
+    else:  # proportional
+        carrier = spec.carrier
+        if carrier == "sinusoid":
+            ph = phases()
+            sin_coef, cos_coef = np.cos(ph), np.sin(ph)
+        else:
+            knots = rng.uniform(-1.0, 1.0, (n_edges, n_knots))
+        lower = spec.alpha_lower * w
+        upper = spec.alpha_upper * w
+    u_minus = float(lower.max(initial=0.0))
+    u_plus = float(upper.max(initial=0.0))
+    if spec.uniform_lower is not None:
+        u_minus = float(spec.uniform_lower)
+    if spec.uniform_upper is not None:
+        u_plus = float(spec.uniform_upper)
+    return PerKindModel(spec.kind, lower, upper, u_minus, u_plus, spec.omega,
+                        sin_coef, cos_coef, knots, knot_dt, carrier)

@@ -205,6 +205,8 @@ class TestWorstCaseOffset:
             worst_case_offset(-0.1, 0.0, 13, 13)
         with pytest.raises(DomainError):
             worst_case_offset(0.0, 0.0, 0, 13)
+        with pytest.raises(DomainError):
+            worst_case_offset(0.03, math.nan, 13, 13)
 
 
 class TestEarlyTerminationTime:
@@ -237,6 +239,16 @@ class TestEarlyTerminationTime:
             early_termination_time(math.inf, 0.0, 0.0, 13, 13, 12.0, 3.0, PARAMS)
         with pytest.raises(DomainError):
             early_termination_time(-1.0, 0.0, 0.0, 13, 13, 12.0, 3.0, PARAMS)
+        # NaN fails every comparison, so each input must be checked for it
+        for u_minus, u_plus, chi0 in (
+            (math.nan, 0.03, 12.0),
+            (0.03, math.nan, 12.0),
+            (math.inf, 0.03, 12.0),
+            (0.03, 0.03, math.nan),
+            (0.03, 0.03, math.inf),
+        ):
+            with pytest.raises(DomainError):
+                early_termination_time(1.0, u_minus, u_plus, 13, 13, chi0, 3.0, PARAMS)
 
     def test_log_space_evaluation_survives_large_diameters(self):
         ts = early_termination_time(1.0, 0.0, 0.0, 800, 800, 12.0, 5.0, PARAMS)

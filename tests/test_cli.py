@@ -158,3 +158,38 @@ def test_error_paths_exit_one(tmp_path, capsys):
     bad.write_text("[graph]\nkind = line\nn = 5\n")
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("kind = sinusoid", "kind = piecewise\nknot_spacing = nan"),
+        ("amplitude = 0.4", "amplitude = 0.4\nuniform_lower = nan"),
+        ("amplitude = 0.4", "amplitude = 0.4\nomega = nan"),
+        ("amplitude = 0.4", "amplitude = 0.4\nphase = nan"),
+        ("kind = sinusoid\namplitude = 0.4", "kind = proportional\nalpha_upper = nan"),
+        ("value = 12", "value = nan"),
+        ("chi0 = 12", "chi0 = nan"),
+    ],
+    ids=["knot_spacing", "uniform_lower", "omega", "phase", "alpha_upper", "initial", "chi0"],
+)
+def test_non_finite_scenario_values_exit_one(tmp_path, capsys, old, new):
+    text = Path("scenarios/case_study_40pct.ini").read_text()
+    assert old in text
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(text.replace(old, new))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not any("NaN" in f.read_text() for f in out_dir.glob("*.json"))
+    assert not (out_dir / "summary.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--u-minus", "--u-plus", "--chi0"])
+def test_ts_non_finite_input_exits_one(capsys, flag):
+    flags = list(TS_FLAGS)
+    flags[flags.index(flag) + 1] = "nan"
+    assert main(flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "t_s" not in captured.out

@@ -12,7 +12,7 @@ from dbmc import (
     load_graph,
 )
 
-from helpers import random_weighted_graph
+from helpers import build_model_per_kind, random_weighted_graph
 
 HORIZON = 5.0
 LINE4 = "nodes 4\nsources 1\n4 3 1.0\n3 2 1.0\n2 1 1.0\n"
@@ -104,13 +104,19 @@ def test_envelope_property_ten_thousand_samples(spec):
     ids=["sinusoid", "piecewise", "prop-sin"],
 )
 def test_continuity_slope_proxy(spec):
+    # Lipschitz constant of the spec: largest fraction times the largest
+    # weight times the carrier's slope (omega, or 2 / knot spacing).
     g = line4()
     m = build_model(spec, g, 9, HORIZON)
+    fraction = max(spec.amplitude, spec.alpha_lower, spec.alpha_upper)
+    carrier = spec.kind if spec.kind != "proportional" else spec.carrier
+    base_slope = spec.omega if carrier == "sinusoid" else 2.0 / spec.knot_spacing
+    slope_limit = fraction * max(w for _, _, w in g.edges) * base_slope
     rng = np.random.default_rng(1)
     delta = 1e-4
     for t in rng.uniform(0.0, HORIZON - delta, 500):
         step = np.abs(m.sample_all(float(t) + delta) - m.sample_all(float(t)))
-        assert np.all(step <= m.slope_limit * delta * (1 + 1e-9) + 1e-15)
+        assert np.all(step <= slope_limit * delta * (1 + 1e-9) + 1e-15)
 
 
 @pytest.mark.parametrize(
@@ -127,12 +133,14 @@ def test_quadrature_sampler_matches_phase_shifted_sine(spec):
     # Reference s*sin(omega*t + phase), with s = amplitude*w for the sinusoid
     # kind and s = 1 for the proportional carrier.  Rounding omega*t + phase
     # (up to about 38 here) alone costs the reference ~4e-15 relative.
+    # The phases are the model's first draw from its seed.
     g = random_weighted_graph(123, max_nodes=8)
     m = build_model(spec, g, 42, HORIZON)
     w = np.array([wt for _, _, wt in g.edges])
+    phases = np.random.default_rng(42).uniform(0.0, 2 * math.pi, len(w))
     tol = 1e-14 * np.maximum(m.edge_lower, m.edge_upper)
     for t in np.random.default_rng(3).uniform(0.0, HORIZON, 10_000):
-        ref = np.sin(spec.omega * t + m.phases)
+        ref = np.sin(spec.omega * t + phases)
         if spec.kind == "sinusoid":
             ref = spec.amplitude * w * ref
         else:
@@ -154,9 +162,14 @@ def test_identical_seeds_give_bit_identical_streams():
 def test_different_seeds_differ():
     g = line4()
     spec = DisturbanceSpec(kind="sinusoid", amplitude=0.1)
+    w = np.array([wt for _, _, wt in g.edges])
     a = build_model(spec, g, 1, HORIZON)
     b = build_model(spec, g, 2, HORIZON)
-    assert not np.array_equal(a.phases, b.phases)
+    for m, seed in ((a, 1), (b, 2)):
+        phases = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, len(w))
+        assert np.array_equal(m.sin_coef, 0.1 * w * np.cos(phases))
+        assert np.array_equal(m.cos_coef, 0.1 * w * np.sin(phases))
+    assert not np.array_equal(a.sample_all(0.3), b.sample_all(0.3))
 
 
 def test_amplitude_at_or_above_one_rejected():
@@ -226,3 +239,85 @@ def test_proportional_fractions_recorded():
         g, 0, HORIZON,
     )
     assert m.proportional_fractions == (0.1, 0.2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DisturbanceSpec(kind="zero"),
+        DisturbanceSpec(kind="sinusoid", amplitude=0.03),
+        DisturbanceSpec(kind="sinusoid", amplitude=0.4, omega=3.0, phase=0.7),
+        DisturbanceSpec(kind="piecewise", amplitude=0.4),
+        DisturbanceSpec(kind="piecewise", amplitude=0.2, knot_spacing=0.3),
+    ],
+    ids=["zero", "sinusoid", "sinusoid-fixed-phase", "piecewise", "piecewise-coarse"],
+)
+def test_equal_fraction_kinds_match_per_kind_builder(spec):
+    # The sinusoid and piecewise kinds keep the per-kind builder's
+    # arithmetic: the carrier is scaled by amplitude*w, so samples and
+    # envelopes are bitwise equal.
+    g = random_weighted_graph(31, max_nodes=10)
+    m = build_model(spec, g, 17, HORIZON)
+    ref = build_model_per_kind(spec, g, 17, HORIZON)
+    assert np.array_equal(m.edge_lower, ref.edge_lower)
+    assert np.array_equal(m.edge_upper, ref.edge_upper)
+    assert (m.u_minus, m.u_plus) == (ref.u_minus, ref.u_plus)
+    for t in np.random.default_rng(5).uniform(0.0, HORIZON, 1000):
+        assert np.array_equal(m.sample_all(float(t)), ref.sample_all(float(t)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DisturbanceSpec(kind="proportional", alpha_lower=0.1, alpha_upper=0.4,
+                        carrier="sinusoid"),
+        DisturbanceSpec(kind="proportional", alpha_lower=0.0, alpha_upper=0.3,
+                        carrier="piecewise"),
+        DisturbanceSpec(kind="proportional", alpha_lower=0.25, alpha_upper=0.25,
+                        carrier="sinusoid", phase=1.1),
+    ],
+    ids=["prop-sin", "prop-pw", "prop-sin-equal"],
+)
+def test_proportional_samples_match_per_kind_builder(spec):
+    # alpha*(w*c) instead of (alpha*w)*c: only the last bits may move.
+    g = random_weighted_graph(31, max_nodes=10)
+    w = np.array([wt for _, _, wt in g.edges])
+    m = build_model(spec, g, 17, HORIZON)
+    ref = build_model_per_kind(spec, g, 17, HORIZON)
+    for t in np.random.default_rng(5).uniform(0.0, HORIZON, 1000):
+        diff = np.abs(m.sample_all(float(t)) - ref.sample_all(float(t)))
+        assert np.all(diff <= 1e-15 * w)
+
+
+def test_proportional_piecewise_envelope_is_fraction_times_knot_extremes():
+    # The carrier holds w-scaled knots; the envelope is each fraction times
+    # their extremes, no wider than the fraction of the weight.
+    g = random_weighted_graph(4)
+    w = np.array([wt for _, _, wt in g.edges])
+    spec = DisturbanceSpec(kind="proportional", alpha_lower=0.1, alpha_upper=0.3,
+                           carrier="piecewise")
+    m = build_model(spec, g, 6, HORIZON)
+    assert np.array_equal(m.edge_lower, 0.1 * np.maximum(0.0, -m.knot_values.min(axis=1)))
+    assert np.array_equal(m.edge_upper, 0.3 * np.maximum(0.0, m.knot_values.max(axis=1)))
+    assert np.all(m.edge_lower <= 0.1 * w) and np.all(m.edge_upper <= 0.3 * w)
+    assert m.u_plus == float(m.edge_upper.max())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("sinusoid", "amplitude"),
+        ("sinusoid", "omega"),
+        ("sinusoid", "phase"),
+        ("piecewise", "knot_spacing"),
+        ("proportional", "alpha_lower"),
+        ("proportional", "alpha_upper"),
+        ("sinusoid", "uniform_lower"),
+        ("piecewise", "uniform_upper"),
+    ],
+)
+def test_non_finite_spec_values_rejected(kind, field, value):
+    values = {"amplitude": 0.1, "alpha_upper": 0.1, field: value}
+    with pytest.raises(SpecError, match=f"{field} must be finite"):
+        build_model(DisturbanceSpec(kind=kind, **values), line4(), 0, HORIZON)

@@ -139,6 +139,14 @@ class TestSimulate:
         with pytest.raises(PreconditionError, match="node 8"):
             simulate(g, zero_model(g), PARAMS, x0, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_rejected(self, value):
+        g = standin13()
+        x0 = constant_initial(g, 12.0)
+        x0[7] = value
+        with pytest.raises(PreconditionError, match="node 8 is not finite"):
+            simulate(g, zero_model(g), PARAMS, x0, 1.0)
+
     def test_nonzero_source_state_rejected(self):
         g = load_graph(TWO_NODE)
         with pytest.raises(PreconditionError, match="source node 1"):

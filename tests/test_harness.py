@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dbmc import (
+    DbmcError,
     PreconditionError,
     SpecError,
     check_reachability,
@@ -23,16 +24,19 @@ from dbmc import (
 from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
     bounds_csv,
+    check_brackets,
     compute_bound_curves,
     errors_csv,
     focus_csv,
     plan_scenario,
+    resolve_chi0,
     trajectory_csv,
 )
 from dbmc.scenario import parse_t_end_rule
 
 from helpers import (
     bounds_csv_loop,
+    constant_initial,
     errors_csv_loop,
     focus_csv_loop,
     hop_random_graph_loop,
@@ -150,6 +154,9 @@ class TestScenarioParsing:
             parse_t_end_rule("1.5Ts")
         with pytest.raises(SpecError):
             parse_t_end_rule("later")
+        for raw in ("nan", "inf", "nanTs"):
+            with pytest.raises(SpecError):
+                parse_t_end_rule(raw)
 
     def test_missing_sections_and_keys(self):
         with pytest.raises(SpecError, match=r"\[gain\]"):
@@ -391,3 +398,57 @@ class TestWritersMatchPerValueLoops:
             _assert_writers_match_loops(g, traj, curves, focus)
         text = bounds_csv(g, times, curves)
         assert ",-0," in text and ",0," in text and ",-inf," in text
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "node, initial, chi0, match",
+        [
+            (5, 12.0, math.nan, "chi0"),
+            (5, 12.0, math.inf, "chi0"),
+            (5, math.nan, None, "initial"),
+            (5, math.nan, 12.0, "initial"),
+            (5, math.inf, None, "initial"),
+            (1, math.nan, 12.0, "initial"),  # the source
+        ],
+    )
+    def test_resolve_chi0_rejects_non_finite(self, node, initial, chi0, match):
+        g = standin13()
+        x0 = constant_initial(g, 12.0)
+        x0[node - 1] = initial
+        with pytest.raises(SpecError, match=match):
+            resolve_chi0(g, solve_shortest_paths(g), x0, chi0)
+
+    @staticmethod
+    def _three_node_run(error: float):
+        g = line_graph(3)  # non-sources 2, 3
+        times = np.linspace(0.0, 1.0, 4)
+        errors = np.zeros((4, 3))
+        errors[2, 2] = error
+        traj = Trajectory(
+            params=PTGainParams(gamma=2.0, h=12.0, deadline=5.0),
+            p=np.array([0.0, 1.0, 2.0]),
+            source_mask=np.array([True, False, False]),
+            times=times,
+            errors=errors,
+            x0=errors[0] + np.array([0.0, 1.0, 2.0]),
+            t_end=1.0,
+        )
+        return g, traj
+
+    @pytest.mark.parametrize("kind", ["chain", "uniform"])
+    def test_check_brackets_fails_on_nan_errors(self, kind):
+        lower = np.broadcast_to(-np.inf if kind == "chain" else -1.0, (4, 2))
+        curves = {kind: (lower, np.ones((4, 2)))}
+        g, traj = self._three_node_run(0.5)
+        check_brackets(g, traj, curves)
+        g, traj = self._three_node_run(math.nan)
+        with pytest.raises(DbmcError, match=kind):
+            check_brackets(g, traj, curves)
+
+    def test_check_brackets_fails_on_nan_curve(self):
+        g, traj = self._three_node_run(0.5)
+        upper = np.ones((4, 2))
+        upper[1, 0] = math.nan
+        with pytest.raises(DbmcError, match="envelope"):
+            check_brackets(g, traj, {"envelope": (-np.ones((4, 2)), upper)})
