@@ -25,8 +25,8 @@ def chain_initial_errors(
     return np.array([x0[k - 1] - sol.p[k - 1] for k in chain])
 
 
-def nominal_envelope(e0_chain: Sequence[float], params: PTGainParams, t):
-    """Error ceiling along a parent chain when edge weights are undisturbed.
+def nominal_envelopes(e0_chains: Sequence[Sequence[float]], params: PTGainParams, t):
+    """Error ceiling along each parent chain when edge weights are undisturbed.
 
     With f(t) the integrating factor and L = ln f(t), the chain
     i_0, ..., i_ell (source first, initial errors e0) obeys
@@ -36,17 +36,47 @@ def nominal_envelope(e0_chain: Sequence[float], params: PTGainParams, t):
     At t = 0 only the k = ell term survives (0^0 = 1), so the envelope
     starts at e0[-1]; the numerator grows logarithmically in f while the
     denominator grows linearly, so the envelope vanishes at the deadline.
+
+    Returns one column per chain: shape ``np.shape(t) + (len(e0_chains),)``.
+    L, each power L^m and exp(-L) are computed once for all chains, and each
+    chain's terms are summed in the order m = 0, 1, ..., ell, so a column is
+    bit for bit the envelope of its chain evaluated on its own.  The running
+    factorial overflows to inf past m = 170, as it always has.
     """
-    e0 = np.asarray(e0_chain, dtype=float)
     lp = np.asarray(log_integrating_factor(params, t), dtype=float)
-    total = np.zeros_like(lp)
+    depths = np.array([len(e0) - 1 for e0 in e0_chains], dtype=int)
+    order = np.argsort(-depths, kind="stable")  # deepest first
+    total = np.zeros(lp.shape + (len(e0_chains),))
     fact = 1.0
-    for m, coeff in enumerate(e0[::-1]):  # m counts hops above each chain node
+    for m in range(int(depths.max(initial=-1)) + 1):  # m counts hops above each chain node
         if m > 0:
             fact *= m
-        total = total + coeff * lp**m / fact
-    out = total * np.exp(-lp)
+        live = order[: np.count_nonzero(depths >= m)].tolist()  # chains with an m-th term
+        coeff = np.array([e0_chains[c][depths[c] - m] for c in live], dtype=float)
+        term = np.asarray(lp**m)[..., None] * coeff
+        term /= fact
+        total[..., : len(live)] += term
+    total *= np.asarray(np.exp(-lp))[..., None]
+    return total[..., np.argsort(order)]
+
+
+def nominal_envelope(e0_chain: Sequence[float], params: PTGainParams, t):
+    """:func:`nominal_envelopes` of one chain; a float for scalar ``t``."""
+    out = nominal_envelopes([e0_chain], params, t)[..., 0]
     return float(out) if np.ndim(t) == 0 else out
+
+
+def chain_offset(e0_chain: Sequence[float], edge_caps: Sequence[float]) -> float:
+    """What the chain bound adds to the nominal envelope: the sum of the caps.
+
+    ``edge_caps`` holds the upper envelope of each chain edge (child to
+    parent), one per hop.
+    """
+    if len(edge_caps) != len(e0_chain) - 1:
+        raise DomainError(
+            f"expected {len(e0_chain) - 1} edge caps, got {len(edge_caps)}"
+        )
+    return float(sum(edge_caps))
 
 
 def chain_upper_bound(
@@ -57,15 +87,22 @@ def chain_upper_bound(
 ):
     """Upper error bound along a chain under per-edge disturbance caps.
 
-    ``edge_caps`` holds the upper envelope of each chain edge (child to
-    parent), one per hop; the bound is the nominal envelope plus their sum,
-    which is also its limit at the deadline.
+    The bound is the nominal envelope plus :func:`chain_offset`, which is
+    also its limit at the deadline.
     """
-    if len(edge_caps) != len(e0_chain) - 1:
-        raise DomainError(
-            f"expected {len(e0_chain) - 1} edge caps, got {len(edge_caps)}"
-        )
-    return nominal_envelope(e0_chain, params, t) + float(sum(edge_caps))
+    offset = chain_offset(e0_chain, edge_caps)
+    return nominal_envelope(e0_chain, params, t) + offset
+
+
+def proportional_offsets(alpha_lower: float, alpha_upper: float, p):
+    """(lower, upper shift) of the proportional band at distance ``p``.
+
+    lower = -a1 * p (constant); upper = nominal envelope + a2 * p.  ``p``
+    may be an array of distances.  Both fractions must lie in [0, 1).
+    """
+    if not (0.0 <= alpha_lower < 1.0 and 0.0 <= alpha_upper < 1.0):
+        raise DomainError("fractional disturbance bounds must lie in [0, 1)")
+    return -alpha_lower * p, alpha_upper * p
 
 
 def proportional_bounds(
@@ -79,19 +116,25 @@ def proportional_bounds(
 ):
     """(lower, upper) error band when -a1*w <= u <= a2*w on every edge.
 
-    lower = -a1 * p_node (constant); upper = nominal envelope + a2 * p_node.
-    Both fractions must lie in [0, 1).
+    See :func:`proportional_offsets`.
     """
-    if not (0.0 <= alpha_lower < 1.0 and 0.0 <= alpha_upper < 1.0):
-        raise DomainError("fractional disturbance bounds must lie in [0, 1)")
+    low, shift = proportional_offsets(alpha_lower, alpha_upper, sol.p[node - 1])
     chain = parent_chain(sol, node)
-    env = nominal_envelope(chain_initial_errors(sol, x0, chain), params, t)
-    p_i = sol.p[node - 1]
-    upper = env + alpha_upper * p_i
-    low = -alpha_lower * p_i
+    upper = nominal_envelope(chain_initial_errors(sol, x0, chain), params, t) + shift
     if np.ndim(t) == 0:
         return low, float(upper)
     return np.full_like(np.asarray(upper), low), upper
+
+
+def uniform_offsets(u_minus: float, u_plus: float, depth, diameter_minus: int):
+    """(lower, upper shift) of the uniform band of a chain of depth ``depth``.
+
+    lower = -(D_minus - 1) * u_minus with D_minus the effective diameter of
+    the shrunk-weight graph; upper = nominal envelope + depth * u_plus.
+    ``depth`` may be an array of depths.
+    """
+    _check_uniform_bounds(u_minus, u_plus)
+    return -(diameter_minus - 1) * u_minus, depth * u_plus
 
 
 def uniform_bounds(
@@ -106,15 +149,13 @@ def uniform_bounds(
 ):
     """(lower, upper) error band under uniform disturbance bounds.
 
-    lower = -(D_minus - 1) * u_minus with D_minus the effective diameter of
-    the shrunk-weight graph; upper = depth * u_plus + nominal envelope.
+    See :func:`uniform_offsets`.
     """
-    _check_uniform_bounds(u_minus, u_plus)
     chain = parent_chain(sol, node)
-    depth = len(chain) - 1
-    env = nominal_envelope(chain_initial_errors(sol, x0, chain), params, t)
-    upper = env + depth * u_plus
-    low = -(sol_minus.effective_diameter - 1) * u_minus
+    low, shift = uniform_offsets(
+        u_minus, u_plus, len(chain) - 1, sol_minus.effective_diameter
+    )
+    upper = nominal_envelope(chain_initial_errors(sol, x0, chain), params, t) + shift
     if np.ndim(t) == 0:
         return low, float(upper)
     return np.full_like(np.asarray(upper), low), upper

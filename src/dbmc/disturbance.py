@@ -13,7 +13,8 @@ piecewise kinds are that model with alpha_lower = alpha_upper = amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -114,6 +115,32 @@ class DisturbanceModel:
         """(lower, upper) envelope magnitudes of one edge's signal."""
         k = self._edge(edge)
         return float(self.edge_lower[k]), float(self.edge_upper[k])
+
+    def take(self, order: Sequence[int] | np.ndarray) -> DisturbanceModel:
+        """The model restricted to the edges ``order`` indexes, in that order.
+
+        Every per-edge array and ``graph.edges`` are reordered together, so
+        ``take(order).sample_all(t)`` equals ``sample_all(t)[order]`` bit for
+        bit, and ``sample``/``bounds`` of a kept edge are unchanged.
+        """
+        order = np.asarray(order, dtype=np.intp)
+        g = self.graph
+        picked = WeightedDigraph(
+            g.node_count, g.sources, tuple(g.edges[k] for k in order.tolist())
+        )
+
+        def pick(a: np.ndarray | None) -> np.ndarray | None:
+            return None if a is None else a[order]
+
+        return replace(
+            self,
+            graph=picked,
+            edge_lower=self.edge_lower[order],
+            edge_upper=self.edge_upper[order],
+            sin_coef=pick(self.sin_coef),
+            cos_coef=pick(self.cos_coef),
+            knot_values=pick(self.knot_values),
+        )
 
 
 def build_model(

@@ -133,6 +133,32 @@ class Trajectory:
         return int(np.argmin(np.abs(self.times - t)))
 
 
+def check_initial_state(
+    g: WeightedDigraph, sol: ShortestPathSolution, x0: np.ndarray
+) -> None:
+    """Raise PreconditionError unless ``x0`` is a valid initial state of ``g``.
+
+    It needs one finite entry per node, every source at exactly 0, and every
+    other node at or above its shortest-path distance.
+    """
+    if x0.shape != (g.node_count,):
+        raise PreconditionError(f"x0 must have one entry per node, got shape {x0.shape}")
+    bad = np.flatnonzero(~np.isfinite(x0))
+    if bad.size:
+        raise PreconditionError(f"initial state of node {bad[0] + 1} is not finite")
+    for s in sorted(g.sources):
+        if x0[s - 1] != 0.0:
+            raise PreconditionError(
+                f"source node {s} must start at 0, got {float(x0[s - 1])!r}"
+            )
+    for i in g.non_sources:
+        if x0[i - 1] < sol.p[i - 1]:
+            raise PreconditionError(
+                f"initial state of node {i} underestimates its distance "
+                f"({float(x0[i - 1])!r} < {float(sol.p[i - 1])!r})"
+            )
+
+
 def make_rhs(
     g: WeightedDigraph,
     sol: ShortestPathSolution,
@@ -144,25 +170,64 @@ def make_rhs(
     Candidate values are e_j + (p_j + w_ij - p_i) + u_ij(t); the offset term
     vanishes on true-parent edges, so at the solution with zero disturbance
     the right-hand side is exactly zero.
+
+    Only edges leaving a non-source matter, so the model is cut down to them
+    once, grouped by tail (a stable sort), and each call takes one segment
+    minimum per non-source with ``np.minimum.reduceat``.  Sources get 0.
     """
     p = np.asarray(sol.p, dtype=float)
-    tails = np.array([i - 1 for i, _, _ in g.edges], dtype=np.intp)
-    heads = np.array([j - 1 for _, j, _ in g.edges], dtype=np.intp)
-    w = np.array([w for _, _, w in g.edges])
-    offsets = p[heads] + w - p[tails]
     src = np.zeros(g.node_count, dtype=bool)
     src[[s - 1 for s in g.sources]] = True
+    all_tails = np.array([i - 1 for i, _, _ in g.edges], dtype=np.intp)
+    keep = np.flatnonzero(~src[all_tails])
+    order = keep[np.argsort(all_tails[keep], kind="stable")]
+    grouped = model.take(order)
+    tails = all_tails[order]
+    heads = np.array([j - 1 for _, j, _ in grouped.graph.edges], dtype=np.intp)
+    w = np.array([w for _, _, w in grouped.graph.edges])
+    offsets = p[heads] + w - p[tails]
+    ns = np.flatnonzero(~src)
+    degree = np.bincount(tails, minlength=g.node_count)[ns]
+    # Every non-source reaches a source (``sol`` exists), so it has an
+    # out-edge and its segment of the grouped edges is nonempty.
+    if not degree.all():
+        raise PreconditionError("every non-source node needs an out-edge")
+    starts = np.concatenate(([0], np.cumsum(degree)[:-1]))
     gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
 
     def rhs(t: float, e: np.ndarray) -> np.ndarray:
-        cand = e[heads] + offsets + model.sample_all(t)
-        best = np.full(e.shape, np.inf)
-        np.minimum.at(best, tails, cand)
-        out = (gamma + two_h2 / (deadline - t)) * (best - e)
-        out[src] = 0.0
+        cand = e[heads] + offsets + grouped.sample_all(t)
+        best = np.minimum.reduceat(cand, starts)
+        out = np.zeros_like(e)
+        out[ns] = (gamma + two_h2 / (deadline - t)) * (best - e[ns])
         return out
 
     return rhs
+
+
+def _step_grid(
+    params: PTGainParams, t_end: float, h_cap: float, remaining_fraction: float
+) -> tuple[list[float], list[float]]:
+    """Stored times on [0, t_end] (0 and t_end included) and the step sizes.
+
+    A step is min(h_cap, remaining_fraction * time left to the deadline),
+    cut to land on t_end; raises IntegrationError when one underflows.
+    """
+    floor = 1e-15 * params.deadline
+    t = 0.0
+    times = [0.0]
+    steps = []
+    while t < t_end:
+        hs = min(h_cap, remaining_fraction * (params.deadline - t))
+        last = (t_end - t) <= hs
+        if last:
+            hs = t_end - t
+        if hs <= floor:
+            raise IntegrationError(f"step size underflow at t = {t!r}")
+        t = t_end if last else t + hs
+        times.append(t)
+        steps.append(hs)
+    return times, steps
 
 
 def simulate(
@@ -176,33 +241,16 @@ def simulate(
 ) -> Trajectory:
     """Integrate the disturbed dynamics on [0, t_end] with classic RK4.
 
-    Preconditions: every initial state is finite, source states start at
-    exactly 0, every other initial state is at or above its shortest-path
-    distance, and t_end stays a relative 1e-9 short of the deadline (the
-    gain is singular there).
+    Preconditions: those of :func:`check_initial_state`, and t_end stays a
+    relative 1e-9 short of the deadline (the gain is singular there).
     Disturbances are sampled at each internal stage time.  Deterministic for
     fixed inputs; every accepted step is stored.
     """
     if sol is None:
         sol = solve_shortest_paths(g)
     opts = options or IntegratorOptions()
-    n = g.node_count
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise PreconditionError(f"x0 must have one entry per node, got shape {x0.shape}")
-    p = np.asarray(sol.p, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(x0))
-    if bad.size:
-        raise PreconditionError(f"initial state of node {bad[0] + 1} is not finite")
-    for s in sorted(g.sources):
-        if x0[s - 1] != 0.0:
-            raise PreconditionError(f"source node {s} must start at 0, got {x0[s - 1]!r}")
-    for i in g.non_sources:
-        if x0[i - 1] < p[i - 1]:
-            raise PreconditionError(
-                f"initial state of node {i} underestimates its distance "
-                f"({x0[i - 1]!r} < {p[i - 1]!r})"
-            )
+    check_initial_state(g, sol, x0)
     limit = params.deadline * (1.0 - 1e-9)
     if not 0.0 < t_end < limit:
         raise PreconditionError(f"t_end must lie in (0, {limit!r}), got {t_end!r}")
@@ -214,37 +262,27 @@ def simulate(
     h_cap = opts.max_step if opts.max_step is not None else params.deadline / 5000.0
     if h_cap <= 0.0 or opts.remaining_fraction <= 0.0:
         raise PreconditionError("step bounds must be positive")
+    times, steps = _step_grid(params, t_end, h_cap, opts.remaining_fraction)
     rhs = make_rhs(g, sol, model, params)
-    floor = 1e-15 * params.deadline
-    src_mask = np.zeros(n, dtype=bool)
+    p = np.asarray(sol.p, dtype=float)
+    src_mask = np.zeros(g.node_count, dtype=bool)
     src_mask[[s - 1 for s in g.sources]] = True
 
-    e = x0 - p
-    t = 0.0
-    times = [0.0]
-    errors = [e.copy()]
-    while t < t_end:
-        hs = min(h_cap, opts.remaining_fraction * (params.deadline - t))
-        last = (t_end - t) <= hs
-        if last:
-            hs = t_end - t
-        if hs <= floor:
-            raise IntegrationError(f"step size underflow at t = {t!r}")
+    errors = np.empty((len(times), g.node_count))
+    e = errors[0] = x0 - p
+    for k, (t, hs) in enumerate(zip(times, steps), start=1):
         k1 = rhs(t, e)
         k2 = rhs(t + 0.5 * hs, e + (0.5 * hs) * k1)
         k3 = rhs(t + 0.5 * hs, e + (0.5 * hs) * k2)
         k4 = rhs(t + hs, e + hs * k3)
-        e = e + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t_end if last else t + hs
-        times.append(t)
-        errors.append(e.copy())
+        e = errors[k] = e + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return Trajectory(
         params=params,
         p=p,
         source_mask=src_mask,
         times=np.array(times),
-        errors=np.array(errors),
+        errors=errors,
         x0=x0.copy(),
         t_end=float(t_end),
     )

@@ -29,15 +29,16 @@ import numpy as np
 
 from .bounds import (
     chain_initial_errors,
-    chain_upper_bound,
+    chain_offset,
     early_termination_time,
+    nominal_envelopes,
     power_law_envelope,
-    proportional_bounds,
-    uniform_bounds,
+    proportional_offsets,
+    uniform_offsets,
     worst_case_offset,
 )
 from .disturbance import DisturbanceModel, build_model
-from .dynamics import Trajectory, simulate
+from .dynamics import Trajectory, check_initial_state, simulate
 from .errors import DbmcError, InfeasibleError, PreconditionError, SpecError
 from .generate import generate_graph, synthetic_positions
 from .graph import (
@@ -151,7 +152,9 @@ def plan_scenario(
 
     ``seed``, ``q`` and ``t_end`` override the corresponding scenario fields
     (``t_end`` accepts the same syntax as the scenario key).  Raises
-    SpecError when ``t_end = auto`` but no guaranteed stop time exists.
+    SpecError when ``t_end = auto`` but no guaranteed stop time exists, and
+    PreconditionError when x0 fails :func:`dynamics.check_initial_state`,
+    so every verb enforces the preconditions ``simulate`` does.
     """
     g = resolve_graph(sc.graph_spec)
     sol = solve_shortest_paths(g)
@@ -162,6 +165,7 @@ def plan_scenario(
 
     sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
     chi0 = resolve_chi0(g, sol, x0, sc.chi0)
+    check_initial_state(g, sol, x0)
 
     ts_status, ts_value, ts_detail = "ok", None, ""
     if math.isinf(sol.path_gap):
@@ -220,47 +224,42 @@ def compute_bound_curves(
 
     Columns follow ``g.non_sources`` order.  The chain kind has no lower
     bound and uses -inf; the envelope kind is the network-wide band
-    +-(offset + power-law envelope at the largest depth).  These
-    node-independent curves, the chain's lower and both envelope curves,
-    are read-only ``np.broadcast_to`` views of one value or one column, so
+    +-(offset + power-law envelope at the largest depth).  The chain,
+    proportional and uniform upper bands share one nominal envelope per
+    node and add a constant per node.  The curves constant in time or across
+    nodes (every lower band and the envelope kind's upper) are read-only
+    ``np.broadcast_to`` views of one value, one row or one column, so
     callers must not write into them.
     """
     ns = g.non_sources
+    shape = (len(times), len(ns))
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    chains = {i: parent_chain(sol, i) for i in ns}
-    e0s = {i: chain_initial_errors(sol, x0, chains[i]) for i in ns}
+    chains = [parent_chain(sol, i) for i in ns]
+    e0s = [chain_initial_errors(sol, x0, c) for c in chains]
+    if set(kinds) & {"chain", "proportional", "uniform"}:
+        env = nominal_envelopes(e0s, params, times)
 
     if "chain" in kinds:
-        lower = np.broadcast_to(-np.inf, (len(times), len(ns)))
-        upper = np.empty((len(times), len(ns)))
-        for col, i in enumerate(ns):
-            caps = [
-                float(model.edge_upper[g.edge_index[(chains[i][k + 1], chains[i][k])]])
-                for k in range(len(chains[i]) - 1)
-            ]
-            upper[:, col] = chain_upper_bound(e0s[i], caps, params, times)
-        curves["chain"] = (lower, upper)
+        offsets = [
+            chain_offset(e0, [
+                float(model.edge_upper[g.edge_index[(c[k + 1], c[k])]])
+                for k in range(len(c) - 1)
+            ])
+            for c, e0 in zip(chains, e0s)
+        ]
+        curves["chain"] = (np.broadcast_to(-np.inf, shape), env + np.array(offsets))
 
     if "proportional" in kinds:
-        fr = model.proportional_fractions
-        lower = np.empty((len(times), len(ns)))
-        upper = np.empty_like(lower)
-        for col, i in enumerate(ns):
-            lo, hi = proportional_bounds(sol, x0, fr[0], fr[1], i, params, times)
-            lower[:, col] = lo
-            upper[:, col] = hi
-        curves["proportional"] = (lower, upper)
+        p = np.array([sol.p[i - 1] for i in ns])
+        low, shift = proportional_offsets(*model.proportional_fractions, p)
+        curves["proportional"] = (np.broadcast_to(low, shape), env + shift)
 
     if "uniform" in kinds:
-        lower = np.empty((len(times), len(ns)))
-        upper = np.empty_like(lower)
-        for col, i in enumerate(ns):
-            lo, hi = uniform_bounds(
-                sol, sol_minus, x0, model.u_minus, model.u_plus, i, params, times
-            )
-            lower[:, col] = lo
-            upper[:, col] = hi
-        curves["uniform"] = (lower, upper)
+        depths = np.array([len(c) - 1 for c in chains])
+        low, shift = uniform_offsets(
+            model.u_minus, model.u_plus, depths, sol_minus.effective_diameter
+        )
+        curves["uniform"] = (np.broadcast_to(low, shape), env + shift)
 
     if "envelope" in kinds:
         offset = worst_case_offset(
@@ -270,8 +269,8 @@ def compute_bound_curves(
         band = offset + power_law_envelope(
             chi0, sol.effective_diameter - 1, q, params, times
         )
-        lower = np.broadcast_to(-band[:, None], (len(times), len(ns)))
-        upper = np.broadcast_to(band[:, None], (len(times), len(ns)))
+        lower = np.broadcast_to(-band[:, None], shape)
+        upper = np.broadcast_to(band[:, None], shape)
         curves["envelope"] = (lower, upper)
 
     return curves

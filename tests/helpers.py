@@ -6,6 +6,10 @@ The ``*_csv_loop`` writers format every value on its own, one ``%.17g`` call
 per cell, and serve as the oracle for the CSV writers in ``dbmc.harness``.
 ``build_model_per_kind`` is the earlier disturbance builder, one branch per
 kind, and serves as the oracle for ``dbmc.disturbance.build_model``.
+``simulate_scatter`` (a scatter-min right-hand side over every edge) and
+``bound_curves_per_node`` (one nominal envelope per node and kind) are the
+earlier integration loop and bound evaluation, and serve as the oracles for
+``dbmc.dynamics.simulate`` and ``dbmc.harness.compute_bound_curves``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from dbmc import DisturbanceSpec, WeightedDigraph
+from dbmc.bounds import chain_initial_errors, power_law_envelope, worst_case_offset
+from dbmc.dynamics import log_integrating_factor
+from dbmc.graph import parent_chain
 
 
 def brute_force_distances(g: WeightedDigraph) -> dict[int, float]:
@@ -230,3 +237,103 @@ def build_model_per_kind(
         u_plus = float(spec.uniform_upper)
     return PerKindModel(spec.kind, lower, upper, u_minus, u_plus, spec.omega,
                         sin_coef, cos_coef, knots, knot_dt, carrier)
+
+
+def simulate_scatter(g, model, params, x0, t_end, sol, max_step=None, remaining_fraction=0.01):
+    """RK4 over ``np.minimum.at`` into every node, one sample per stage,
+    storing a copy of every step; returns (times, errors)."""
+    p = np.asarray(sol.p, dtype=float)
+    tails = np.array([i - 1 for i, _, _ in g.edges], dtype=np.intp)
+    heads = np.array([j - 1 for _, j, _ in g.edges], dtype=np.intp)
+    w = np.array([w for _, _, w in g.edges])
+    offsets = p[heads] + w - p[tails]
+    src = np.zeros(g.node_count, dtype=bool)
+    src[[s - 1 for s in g.sources]] = True
+    gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
+
+    def rhs(t, e):
+        cand = e[heads] + offsets + model.sample_all(t)
+        best = np.full(e.shape, np.inf)
+        np.minimum.at(best, tails, cand)
+        out = (gamma + two_h2 / (deadline - t)) * (best - e)
+        out[src] = 0.0
+        return out
+
+    h_cap = max_step if max_step is not None else deadline / 5000.0
+    e = np.asarray(x0, dtype=float) - p
+    t = 0.0
+    times = [0.0]
+    errors = [e.copy()]
+    while t < t_end:
+        hs = min(h_cap, remaining_fraction * (deadline - t))
+        last = (t_end - t) <= hs
+        if last:
+            hs = t_end - t
+        k1 = rhs(t, e)
+        k2 = rhs(t + 0.5 * hs, e + (0.5 * hs) * k1)
+        k3 = rhs(t + 0.5 * hs, e + (0.5 * hs) * k2)
+        k4 = rhs(t + hs, e + hs * k3)
+        e = e + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t_end if last else t + hs
+        times.append(t)
+        errors.append(e.copy())
+    return np.array(times), np.array(errors)
+
+
+def nominal_envelope_loop(e0_chain, params, t):
+    """The nominal envelope of one chain, summed term by term."""
+    e0 = np.asarray(e0_chain, dtype=float)
+    lp = np.asarray(log_integrating_factor(params, t), dtype=float)
+    total = np.zeros_like(lp)
+    fact = 1.0
+    for m, coeff in enumerate(e0[::-1]):
+        if m > 0:
+            fact *= m
+        total = total + coeff * lp**m / fact
+    return total * np.exp(-lp)
+
+
+def bound_curves_per_node(g, sol, sol_minus, model, x0, q, chi0, params, times, kinds):
+    """Every bound kind's (lower, upper) arrays, filled column by column."""
+    ns = g.non_sources
+    shape = (len(times), len(ns))
+    chains = {i: parent_chain(sol, i) for i in ns}
+    env = {
+        i: nominal_envelope_loop(chain_initial_errors(sol, x0, chains[i]), params, times)
+        for i in ns
+    }
+    curves = {}
+    if "chain" in kinds:
+        upper = np.empty(shape)
+        for col, i in enumerate(ns):
+            c = chains[i]
+            caps = [
+                float(model.edge_upper[g.edge_index[(c[k + 1], c[k])]])
+                for k in range(len(c) - 1)
+            ]
+            upper[:, col] = env[i] + float(sum(caps))
+        curves["chain"] = (np.full(shape, -np.inf), upper)
+    if "proportional" in kinds:
+        a_lower, a_upper = model.proportional_fractions
+        lower, upper = np.empty(shape), np.empty(shape)
+        for col, i in enumerate(ns):
+            lower[:, col] = -a_lower * sol.p[i - 1]
+            upper[:, col] = env[i] + a_upper * sol.p[i - 1]
+        curves["proportional"] = (lower, upper)
+    if "uniform" in kinds:
+        lower, upper = np.empty(shape), np.empty(shape)
+        for col, i in enumerate(ns):
+            lower[:, col] = -(sol_minus.effective_diameter - 1) * model.u_minus
+            upper[:, col] = env[i] + (len(chains[i]) - 1) * model.u_plus
+        curves["uniform"] = (lower, upper)
+    if "envelope" in kinds:
+        offset = worst_case_offset(
+            model.u_minus, model.u_plus,
+            sol.effective_diameter, sol_minus.effective_diameter,
+        )
+        band = offset + power_law_envelope(
+            chi0, sol.effective_diameter - 1, q, params, times
+        )
+        curves["envelope"] = (np.tile(-band[:, None], (1, len(ns))),
+                              np.tile(band[:, None], (1, len(ns))))
+    return curves

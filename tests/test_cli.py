@@ -151,6 +151,27 @@ def test_bounds_verb_refuses_chi0_below_initial_error(tmp_path, capsys):
     assert not (out_dir / "bounds.csv").exists()
 
 
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ("5" + " 12" * 12, "source node 1 must start at 0, got 5.0"),
+        ("0" + " 12" * 11 + " 1", "node 13 underestimates its distance (1.0 < 11.5)"),
+    ],
+    ids=["source-not-zero", "below-distance"],
+)
+@pytest.mark.parametrize("verb", ["bounds", "simulate", "run"])
+def test_every_verb_enforces_initial_state_preconditions(tmp_path, capsys, verb, states, message):
+    text = Path("scenarios/case_study_40pct.ini").read_text()
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(text.replace("value = 12", f"states = {states}"))
+    out_dir = tmp_path / "out"
+    assert main([verb, "--scenario", str(scenario), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "np.float64" not in err
+    assert not any(out_dir.glob("*.csv"))
+
 def test_error_paths_exit_one(tmp_path, capsys):
     missing = tmp_path / "nope.ini"
     assert main(["run", "--scenario", str(missing), "--out", str(tmp_path)]) == 1

@@ -321,3 +321,37 @@ def test_non_finite_spec_values_rejected(kind, field, value):
     values = {"amplitude": 0.1, "alpha_upper": 0.1, field: value}
     with pytest.raises(SpecError, match=f"{field} must be finite"):
         build_model(DisturbanceSpec(kind=kind, **values), line4(), 0, HORIZON)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DisturbanceSpec(kind="zero"),
+        DisturbanceSpec(kind="sinusoid", amplitude=0.3),
+        DisturbanceSpec(kind="piecewise", amplitude=0.3),
+        DisturbanceSpec(kind="proportional", alpha_lower=0.1, alpha_upper=0.4,
+                        carrier="sinusoid"),
+        DisturbanceSpec(kind="proportional", alpha_lower=0.0, alpha_upper=0.3,
+                        carrier="piecewise"),
+    ],
+    ids=["zero", "sinusoid", "piecewise", "prop-sin", "prop-pw"],
+)
+@pytest.mark.parametrize("subset", [False, True], ids=["permutation", "subset"])
+def test_take_reorders_samples_and_edges_together(spec, subset):
+    g = random_weighted_graph(12, max_nodes=10)
+    m = build_model(spec, g, 3, HORIZON)
+    rng = np.random.default_rng(8)
+    order = rng.permutation(len(g.edges))
+    if subset:
+        order = order[: len(order) // 2]
+    taken = m.take(order)
+    assert taken.graph.edges == tuple(g.edges[k] for k in order)
+    for t in rng.uniform(0.0, HORIZON, 1000):
+        got, want = taken.sample_all(float(t)), m.sample_all(float(t))[order]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for i, j, _ in taken.graph.edges:
+        assert taken.bounds((i, j)) == m.bounds((i, j))
+        assert taken.sample((i, j), 1.3) == m.sample((i, j), 1.3)
+    for k in set(range(len(g.edges))) - set(order.tolist()):
+        with pytest.raises(UnknownEdgeError):
+            taken.sample(g.edges[k][:2], 1.3)

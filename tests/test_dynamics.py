@@ -238,3 +238,10 @@ class TestSimulate:
         assert traj.state_of(2)[0] == 12.0
         assert traj.error_of(2)[0] == 11.0
         assert traj.final_states.shape == (2,)
+
+
+def test_rhs_needs_an_out_edge_per_non_source():
+    line3 = load_graph("nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n")
+    stranded = load_graph("nodes 3\nsources 1\n2 1 1.0\n")  # node 3 has no out-edge
+    with pytest.raises(PreconditionError, match="out-edge"):
+        make_rhs(stranded, solve_shortest_paths(line3), zero_model(stranded), PARAMS)

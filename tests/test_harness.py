@@ -7,6 +7,10 @@ import pytest
 
 from dbmc import (
     DbmcError,
+    DisturbanceSpec,
+    WeightedDigraph,
+    build_model,
+    minus_graph,
     PreconditionError,
     SpecError,
     check_reachability,
@@ -23,6 +27,7 @@ from dbmc import (
 )
 from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
+    BOUND_KINDS,
     bounds_csv,
     check_brackets,
     compute_bound_curves,
@@ -35,11 +40,14 @@ from dbmc.harness import (
 from dbmc.scenario import parse_t_end_rule
 
 from helpers import (
+    bound_curves_per_node,
     bounds_csv_loop,
     constant_initial,
     errors_csv_loop,
     focus_csv_loop,
     hop_random_graph_loop,
+    random_weighted_graph,
+    simulate_scatter,
     trajectory_csv_loop,
 )
 
@@ -452,3 +460,122 @@ class TestNonFiniteInputs:
         upper[1, 0] = math.nan
         with pytest.raises(DbmcError, match="envelope"):
             check_brackets(g, traj, {"envelope": (-np.ones((4, 2)), upper)})
+
+
+ORACLE_PARAMS = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
+
+
+def _sources_with_out_edges() -> WeightedDigraph:
+    g = random_weighted_graph(3)
+    return WeightedDigraph(g.node_count, frozenset({1, 2}), g.edges + ((1, 3, 0.5),))
+
+
+def _relabelled_sources() -> WeightedDigraph:
+    """Two sources, neither of them node 1, one with out-edges."""
+    g = random_weighted_graph(5, max_nodes=12)
+    perm = np.random.default_rng(5).permutation(g.node_count) + 1  # old id -> new id
+    edges = tuple((int(perm[i - 1]), int(perm[j - 1]), w) for i, j, w in g.edges)
+    sources = frozenset({int(perm[0]), int(perm[2])})
+    assert 1 not in sources
+    return WeightedDigraph(g.node_count, sources, edges)
+
+
+SINUSOID = DisturbanceSpec(kind="sinusoid", amplitude=0.3)
+ORACLE_CASES = {
+    "hop-random-2": (lambda: hop_random_graph(2, 0.25, 1), SINUSOID, 0.98),
+    "hop-random-13": (lambda: hop_random_graph(13, 0.25, 2), SINUSOID, 0.98),
+    "hop-random-200": (lambda: hop_random_graph(200, 0.05, 3), SINUSOID, 0.6),
+    "grid": (lambda: grid_graph(4, 5), SINUSOID, 0.98),
+    "sources-with-out-edges": (_sources_with_out_edges, SINUSOID, 0.98),
+    "sources-not-node-1": (_relabelled_sources, SINUSOID, 0.98),
+    # depth 179: the running factorial overflows past m = 170 and L**m
+    # overflows near the deadline, so some envelope cells are nan
+    "line-180": (lambda: line_graph(180), SINUSOID, 0.9),
+    "zero": (lambda: hop_random_graph(13, 0.25, 4), DisturbanceSpec(kind="zero"), 0.98),
+    "piecewise": (
+        lambda: hop_random_graph(13, 0.25, 5),
+        DisturbanceSpec(kind="piecewise", amplitude=0.2), 0.98,
+    ),
+    "proportional-sinusoid": (
+        lambda: hop_random_graph(13, 0.25, 6),
+        DisturbanceSpec(kind="proportional", alpha_lower=0.1, alpha_upper=0.3), 0.98,
+    ),
+    "proportional-piecewise": (
+        lambda: hop_random_graph(13, 0.25, 7),
+        DisturbanceSpec(kind="proportional", alpha_lower=0.0, alpha_upper=0.4,
+                        carrier="piecewise"), 0.98,
+    ),
+    "proportional-above-one": (
+        lambda: hop_random_graph(13, 0.25, 8),
+        DisturbanceSpec(kind="proportional", alpha_lower=0.2, alpha_upper=1.5), 0.98,
+    ),
+}
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal shapes and bit patterns: nan and -0.0 count too."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _assert_matches_oracles(g, sol, sol_minus, model, x0, q, chi0, params, t_end, kinds):
+    traj = simulate(g, model, params, x0, t_end, sol=sol)
+    times, errors = simulate_scatter(g, model, params, x0, t_end, sol)
+    _assert_same_bits(traj.times, times)
+    _assert_same_bits(traj.errors, errors)
+    args = (g, sol, sol_minus, model, x0, q, chi0, params, times, kinds)
+    with np.errstate(over="ignore", invalid="ignore"):  # line-180's nan cells
+        curves = compute_bound_curves(*args)
+        want = bound_curves_per_node(*args)
+    assert list(curves) == list(want) == list(kinds)
+    for kind in kinds:
+        for got_band, want_band in zip(curves[kind], want[kind]):
+            _assert_same_bits(got_band, want_band)
+
+
+class TestFastPathsMatchOracles:
+    """Tail-grouped RHS and shared envelopes against the scatter-min RK4
+    loop and the per-node bound evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("scenario", ["case_study_3pct", "case_study_40pct"])
+    def test_case_studies(self, scenario):
+        sc = load_scenario(Path("scenarios") / f"{scenario}.ini")
+        plan = plan_scenario(sc)
+        _assert_matches_oracles(
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+            sc.params, plan.t_stop, plan.auto_kinds,
+        )
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_generated(self, case):
+        make_graph, spec, t_frac = ORACLE_CASES[case]
+        g = make_graph()
+        params = ORACLE_PARAMS
+        sol = solve_shortest_paths(g)
+        model = build_model(spec, g, 11, horizon=params.deadline)
+        sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
+        x0 = np.array(sol.p) + np.random.default_rng(0).uniform(0.0, 3.0, g.node_count)
+        x0[[s - 1 for s in g.sources]] = 0.0
+        chi0 = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
+        kinds = BOUND_KINDS
+        if not all(f < 1.0 for f in model.proportional_fractions):
+            kinds = ("chain", "uniform", "envelope")
+        _assert_matches_oracles(
+            g, sol, sol_minus, model, x0, 3.0, chi0, params, t_frac * params.deadline, kinds
+        )
+
+    def test_constant_lower_bands_are_read_only(self):
+        sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
+        plan = plan_scenario(sc, t_end="0.1Ts")
+        times = np.linspace(0.0, plan.t_stop, 5)
+        curves = compute_bound_curves(
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+            sc.params, times, BOUND_KINDS,
+        )
+        assert list(curves) == list(BOUND_KINDS)
+        for kind, (lower, upper) in curves.items():
+            assert lower.shape == upper.shape == (5, len(plan.g.non_sources))
+            assert not lower.flags.writeable, kind
+            with pytest.raises(ValueError):
+                lower[0, 0] = 0.0
