@@ -40,24 +40,45 @@ def nominal_envelopes(e0_chains: Sequence[Sequence[float]], params: PTGainParams
     Returns one column per chain: shape ``np.shape(t) + (len(e0_chains),)``.
     L, each power L^m and exp(-L) are computed once for all chains, and each
     chain's terms are summed in the order m = 0, 1, ..., ell, so a column is
-    bit for bit the envelope of its chain evaluated on its own.  The running
-    factorial overflows to inf past m = 170, as it always has.
+    bit for bit the envelope of its chain evaluated on its own.  On deep
+    chains near the deadline L^m or the running factorial m! (inf past
+    m = 170) overflows; a term that is not finite is then evaluated in log
+    space as e0 * exp(m ln L - lgamma(m + 1) - L) and added after the
+    exp(-L) factor, so every envelope is finite and every cell without such
+    a term keeps the bits of the direct sum.
     """
-    lp = np.asarray(log_integrating_factor(params, t), dtype=float)
+    lp = np.atleast_1d(np.asarray(log_integrating_factor(params, t), dtype=float))
     depths = np.array([len(e0) - 1 for e0 in e0_chains], dtype=int)
     order = np.argsort(-depths, kind="stable")  # deepest first
-    total = np.zeros(lp.shape + (len(e0_chains),))
+    total = np.zeros((lp.size, len(e0_chains)))
+    logged = None  # log-space terms, already times exp(-L), and where they go
     fact = 1.0
     for m in range(int(depths.max(initial=-1)) + 1):  # m counts hops above each chain node
         if m > 0:
             fact *= m
         live = order[: np.count_nonzero(depths >= m)].tolist()  # chains with an m-th term
         coeff = np.array([e0_chains[c][depths[c] - m] for c in live], dtype=float)
-        term = np.asarray(lp**m)[..., None] * coeff
-        term /= fact
-        total[..., : len(live)] += term
-    total *= np.asarray(np.exp(-lp))[..., None]
-    return total[..., np.argsort(order)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lpm = lp**m
+            term = lpm[:, None] * coeff
+            term /= fact
+            # the times at which the largest term of the row is not finite
+            rows = np.flatnonzero(~np.isfinite(lpm * float(np.abs(coeff).max()) / fact))
+        if rows.size:
+            if logged is None:
+                logged, redone = np.zeros_like(total), np.zeros(total.shape, dtype=bool)
+            block = term[rows]
+            bad = ~np.isfinite(block)
+            poisson = np.exp(m * np.log(lp[rows]) - math.lgamma(m + 1) - lp[rows])  # <= 1
+            logged[rows, : len(live)] += np.where(bad, poisson[:, None] * coeff, 0.0)
+            redone[rows, : len(live)] |= bad
+            block[bad] = 0.0
+            term[rows] = block
+        total[:, : len(live)] += term
+    total *= np.exp(-lp)[:, None]
+    if logged is not None:
+        total[redone] += logged[redone]
+    return total[:, np.argsort(order)].reshape(np.shape(t) + (len(e0_chains),))
 
 
 def nominal_envelope(e0_chain: Sequence[float], params: PTGainParams, t):

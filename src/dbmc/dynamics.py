@@ -10,6 +10,13 @@ coordinates e_i = x_i - p_i instead of x_i: the two systems are identical in
 exact arithmetic, but near convergence e_i shrinks below the floating-point
 resolution of x_i around p_i, and only the error form keeps those magnitudes
 representable.  Reported states are p + e.
+
+Only the m non-source errors are integrated.  The state is a compact vector
+of those m errors followed by one slot that is always 0: every source keeps
+error 0, so every edge into a source reads that slot.  The candidates
+z_j + w_ij + u_ij(t) come from the tail-grouped
+:class:`~dbmc.disturbance.CandidateLayout`, the same layout
+``termination.current_parents`` takes its parent sets from.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .disturbance import DisturbanceModel
+from .disturbance import CandidateLayout, DisturbanceModel, candidate_layout
 from .errors import (
     DomainError,
     IntegrationError,
@@ -159,47 +166,49 @@ def check_initial_state(
             )
 
 
+def _rates(
+    lay: CandidateLayout, sol: ShortestPathSolution, params: PTGainParams
+) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
+    """rates(t, z, own): the time derivative of the m non-source errors.
+
+    ``z`` holds the m non-source errors followed by one 0, the error every
+    source keeps, and ``own`` is ``z[:m]``.  Candidate values are
+    z_j + (p_j + w_ij - p_i) + u_ij(t) over ``lay``; the offset term
+    vanishes on true-parent edges, so at the solution with zero disturbance
+    the rates are exactly zero.
+    """
+    p = np.asarray(sol.p, dtype=float)
+    offsets = p[lay.heads] + lay.weights - p[lay.tails]
+    slots, starts, grouped = lay.slots, lay.starts, lay.model
+    gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
+
+    def rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
+        best = np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts)
+        return (gamma + two_h2 / (deadline - t)) * (best - own)
+
+    return rates
+
+
 def make_rhs(
     g: WeightedDigraph,
     sol: ShortestPathSolution,
     model: DisturbanceModel,
     params: PTGainParams,
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Right-hand side f(t, e) of the error dynamics.
+    """Right-hand side f(t, e) of the error dynamics over all n nodes.
 
-    Candidate values are e_j + (p_j + w_ij - p_i) + u_ij(t); the offset term
-    vanishes on true-parent edges, so at the solution with zero disturbance
-    the right-hand side is exactly zero.
-
-    Only edges leaving a non-source matter, so the model is cut down to them
-    once, grouped by tail (a stable sort), and each call takes one segment
-    minimum per non-source with ``np.minimum.reduceat``.  Sources get 0.
+    A full-length view of the rates :func:`simulate` integrates: sources
+    get 0, and the source entries of ``e`` are read as 0, the error the
+    dynamics keep them at.  ``model`` must be built on ``g``.
     """
-    p = np.asarray(sol.p, dtype=float)
-    src = np.zeros(g.node_count, dtype=bool)
-    src[[s - 1 for s in g.sources]] = True
-    all_tails = np.array([i - 1 for i, _, _ in g.edges], dtype=np.intp)
-    keep = np.flatnonzero(~src[all_tails])
-    order = keep[np.argsort(all_tails[keep], kind="stable")]
-    grouped = model.take(order)
-    tails = all_tails[order]
-    heads = np.array([j - 1 for _, j, _ in grouped.graph.edges], dtype=np.intp)
-    w = np.array([w for _, _, w in grouped.graph.edges])
-    offsets = p[heads] + w - p[tails]
-    ns = np.flatnonzero(~src)
-    degree = np.bincount(tails, minlength=g.node_count)[ns]
-    # Every non-source reaches a source (``sol`` exists), so it has an
-    # out-edge and its segment of the grouped edges is nonempty.
-    if not degree.all():
-        raise PreconditionError("every non-source node needs an out-edge")
-    starts = np.concatenate(([0], np.cumsum(degree)[:-1]))
-    gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
+    lay = candidate_layout(model)
+    rates = _rates(lay, sol, params)
+    ns = lay.non_sources
 
     def rhs(t: float, e: np.ndarray) -> np.ndarray:
-        cand = e[heads] + offsets + grouped.sample_all(t)
-        best = np.minimum.reduceat(cand, starts)
+        z = np.append(e[ns], 0.0)
         out = np.zeros_like(e)
-        out[ns] = (gamma + two_h2 / (deadline - t)) * (best - e[ns])
+        out[ns] = rates(t, z, z[:-1])
         return out
 
     return rhs
@@ -243,8 +252,9 @@ def simulate(
 
     Preconditions: those of :func:`check_initial_state`, and t_end stays a
     relative 1e-9 short of the deadline (the gain is singular there).
-    Disturbances are sampled at each internal stage time.  Deterministic for
-    fixed inputs; every accepted step is stored.
+    Disturbances are sampled once per RK4 stage, four times per step.
+    Deterministic for fixed inputs; every accepted step is stored.  Row 0
+    of ``errors`` is x0 - p; later rows hold 0.0 in the source columns.
     """
     if sol is None:
         sol = solve_shortest_paths(g)
@@ -263,19 +273,33 @@ def simulate(
     if h_cap <= 0.0 or opts.remaining_fraction <= 0.0:
         raise PreconditionError("step bounds must be positive")
     times, steps = _step_grid(params, t_end, h_cap, opts.remaining_fraction)
-    rhs = make_rhs(g, sol, model, params)
+    lay = candidate_layout(model)
+    rates = _rates(lay, sol, params)
+    ns = lay.non_sources
     p = np.asarray(sol.p, dtype=float)
     src_mask = np.zeros(g.node_count, dtype=bool)
     src_mask[[s - 1 for s in g.sources]] = True
 
-    errors = np.empty((len(times), g.node_count))
-    e = errors[0] = x0 - p
+    # Only the m non-source errors are integrated.  ``z`` and the stage
+    # input ``y`` carry one trailing 0 that every source head reads, and each
+    # step is written into its row of ``errors`` (sources stay 0 after row 0).
+    errors = np.zeros((len(times), g.node_count))
+    errors[0] = x0 - p
+    m = len(ns)
+    z = np.append(errors[0, ns], 0.0)
+    y = np.zeros(m + 1)
+    z_own, y_own = z[:m], y[:m]
     for k, (t, hs) in enumerate(zip(times, steps), start=1):
-        k1 = rhs(t, e)
-        k2 = rhs(t + 0.5 * hs, e + (0.5 * hs) * k1)
-        k3 = rhs(t + 0.5 * hs, e + (0.5 * hs) * k2)
-        k4 = rhs(t + hs, e + hs * k3)
-        e = errors[k] = e + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        half = 0.5 * hs
+        k1 = rates(t, z, z_own)
+        np.add(z_own, half * k1, out=y_own)
+        k2 = rates(t + half, y, y_own)
+        np.add(z_own, half * k2, out=y_own)
+        k3 = rates(t + half, y, y_own)
+        np.add(z_own, hs * k3, out=y_own)
+        k4 = rates(t + hs, y, y_own)
+        z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        errors[k, ns] = z_own
 
     return Trajectory(
         params=params,

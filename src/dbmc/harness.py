@@ -56,6 +56,7 @@ from .termination import TerminationReport, build_report
 log = logging.getLogger("dbmc")
 
 BRACKET_TOL = 1e-6
+CHECK_BLOCK = 1 << 18  # values per block of the bracket check (2 MiB of float64)
 
 
 @dataclass
@@ -285,17 +286,23 @@ def check_brackets(
     """Every emitted curve must bracket the simulated errors pointwise.
 
     The comparisons are negated so that a NaN anywhere fails the check.
+    They run over blocks of about ``CHECK_BLOCK`` values, so the check
+    makes no temporary as large as a curve.
     """
-    ns = g.non_sources
-    err = traj.errors[:, [i - 1 for i in ns]]
+    cols = [i - 1 for i in g.non_sources]
+    step = max(1, CHECK_BLOCK // len(cols))
     for kind, (lower, upper) in curves.items():
-        if not (np.all(err >= lower - tol) and np.all(err <= upper + tol)):
-            worst_low = float(np.min(err - lower))
-            worst_high = float(np.min(upper - err))
-            raise DbmcError(
-                f"bound curve {kind!r} fails to bracket the trajectory "
-                f"(worst lower slack {worst_low:.3e}, upper slack {worst_high:.3e})"
-            )
+        for a in range(0, len(traj.times), step):
+            rows = slice(a, a + step)
+            err = traj.errors[rows, cols]
+            if not (np.all(err >= lower[rows] - tol) and np.all(err <= upper[rows] + tol)):
+                err = traj.errors[:, cols]
+                worst_low = float(np.min(err - lower))
+                worst_high = float(np.min(upper - err))
+                raise DbmcError(
+                    f"bound curve {kind!r} fails to bracket the trajectory "
+                    f"(worst lower slack {worst_low:.3e}, upper slack {worst_high:.3e})"
+                )
 
 
 def _fmt(x: float) -> str:

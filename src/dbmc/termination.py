@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .disturbance import DisturbanceModel
+from .disturbance import DisturbanceModel, candidate_layout
 from .errors import CycleError, DomainError, MissingParentError
 from .graph import ShortestPathSolution, WeightedDigraph
 
@@ -35,20 +35,25 @@ def current_parents(
     t: float,
     tie_tol: float = 0.0,
 ) -> dict[int, frozenset[int]]:
-    """Per non-source node, the neighbors within ``tie_tol`` of the disturbed minimum."""
+    """Per non-source node, the neighbors within ``tie_tol`` of the disturbed minimum.
+
+    The candidates x_j + w_ij + u_ij(t) are laid out by
+    :func:`~dbmc.disturbance.candidate_layout` (``model`` must be built on
+    ``g``), so the disturbance is sampled once and each node's minimum is
+    one ``np.minimum.reduceat`` segment.  A NaN candidate makes its node's
+    minimum NaN and its set empty.
+    """
     if tie_tol < 0.0:
         raise DomainError("tie_tol must be nonnegative")
+    lay = candidate_layout(model)
     x = np.asarray(x, dtype=float)
-    u = model.sample_all(t)
-    out: dict[int, frozenset[int]] = {}
-    for i in g.non_sources:
-        values = [
-            (x[j - 1] + w + u[g.edge_index[(i, j)]], j)
-            for j, w in g.out_adjacency[i - 1]
-        ]
-        best = min(v for v, _ in values)
-        out[i] = frozenset(j for v, j in values if v <= best + tie_tol)
-    return out
+    cand = x[lay.heads] + lay.weights + lay.model.sample_all(t)
+    best = np.minimum.reduceat(cand, lay.starts)
+    hit = cand <= np.repeat(best, lay.degree) + tie_tol
+    out: dict[int, list[int]] = {i: [] for i in (lay.non_sources + 1).tolist()}
+    for i, j in zip((lay.tails[hit] + 1).tolist(), (lay.heads[hit] + 1).tolist()):
+        out[i].append(j)
+    return {i: frozenset(js) for i, js in out.items()}
 
 
 def reconstruct_path(

@@ -9,7 +9,10 @@ kind, and serves as the oracle for ``dbmc.disturbance.build_model``.
 ``simulate_scatter`` (a scatter-min right-hand side over every edge) and
 ``bound_curves_per_node`` (one nominal envelope per node and kind) are the
 earlier integration loop and bound evaluation, and serve as the oracles for
-``dbmc.dynamics.simulate`` and ``dbmc.harness.compute_bound_curves``.
+``dbmc.dynamics.simulate`` and ``dbmc.harness.compute_bound_curves``;
+``nominal_envelope_exact`` sums in mpmath the cells where the float loop
+overflows.  ``current_parents_loop`` (a Python loop per node with
+``edge_index`` lookups) is the oracle for ``dbmc.termination.current_parents``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import io
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from dbmc import DisturbanceSpec, WeightedDigraph
@@ -281,7 +285,11 @@ def simulate_scatter(g, model, params, x0, t_end, sol, max_step=None, remaining_
 
 
 def nominal_envelope_loop(e0_chain, params, t):
-    """The nominal envelope of one chain, summed term by term."""
+    """The nominal envelope of one chain, summed term by term.
+
+    Past 170 hops near the deadline L**m and the factorial overflow, and
+    the cell is nan.
+    """
     e0 = np.asarray(e0_chain, dtype=float)
     lp = np.asarray(log_integrating_factor(params, t), dtype=float)
     total = np.zeros_like(lp)
@@ -293,13 +301,39 @@ def nominal_envelope_loop(e0_chain, params, t):
     return total * np.exp(-lp)
 
 
-def bound_curves_per_node(g, sol, sol_minus, model, x0, q, chi0, params, times, kinds):
-    """Every bound kind's (lower, upper) arrays, filled column by column."""
+def nominal_envelope_exact(e0_chain, params, t, weights=None):
+    """``nominal_envelope_loop``, with every cell it leaves nan summed in
+    40-digit mpmath as sum_m e0[ell - m] * L^m exp(-L) / m!.
+
+    ``weights`` maps each L to the weights L^m exp(-L) / m! found so far;
+    pass one dict to every chain of a graph, which share L at each time.
+    """
+    weights = {} if weights is None else weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array(nominal_envelope_loop(e0_chain, params, t), dtype=float)
+    lp = np.broadcast_to(log_integrating_factor(params, t), out.shape)
+    coeffs = [mpmath.mpf(float(c)) for c in reversed(e0_chain)]
+    with mpmath.workdps(40):
+        for k in zip(*np.nonzero(np.isnan(out))):
+            big_l = float(lp[k])
+            w = weights.setdefault(big_l, [mpmath.exp(-mpmath.mpf(big_l))])
+            for m in range(len(w), len(coeffs)):
+                w.append(w[-1] * big_l / m)
+            out[k] = float(mpmath.fdot(coeffs, w[: len(coeffs)]))
+    return out
+
+
+def bound_curves_per_node(
+    g, sol, sol_minus, model, x0, q, chi0, params, times, kinds,
+    envelope=nominal_envelope_loop,
+):
+    """Every bound kind's (lower, upper) arrays, filled column by column,
+    with ``envelope`` giving each node's nominal envelope."""
     ns = g.non_sources
     shape = (len(times), len(ns))
     chains = {i: parent_chain(sol, i) for i in ns}
     env = {
-        i: nominal_envelope_loop(chain_initial_errors(sol, x0, chains[i]), params, times)
+        i: envelope(chain_initial_errors(sol, x0, chains[i]), params, times)
         for i in ns
     }
     curves = {}
@@ -337,3 +371,19 @@ def bound_curves_per_node(g, sol, sol_minus, model, x0, q, chi0, params, times, 
         curves["envelope"] = (np.tile(-band[:, None], (1, len(ns))),
                               np.tile(band[:, None], (1, len(ns))))
     return curves
+
+
+def current_parents_loop(g, model, x, t, tie_tol=0.0):
+    """Per non-source node, the neighbors within ``tie_tol`` of the disturbed
+    minimum, one node at a time through ``edge_index``."""
+    x = np.asarray(x, dtype=float)
+    u = model.sample_all(t)
+    out = {}
+    for i in g.non_sources:
+        values = [
+            (x[j - 1] + w + u[g.edge_index[(i, j)]], j)
+            for j, w in g.out_adjacency[i - 1]
+        ]
+        best = min(v for v, _ in values)
+        out[i] = frozenset(j for v, j in values if v <= best + tie_tol)
+    return out

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +27,7 @@ from dbmc import (
     uniform_bounds,
     worst_case_offset,
 )
+from dbmc.bounds import nominal_envelopes
 
 PARAMS = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
 
@@ -81,6 +83,35 @@ class TestNominalEnvelope:
     def test_domain_error_at_deadline(self):
         with pytest.raises(DomainError):
             nominal_envelope([0.0, 1.0], PARAMS, 5.0)
+
+    @pytest.mark.parametrize("depth", [179, 499])
+    def test_deep_chain_is_finite_and_matches_high_precision_oracle(self, depth):
+        """Past 170 hops near the deadline the direct terms overflow; the
+        log-space terms keep the envelope finite, without a warning."""
+        e0 = [0.0] + list(np.random.default_rng(depth).uniform(0.0, 12.0, depth))
+        ts = np.array([0.5, 4.0, 4.5, 4.9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nominal_envelope(e0, PARAMS, ts)
+        for k, t in enumerate(ts):
+            want = high_precision_envelope(e0, PARAMS.gamma, PARAMS.h, PARAMS.deadline, t)
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+    def test_overflowing_chain_leaves_its_neighbours_bits(self):
+        """Only cells with a non-finite term are redone in log space: a chain
+        keeps its bits next to one whose terms overflow at the same times."""
+        big = [0.0] + [1e100] * 170
+        small = [0.0] + list(np.random.default_rng(1).uniform(0.0, 12.0, 170))
+        ts = np.array([3.0, 4.9])  # L = 30 and 111: at 4.9 both chains have big terms
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            both = nominal_envelopes([big, small], PARAMS, ts)
+            alone = nominal_envelopes([small], PARAMS, ts)
+        assert np.array_equal(both[:, 1].view(np.uint64), alone[:, 0].view(np.uint64))
+        for k, t in enumerate(ts):
+            want = high_precision_envelope(big, PARAMS.gamma, PARAMS.h, PARAMS.deadline, t)
+            assert both[k, 0] == pytest.approx(want, rel=1e-12)
 
 
 class TestChainUpperBound:

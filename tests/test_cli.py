@@ -172,6 +172,20 @@ def test_every_verb_enforces_initial_state_preconditions(tmp_path, capsys, verb,
     assert "np.float64" not in err
     assert not any(out_dir.glob("*.csv"))
 
+def test_run_on_a_line_deeper_than_170_hops_exits_zero(tmp_path, capsys):
+    """Near the deadline the chain envelope of a 179-hop line overflows in
+    direct form; its log-space terms keep every band finite."""
+    text = SCENARIO.replace("kind = standin13", "kind = line\nn = 180")
+    text = text.replace("t_end = auto", "t_end = 0.9Ts").replace("value = 12", "value = 200")
+    text = text.replace("chi0 = 12\n", "").replace("bounds = none", "bounds = chain")
+    scenario = tmp_path / "line180.ini"
+    scenario.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out_dir)]) == 0
+    assert "overall=True" in capsys.readouterr().out
+    assert (out_dir / "bounds.csv").exists()
+
+
 def test_error_paths_exit_one(tmp_path, capsys):
     missing = tmp_path / "nope.ini"
     assert main(["run", "--scenario", str(missing), "--out", str(tmp_path)]) == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dbmc import (
+    DisturbanceModel,
     DisturbanceSpec,
     DomainError,
     IntegratorOptions,
@@ -19,6 +20,7 @@ from dbmc import (
     integrating_factor,
     load_graph,
     log_integrating_factor,
+    line_graph,
     make_rhs,
     nominal_envelope,
     parent_chain,
@@ -26,6 +28,8 @@ from dbmc import (
     solve_shortest_paths,
     standin13,
 )
+
+from dbmc.bounds import nominal_envelopes
 
 from helpers import constant_initial, random_weighted_graph
 
@@ -245,3 +249,55 @@ def test_rhs_needs_an_out_edge_per_non_source():
     stranded = load_graph("nodes 3\nsources 1\n2 1 1.0\n")  # node 3 has no out-edge
     with pytest.raises(PreconditionError, match="out-edge"):
         make_rhs(stranded, solve_shortest_paths(line3), zero_model(stranded), PARAMS)
+
+
+class TestAccuracyAgainstExactChains:
+    """With zero disturbance every node of a path graph keeps its parent,
+    so the nominal envelopes are the exact errors at every time.  The
+    tolerances were fixed from the integrator's measured error before the
+    compact non-source loop: 3.48e-10 absolute (at t = 0.076, where the
+    errors are largest) and 3.1e-4 relative (near the deadline), the same
+    on every depth here."""
+
+    @pytest.mark.parametrize("depth", [2, 13, 60])
+    @pytest.mark.parametrize("t_frac", [0.6289, 0.98])
+    def test_default_grid_tracks_the_exact_solution(self, depth, t_frac):
+        g = line_graph(depth + 1)
+        sol = solve_shortest_paths(g)
+        x0 = np.array(sol.p) + 12.0
+        x0[0] = 0.0
+        traj = simulate(g, zero_model(g), PARAMS, x0, t_frac * PARAMS.deadline, sol=sol)
+        ns = g.non_sources
+        exact = nominal_envelopes(
+            [chain_initial_errors(sol, x0, parent_chain(sol, i)) for i in ns],
+            PARAMS, traj.times,
+        )
+        gap = np.abs(traj.errors[:, [i - 1 for i in ns]] - exact)
+        assert gap.max() <= 5e-10
+        assert np.all(gap <= 5e-4 * exact)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DisturbanceSpec(kind="zero"),
+        DisturbanceSpec(kind="sinusoid", amplitude=0.3),
+        DisturbanceSpec(kind="proportional", alpha_lower=0.1, alpha_upper=0.3,
+                        carrier="piecewise"),
+    ],
+    ids=["zero", "sinusoid", "proportional-piecewise"],
+)
+def test_simulate_samples_the_disturbance_four_times_per_step(monkeypatch, spec):
+    """One sample per RK4 stage, through ``DisturbanceModel.sample_all``."""
+    g = standin13()
+    m = build_model(spec, g, 3, 5.0)
+    calls = []
+    original = DisturbanceModel.sample_all
+
+    def counted(model, t):
+        calls.append(t)
+        return original(model, t)
+
+    monkeypatch.setattr(DisturbanceModel, "sample_all", counted)
+    traj = simulate(g, m, PARAMS, constant_initial(g, 12.0), 1.5)
+    assert len(calls) == 4 * (len(traj.times) - 1)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -38,14 +39,17 @@ from dbmc.harness import (
     trajectory_csv,
 )
 from dbmc.scenario import parse_t_end_rule
+from dbmc.termination import DIAG_TIE_TOL, current_parents
 
 from helpers import (
     bound_curves_per_node,
     bounds_csv_loop,
     constant_initial,
+    current_parents_loop,
     errors_csv_loop,
     focus_csv_loop,
     hop_random_graph_loop,
+    nominal_envelope_exact,
     random_weighted_graph,
     simulate_scatter,
     trajectory_csv_loop,
@@ -454,6 +458,17 @@ class TestNonFiniteInputs:
         with pytest.raises(DbmcError, match=kind):
             check_brackets(g, traj, curves)
 
+    @pytest.mark.parametrize("block", [1, 4, 6, 1 << 18])  # rows per block: 1, 2, 3, all
+    def test_check_brackets_checks_every_block(self, monkeypatch, block):
+        monkeypatch.setattr("dbmc.harness.CHECK_BLOCK", block)
+        curves = {"uniform": (np.broadcast_to(-1.0, (4, 2)), np.ones((4, 2)))}
+        g, traj = self._three_node_run(0.5)
+        check_brackets(g, traj, curves)
+        for error in (1.5, -1.5, math.nan):  # in row 2 of 4
+            g, traj = self._three_node_run(error)
+            with pytest.raises(DbmcError, match="uniform"):
+                check_brackets(g, traj, curves)
+
     def test_check_brackets_fails_on_nan_curve(self):
         g, traj = self._three_node_run(0.5)
         upper = np.ones((4, 2))
@@ -489,7 +504,8 @@ ORACLE_CASES = {
     "sources-with-out-edges": (_sources_with_out_edges, SINUSOID, 0.98),
     "sources-not-node-1": (_relabelled_sources, SINUSOID, 0.98),
     # depth 179: the running factorial overflows past m = 170 and L**m
-    # overflows near the deadline, so some envelope cells are nan
+    # overflows near the deadline, so the float loop leaves some envelope
+    # cells nan; those are checked against mpmath
     "line-180": (lambda: line_graph(180), SINUSOID, 0.9),
     "zero": (lambda: hop_random_graph(13, 0.25, 4), DisturbanceSpec(kind="zero"), 0.98),
     "piecewise": (
@@ -520,23 +536,52 @@ def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def _assert_matches_oracles(g, sol, sol_minus, model, x0, q, chi0, params, t_end, kinds):
+    """Assert equal bits against the oracles; returns the number of band
+    cells where the float envelope loop overflows to nan.
+
+    There the bands must instead agree with the mpmath envelope to a
+    relative 1e-14.
+    """
     traj = simulate(g, model, params, x0, t_end, sol=sol)
     times, errors = simulate_scatter(g, model, params, x0, t_end, sol)
     _assert_same_bits(traj.times, times)
     _assert_same_bits(traj.errors, errors)
     args = (g, sol, sol_minus, model, x0, q, chi0, params, times, kinds)
+    curves = compute_bound_curves(*args)
     with np.errstate(over="ignore", invalid="ignore"):  # line-180's nan cells
-        curves = compute_bound_curves(*args)
         want = bound_curves_per_node(*args)
     assert list(curves) == list(want) == list(kinds)
+    overflowed = 0
     for kind in kinds:
         for got_band, want_band in zip(curves[kind], want[kind]):
-            _assert_same_bits(got_band, want_band)
+            got_band = np.asarray(got_band)
+            assert got_band.shape == want_band.shape
+            nan = np.isnan(want_band)
+            _assert_same_bits(got_band[~nan], want_band[~nan])
+            overflowed += int(nan.sum())
+    if overflowed:
+        envelope = functools.partial(nominal_envelope_exact, weights={})
+        exact = bound_curves_per_node(*args, envelope=envelope)
+        for kind in kinds:
+            for got_band, want_band, exact_band in zip(curves[kind], want[kind], exact[kind]):
+                nan = np.isnan(want_band)
+                np.testing.assert_allclose(
+                    np.asarray(got_band)[nan], exact_band[nan], rtol=1e-14, atol=0.0
+                )
+
+    for k in (0, len(times) // 2, len(times) - 1):
+        x, t = traj.states[k], float(times[k])
+        for tie_tol in (0.0, DIAG_TIE_TOL):
+            got = current_parents(g, model, x, t, tie_tol)
+            oracle = current_parents_loop(g, model, x, t, tie_tol)
+            assert list(got.items()) == list(oracle.items())
+    return overflowed
 
 
 class TestFastPathsMatchOracles:
-    """Tail-grouped RHS and shared envelopes against the scatter-min RK4
-    loop and the per-node bound evaluation, bit for bit."""
+    """Compact non-source RK4, shared envelopes and the tail-grouped parent
+    sets against the scatter-min RK4 loop, the per-node bound evaluation and
+    the per-node parent loop, bit for bit."""
 
     @pytest.mark.parametrize("scenario", ["case_study_3pct", "case_study_40pct"])
     def test_case_studies(self, scenario):
@@ -561,9 +606,45 @@ class TestFastPathsMatchOracles:
         kinds = BOUND_KINDS
         if not all(f < 1.0 for f in model.proportional_fractions):
             kinds = ("chain", "uniform", "envelope")
-        _assert_matches_oracles(
+        overflowed = _assert_matches_oracles(
             g, sol, sol_minus, model, x0, 3.0, chi0, params, t_frac * params.deadline, kinds
         )
+        assert (overflowed > 0) == (case == "line-180")
+
+    def test_negative_zero_source_start(self):
+        """A source may start at -0.0: row 0 keeps x0 - p, later rows hold +0.0."""
+        g = _relabelled_sources()
+        sol = solve_shortest_paths(g)
+        model = build_model(SINUSOID, g, 11, horizon=ORACLE_PARAMS.deadline)
+        x0 = np.array(sol.p) + 2.0
+        src = [s - 1 for s in sorted(g.sources)]
+        x0[src] = [-0.0, 0.0]
+        traj = simulate(g, model, ORACLE_PARAMS, x0, 1.0, sol=sol)
+        times, errors = simulate_scatter(g, model, ORACLE_PARAMS, x0, 1.0, sol)
+        _assert_same_bits(traj.errors, errors)
+        _assert_same_bits(traj.errors[0], x0 - np.array(sol.p))
+        assert np.signbit(traj.errors[0, src]).tolist() == [True, False]
+        assert not np.signbit(traj.errors[1:, src]).any()
+
+    def test_deep_chain_brackets_without_nan(self, tmp_path, monkeypatch):
+        """line_graph(500) to 0.9 deadline: every envelope cell is finite and
+        brackets the run.  Only library calls; no file is written."""
+        monkeypatch.chdir(tmp_path)
+        g = line_graph(500)
+        params = ORACLE_PARAMS
+        sol = solve_shortest_paths(g)
+        model = build_model(SINUSOID, g, 11, horizon=params.deadline)
+        sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
+        x0 = constant_initial(g, 520.0)
+        chi0 = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
+        traj = simulate(g, model, params, x0, 0.9 * params.deadline, sol=sol)
+        curves = compute_bound_curves(
+            g, sol, sol_minus, model, x0, 3.0, chi0, params, traj.times, BOUND_KINDS
+        )
+        for lower, upper in curves.values():
+            assert not np.isnan(lower).any() and not np.isnan(upper).any()
+        check_brackets(g, traj, curves)
+        assert not any(tmp_path.iterdir())
 
     def test_constant_lower_bands_are_read_only(self):
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")

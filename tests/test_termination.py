@@ -5,6 +5,7 @@ import pytest
 
 from dbmc import (
     CycleError,
+    DisturbanceModel,
     DisturbanceSpec,
     MissingParentError,
     VERDICT_CORRECT,
@@ -65,6 +66,24 @@ class TestCurrentParents:
                 assert got[i] == frozenset(
                     j for j, v in values.items() if v <= best
                 )
+
+    def test_samples_the_disturbance_once(self, monkeypatch):
+        g = standin13()
+        sol = solve_shortest_paths(g)
+        m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), g, 1, 5.0)
+        calls = []
+        original = DisturbanceModel.sample_all
+
+        def counted(model, t):
+            calls.append(t)
+            return original(model, t)
+
+        monkeypatch.setattr(DisturbanceModel, "sample_all", counted)
+        for tie_tol in (0.0, 1e-9):
+            current_parents(g, m, np.array(sol.p), 2.0, tie_tol=tie_tol)
+        assert calls == [2.0, 2.0]
+        build_report(g, sol, m, np.array(sol.p), 3.0)
+        assert calls == [2.0, 2.0, 3.0]
 
     def test_covers_exactly_non_sources(self):
         g = standin13()
