@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, SpecError, UnknownEdgeError
+from .errors import DomainError, PreconditionError, SpecError
 from .graph import WeightedDigraph
 
 TWO_PI = 2.0 * math.pi
@@ -50,7 +50,11 @@ class DisturbanceSpec:
 
 @dataclass(frozen=True)
 class DisturbanceModel:
-    """Concrete signals for one graph; freely shareable across threads.
+    """Concrete signals for the edges of one graph; freely shareable across threads.
+
+    The model holds no graph: every per-edge array follows the ``edges``
+    order of the graph it was built on, or the order given to ``take``, and
+    callers pass that graph alongside it.
 
     A sample is ``alpha_upper*c`` where the carrier ``c`` is nonnegative and
     ``alpha_lower*c`` elsewhere, with ``proportional_fractions = (alpha_lower,
@@ -64,7 +68,6 @@ class DisturbanceModel:
     carrier interpolates ``knot_values`` linearly.
     """
 
-    graph: WeightedDigraph
     horizon: float
     edge_lower: np.ndarray
     edge_upper: np.ndarray
@@ -79,7 +82,7 @@ class DisturbanceModel:
     carrier: str | None = None
 
     def sample_all(self, t: float) -> np.ndarray:
-        """Disturbance value of every edge at time t, in ``graph.edges`` order."""
+        """Disturbance value of every edge at time t, in the model's edge order."""
         if not 0.0 <= t <= self.horizon:
             raise DomainError(f"time {t!r} outside [0, {self.horizon}]")
         if self.carrier == "sinusoid":
@@ -96,40 +99,19 @@ class DisturbanceModel:
             return c
         return np.where(c >= 0.0, hi, lo) * c
 
-    def _edge(self, edge: tuple[int, int]) -> int:
-        try:
-            return self.graph.edge_index[edge]
-        except KeyError:
-            raise UnknownEdgeError(f"{edge} is not an edge") from None
-
-    def sample(self, edge: tuple[int, int], t: float) -> float:
-        """Disturbance on one edge; raises UnknownEdgeError for non-edges."""
-        return float(self.sample_all(t)[self._edge(edge)])
-
-    def bounds(self, edge: tuple[int, int]) -> tuple[float, float]:
-        """(lower, upper) envelope magnitudes of one edge's signal."""
-        k = self._edge(edge)
-        return float(self.edge_lower[k]), float(self.edge_upper[k])
-
     def take(self, order: Sequence[int] | np.ndarray) -> DisturbanceModel:
         """The model restricted to the edges ``order`` indexes, in that order.
 
-        Every per-edge array and ``graph.edges`` are reordered together, so
-        ``take(order).sample_all(t)`` equals ``sample_all(t)[order]`` bit for
-        bit, and ``sample``/``bounds`` of a kept edge are unchanged.
+        Every per-edge array is reordered, so ``take(order).sample_all(t)``
+        equals ``sample_all(t)[order]`` bit for bit.
         """
         order = np.asarray(order, dtype=np.intp)
-        g = self.graph
-        picked = WeightedDigraph(
-            g.node_count, g.sources, tuple(g.edges[k] for k in order.tolist())
-        )
 
         def pick(a: np.ndarray | None) -> np.ndarray | None:
             return None if a is None else a[order]
 
         return replace(
             self,
-            graph=picked,
             edge_lower=self.edge_lower[order],
             edge_upper=self.edge_upper[order],
             sin_coef=pick(self.sin_coef),
@@ -143,14 +125,16 @@ class CandidateLayout:
     """The candidates x_j + w_ij + u_ij(t) of every non-source i, grouped by i.
 
     Only edges whose tail is a non-source are kept, ordered by tail with a
-    stable sort, and ``model`` is the disturbance model reordered to match,
-    so ``model.sample_all(t)`` is already in layout order.  Node ids are
-    0-based.  The m non-sources, ascending, own consecutive segments: the
-    k-th starts at edge ``starts[k]`` and has ``degree[k] >= 1`` edges, so
-    ``np.minimum.reduceat(values, starts)`` is one minimum per non-source.
-    ``slots`` maps each head to a compact index: its position among the
-    non-sources, or m for every source.  A state of the m non-source errors
-    followed by one 0 (the error every source keeps) is gathered with it.
+    stable sort; ``tails``, ``heads`` and ``weights`` are the graph's edge
+    arrays in that order, and ``model`` is the disturbance model reordered
+    to match, so ``model.sample_all(t)`` is already in layout order.  Node
+    ids are 0-based.  The m non-sources, ascending, own consecutive
+    segments: the k-th starts at edge ``starts[k]`` and has
+    ``degree[k] >= 1`` edges, so ``np.minimum.reduceat(values, starts)`` is
+    one minimum per non-source.  ``slots`` maps each head to a compact
+    index: its position among the non-sources, or m for every source.  A
+    state of the m non-source errors followed by one 0 (the error every
+    source keeps) is gathered with it.
     """
 
     model: DisturbanceModel
@@ -163,25 +147,27 @@ class CandidateLayout:
     starts: np.ndarray
 
 
-def candidate_layout(model: DisturbanceModel) -> CandidateLayout:
-    """The tail-grouped :class:`CandidateLayout` of ``model`` and its graph.
+def candidate_layout(g: WeightedDigraph, model: DisturbanceModel) -> CandidateLayout:
+    """The tail-grouped :class:`CandidateLayout` of ``g`` and its model.
 
-    Raises PreconditionError when a non-source has no out-edge.  Built once
-    per ``simulate`` run and once per ``current_parents`` call rather than
-    cached on the model: a layout that lived through the bound curves
-    fragmented the heap they use and raised the peak RSS of a 1000-node
-    run by up to 12 MB.
+    Raises PreconditionError when the model's edge count differs from
+    ``g``'s or a non-source has no out-edge.  Built once per ``simulate``
+    run and once per ``current_parents`` call rather than cached on the
+    model: a layout that lived through the bound curves fragmented the heap
+    they use and raised the peak RSS of a 1000-node run by up to 12 MB.
     """
-    g = model.graph
+    if len(model.edge_lower) != len(g.edges):
+        raise PreconditionError(
+            f"disturbance model has {len(model.edge_lower)} edges, "
+            f"the graph has {len(g.edges)}"
+        )
     n = g.node_count
     src = np.zeros(n, dtype=bool)
     src[[s - 1 for s in g.sources]] = True
-    all_tails = np.array([i - 1 for i, _, _ in g.edges], dtype=np.intp)
-    keep = np.flatnonzero(~src[all_tails])
-    order = keep[np.argsort(all_tails[keep], kind="stable")]
-    grouped = model.take(order)
-    tails = all_tails[order]
-    heads = np.array([j - 1 for _, j, _ in grouped.graph.edges], dtype=np.intp)
+    keep = np.flatnonzero(~src[g.tails])
+    order = keep[np.argsort(g.tails[keep], kind="stable")]
+    tails = g.tails[order]
+    heads = g.heads[order]
     non_sources = np.flatnonzero(~src)
     degree = np.bincount(tails, minlength=n)[non_sources]
     # A non-source that reaches a source has an out-edge, so its segment of
@@ -191,12 +177,12 @@ def candidate_layout(model: DisturbanceModel) -> CandidateLayout:
     slot_of = np.full(n, len(non_sources), dtype=np.intp)
     slot_of[non_sources] = np.arange(len(non_sources))
     return CandidateLayout(
-        model=grouped,
+        model=model.take(order),
         non_sources=non_sources,
         tails=tails,
         heads=heads,
         slots=slot_of[heads],
-        weights=np.array([w for _, _, w in grouped.graph.edges]),
+        weights=g.weights[order],
         degree=degree,
         starts=np.concatenate(([0], np.cumsum(degree)[:-1])),
     )
@@ -221,8 +207,8 @@ def build_model(
         if isinstance(value, float) and not math.isfinite(value):
             raise SpecError(f"{f.name} must be finite, got {value!r}")
     alpha_lower, alpha_upper, carrier = _fractions_and_carrier(spec)
-    w = np.array([e[2] for e in g.edges])
-    n_edges = len(g.edges)
+    w = g.weights
+    n_edges = len(w)
 
     sin_coef = cos_coef = knots = knot_dt = None
     if carrier is None:
@@ -255,7 +241,6 @@ def build_model(
         upper = f_upper * c_upper
 
     return DisturbanceModel(
-        graph=g,
         horizon=float(horizon),
         edge_lower=lower,
         edge_upper=upper,

@@ -109,13 +109,9 @@ class IntegratorOptions:
 class Trajectory:
     """Stored output of one integration: every accepted step, no interpolation."""
 
-    params: PTGainParams
     p: np.ndarray
-    source_mask: np.ndarray
     times: np.ndarray
     errors: np.ndarray
-    x0: np.ndarray
-    t_end: float
 
     @property
     def states(self) -> np.ndarray:
@@ -201,7 +197,7 @@ def make_rhs(
     get 0, and the source entries of ``e`` are read as 0, the error the
     dynamics keep them at.  ``model`` must be built on ``g``.
     """
-    lay = candidate_layout(model)
+    lay = candidate_layout(g, model)
     rates = _rates(lay, sol, params)
     ns = lay.non_sources
 
@@ -250,9 +246,10 @@ def simulate(
 ) -> Trajectory:
     """Integrate the disturbed dynamics on [0, t_end] with classic RK4.
 
-    Preconditions: those of :func:`check_initial_state`, and t_end stays a
-    relative 1e-9 short of the deadline (the gain is singular there).
-    Disturbances are sampled once per RK4 stage, four times per step.
+    Preconditions: those of :func:`check_initial_state`, t_end stays a
+    relative 1e-9 short of the deadline (the gain is singular there), and
+    ``model`` is built on ``g``.  Disturbances are sampled once per RK4
+    stage, four times per step.
     Deterministic for fixed inputs; every accepted step is stored.  Row 0
     of ``errors`` is x0 - p; later rows hold 0.0 in the source columns.
     """
@@ -273,12 +270,10 @@ def simulate(
     if h_cap <= 0.0 or opts.remaining_fraction <= 0.0:
         raise PreconditionError("step bounds must be positive")
     times, steps = _step_grid(params, t_end, h_cap, opts.remaining_fraction)
-    lay = candidate_layout(model)
+    lay = candidate_layout(g, model)
     rates = _rates(lay, sol, params)
     ns = lay.non_sources
     p = np.asarray(sol.p, dtype=float)
-    src_mask = np.zeros(g.node_count, dtype=bool)
-    src_mask[[s - 1 for s in g.sources]] = True
 
     # Only the m non-source errors are integrated.  ``z`` and the stage
     # input ``y`` carry one trailing 0 that every source head reads, and each
@@ -301,12 +296,4 @@ def simulate(
         z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
         errors[k, ns] = z_own
 
-    return Trajectory(
-        params=params,
-        p=p,
-        source_mask=src_mask,
-        times=np.array(times),
-        errors=errors,
-        x0=x0.copy(),
-        t_end=float(t_end),
-    )
+    return Trajectory(p=p, times=np.array(times), errors=errors)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     DomainError,
     ParseError,
@@ -35,9 +37,19 @@ from .errors import (
 ARGMIN_TOL = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """Directed graph with positive edge weights and a set of source nodes."""
+    """Directed graph with positive edge weights and a set of source nodes.
+
+    ``edges`` is the one edge list.  ``tails``, ``heads`` and ``weights``
+    are read-only arrays of it in the same order, with 0-based node ids,
+    and the adjacencies list each node's edges in that order too.
+    """
 
     node_count: int
     sources: frozenset[int]
@@ -66,11 +78,31 @@ class WeightedDigraph:
             seen.add((i, j))
 
     @cached_property
+    def tails(self) -> np.ndarray:
+        return _read_only(np.array([i - 1 for i, _, _ in self.edges], dtype=np.intp))
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        return _read_only(np.array([j - 1 for _, j, _ in self.edges], dtype=np.intp))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(np.array([w for _, _, w in self.edges], dtype=float))
+
+    @cached_property
     def out_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """``out_adjacency[i-1]`` lists ``(j, w)`` over the out-neighbors of i."""
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
         for i, j, w in self.edges:
             adj[i - 1].append((j, w))
+        return tuple(tuple(row) for row in adj)
+
+    @cached_property
+    def in_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """``in_adjacency[j-1]`` lists ``(i, w)`` over the in-neighbors of j."""
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
+        for i, j, w in self.edges:
+            adj[j - 1].append((i, w))
         return tuple(tuple(row) for row in adj)
 
     @cached_property
@@ -161,14 +193,11 @@ def check_reachability(g: WeightedDigraph) -> bool:
 
 def _unreachable_nodes(g: WeightedDigraph) -> list[int]:
     """Nodes with no directed path to any source, by reverse DFS from the sources."""
-    rev: list[list[int]] = [[] for _ in range(g.node_count + 1)]
-    for i, j, _ in g.edges:
-        rev[j].append(i)
     seen = set(g.sources)
     stack = list(g.sources)
     while stack:
         j = stack.pop()
-        for i in rev[j]:
+        for i, _ in g.in_adjacency[j - 1]:
             if i not in seen:
                 seen.add(i)
                 stack.append(i)
@@ -206,10 +235,6 @@ def solve_shortest_paths(g: WeightedDigraph) -> ShortestPathSolution:
     if missing:
         raise UnreachableError(f"nodes {missing} cannot reach any source")
     n = g.node_count
-    rev: list[list[tuple[int, float]]] = [[] for _ in range(n + 1)]
-    for i, j, w in g.edges:
-        rev[j].append((i, w))
-
     dist = [math.inf] * (n + 1)
     heap: list[tuple[float, int]] = []
     for s in sorted(g.sources):
@@ -219,7 +244,7 @@ def solve_shortest_paths(g: WeightedDigraph) -> ShortestPathSolution:
         d, j = heapq.heappop(heap)
         if d > dist[j]:
             continue
-        for i, w in rev[j]:
+        for i, w in g.in_adjacency[j - 1]:
             nd = d + w
             if nd < dist[i]:
                 dist[i] = nd
@@ -274,34 +299,21 @@ def parent_chain(sol: ShortestPathSolution, node: int) -> list[int]:
     return chain
 
 
-def _per_edge_values(
-    g: WeightedDigraph,
-    values: float | Sequence[float] | Mapping[tuple[int, int], float],
-) -> list[float]:
-    if isinstance(values, Mapping):
-        return [float(values.get((i, j), 0.0)) for i, j, _ in g.edges]
-    if isinstance(values, (int, float)):
-        return [float(values)] * len(g.edges)
-    out = [float(v) for v in values]
-    if len(out) != len(g.edges):
-        raise ValidationError(
-            f"expected {len(g.edges)} per-edge values, got {len(out)}"
-        )
-    return out
-
-
 def minus_graph(
-    g: WeightedDigraph,
-    lower_bounds: float | Sequence[float] | Mapping[tuple[int, int], float],
+    g: WeightedDigraph, lower_bounds: float | Sequence[float] | np.ndarray
 ) -> WeightedDigraph:
     """Graph with each weight shrunk by its worst-case negative disturbance.
 
-    ``lower_bounds`` may be a scalar, a sequence aligned with ``g.edges``,
-    or a mapping keyed by (i, j).  Every bound must satisfy 0 <= u < w.
+    ``lower_bounds`` is a scalar or one value per edge, aligned with
+    ``g.edges``.  Every bound must satisfy 0 <= u < w.
     """
-    lows = _per_edge_values(g, lower_bounds)
+    lows = np.asarray(lower_bounds, dtype=float)
+    if lows.ndim == 0:
+        lows = np.full(len(g.edges), lows)
+    if lows.shape != (len(g.edges),):
+        raise ValidationError(f"expected {len(g.edges)} per-edge values, got {lows.size}")
     new_edges = []
-    for (i, j, w), u in zip(g.edges, lows):
+    for (i, j, w), u in zip(g.edges, lows.tolist()):
         if not 0.0 <= u < w:
             raise ValidationError(
                 f"lower disturbance bound {u!r} not in [0, w) on edge ({i}, {j})"

@@ -227,18 +227,27 @@ def compute_bound_curves(
     bound and uses -inf; the envelope kind is the network-wide band
     +-(offset + power-law envelope at the largest depth).  The chain,
     proportional and uniform upper bands share one nominal envelope per
-    node and add a constant per node.  The curves constant in time or across
-    nodes (every lower band and the envelope kind's upper) are read-only
-    ``np.broadcast_to`` views of one value, one row or one column, so
-    callers must not write into them.
+    node and add a constant per node; each is an array of its own.  The
+    curves constant in time or across nodes (every lower band and the
+    envelope kind's upper) are read-only ``np.broadcast_to`` views of one
+    value, one row or one column, so callers must not write into them.
     """
     ns = g.non_sources
     shape = (len(times), len(ns))
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     chains = [parent_chain(sol, i) for i in ns]
     e0s = [chain_initial_errors(sol, x0, c) for c in chains]
-    if set(kinds) & {"chain", "proportional", "uniform"}:
+    env_kinds = [k for k in ("chain", "proportional", "uniform") if k in kinds]
+    if env_kinds:
         env = nominal_envelopes(e0s, params, times)
+
+    def shifted(kind: str, shift: np.ndarray) -> np.ndarray:
+        # The last band is written into env itself, which nothing reads
+        # afterwards.  One (times x nodes) array fewer keeps the peak RSS of
+        # large runs from depending on how the heap happens to be split.
+        if kind == env_kinds[-1]:
+            return np.add(env, shift, out=env)
+        return env + shift
 
     if "chain" in kinds:
         offsets = [
@@ -248,19 +257,19 @@ def compute_bound_curves(
             ])
             for c, e0 in zip(chains, e0s)
         ]
-        curves["chain"] = (np.broadcast_to(-np.inf, shape), env + np.array(offsets))
+        curves["chain"] = (np.broadcast_to(-np.inf, shape), shifted("chain", np.array(offsets)))
 
     if "proportional" in kinds:
         p = np.array([sol.p[i - 1] for i in ns])
         low, shift = proportional_offsets(*model.proportional_fractions, p)
-        curves["proportional"] = (np.broadcast_to(low, shape), env + shift)
+        curves["proportional"] = (np.broadcast_to(low, shape), shifted("proportional", shift))
 
     if "uniform" in kinds:
         depths = np.array([len(c) - 1 for c in chains])
         low, shift = uniform_offsets(
             model.u_minus, model.u_plus, depths, sol_minus.effective_diameter
         )
-        curves["uniform"] = (np.broadcast_to(low, shape), env + shift)
+        curves["uniform"] = (np.broadcast_to(low, shape), shifted("uniform", shift))
 
     if "envelope" in kinds:
         offset = worst_case_offset(

@@ -45,7 +45,7 @@ def current_parents(
     """
     if tie_tol < 0.0:
         raise DomainError("tie_tol must be nonnegative")
-    lay = candidate_layout(model)
+    lay = candidate_layout(g, model)
     x = np.asarray(x, dtype=float)
     cand = x[lay.heads] + lay.weights + lay.model.sample_all(t)
     best = np.minimum.reduceat(cand, lay.starts)

@@ -7,7 +7,6 @@ from dbmc import (
     DisturbanceSpec,
     DomainError,
     SpecError,
-    UnknownEdgeError,
     build_model,
     load_graph,
 )
@@ -27,7 +26,7 @@ def test_zero_model():
     m = build_model(DisturbanceSpec(kind="zero"), g, 0, HORIZON)
     assert m.u_minus == 0.0 and m.u_plus == 0.0
     assert np.all(m.sample_all(1.7) == 0.0)
-    assert m.sample((2, 1), 0.0) == 0.0
+    assert m.sample_all(0.0)[g.edge_index[(2, 1)]] == 0.0
 
 
 def test_sinusoid_bounds_forty_percent():
@@ -35,7 +34,8 @@ def test_sinusoid_bounds_forty_percent():
     m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.4), g, 3, HORIZON)
     assert m.u_minus == pytest.approx(0.4)
     assert m.u_plus == pytest.approx(0.4)
-    assert m.bounds((3, 2)) == (pytest.approx(0.4), pytest.approx(0.4))
+    k = g.edge_index[(3, 2)]
+    assert (m.edge_lower[k], m.edge_upper[k]) == (pytest.approx(0.4), pytest.approx(0.4))
 
 
 def test_sinusoid_bounds_three_percent():
@@ -49,7 +49,9 @@ def test_sinusoid_sample_quarter_period():
     g = line4()
     spec = DisturbanceSpec(kind="sinusoid", amplitude=0.4, omega=2 * math.pi, phase=0.0)
     m = build_model(spec, g, 0, HORIZON)
-    assert m.sample((2, 1), 0.25) == pytest.approx(0.4 * math.sin(math.pi / 2))
+    assert m.sample_all(0.25)[g.edge_index[(2, 1)]] == pytest.approx(
+        0.4 * math.sin(math.pi / 2)
+    )
 
 
 def test_piecewise_sample_at_knot_equals_stored_value():
@@ -191,13 +193,6 @@ def test_unknown_kind_and_carrier_rejected():
         build_model(
             DisturbanceSpec(kind="proportional", carrier="square"), g, 0, HORIZON
         )
-
-
-def test_unknown_edge_raises():
-    g = line4()
-    m = build_model(DisturbanceSpec(kind="zero"), g, 0, HORIZON)
-    with pytest.raises(UnknownEdgeError):
-        m.sample((1, 4), 0.0)
 
 
 def test_sample_outside_horizon_rejected():
@@ -345,13 +340,14 @@ def test_take_reorders_samples_and_edges_together(spec, subset):
     if subset:
         order = order[: len(order) // 2]
     taken = m.take(order)
-    assert taken.graph.edges == tuple(g.edges[k] for k in order)
+    assert len(taken.edge_lower) == len(order)
     for t in rng.uniform(0.0, HORIZON, 1000):
         got, want = taken.sample_all(float(t)), m.sample_all(float(t))[order]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    for i, j, _ in taken.graph.edges:
-        assert taken.bounds((i, j)) == m.bounds((i, j))
-        assert taken.sample((i, j), 1.3) == m.sample((i, j), 1.3)
-    for k in set(range(len(g.edges))) - set(order.tolist()):
-        with pytest.raises(UnknownEdgeError):
-            taken.sample(g.edges[k][:2], 1.3)
+    # Row r of the taken model is the edge g.edges[order[r]].
+    kept = [g.edges[k][:2] for k in order]
+    taken_u, u = taken.sample_all(1.3), m.sample_all(1.3)
+    for r, (i, j) in enumerate(kept):
+        k = g.edge_index[(i, j)]
+        assert (taken.edge_lower[r], taken.edge_upper[r]) == (m.edge_lower[k], m.edge_upper[k])
+        assert taken_u[r] == u[k]

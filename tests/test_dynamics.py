@@ -251,6 +251,16 @@ def test_rhs_needs_an_out_edge_per_non_source():
         make_rhs(stranded, solve_shortest_paths(line3), zero_model(stranded), PARAMS)
 
 
+def test_model_must_cover_the_graphs_edges():
+    line3 = load_graph("nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n")
+    shortcut = load_graph("nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n3 1 3.0\n")
+    for g, other in ((line3, shortcut), (shortcut, line3)):
+        with pytest.raises(PreconditionError, match="disturbance model has"):
+            simulate(g, zero_model(other), PARAMS, [0.0, 12.0, 12.0], 1.0)
+        with pytest.raises(PreconditionError, match="disturbance model has"):
+            make_rhs(g, solve_shortest_paths(g), zero_model(other), PARAMS)
+
+
 class TestAccuracyAgainstExactChains:
     """With zero disturbance every node of a path graph keeps its parent,
     so the nominal envelopes are the exact errors at every time.  The

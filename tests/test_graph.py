@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,38 @@ class TestLoadGraph:
     def test_roundtrip(self):
         g = load_graph("nodes 3\nsources 1 2\n3 1 0.125\n3 2 2.5\n")
         assert load_graph(dump_graph(g)) == g
+
+    def test_huge_node_id_is_an_unknown_node(self):
+        with pytest.raises(ValidationError, match="unknown node"):
+            load_graph(f"nodes 2\nsources 1\n{10**20} 1 1.0\n")
+        with pytest.raises(ValidationError, match="unknown node"):
+            load_graph(f"nodes 2\nsources 1\n2 {-10**20} 1.0\n")
+
+
+class TestEdgeArrays:
+    def test_arrays_match_edges(self):
+        for seed in range(10):
+            g = random_weighted_graph(seed)
+            assert g.tails.dtype == g.heads.dtype == np.intp
+            assert [(i + 1, j + 1, w) for i, j, w in zip(
+                g.tails.tolist(), g.heads.tolist(), g.weights.tolist()
+            )] == list(g.edges)
+
+    def test_arrays_are_read_only(self):
+        g = load_graph(LINE3)
+        for a in (g.tails, g.heads, g.weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+        assert g == load_graph(LINE3)
+
+    def test_in_adjacency_follows_edge_order(self):
+        for seed in range(10):
+            g = random_weighted_graph(seed)
+            for j in range(1, g.node_count + 1):
+                assert g.in_adjacency[j - 1] == tuple(
+                    (i, w) for i, head, w in g.edges if head == j
+                )
 
 
 class TestReachability:
@@ -214,6 +247,24 @@ class TestMinusAndScale:
         g = load_graph(LINE3)
         gm = minus_graph(g, [0.1, 0.2])
         assert gm.edges == ((3, 2, 0.9), (2, 1, 0.8))
+
+    def test_minus_rejects_wrong_length(self):
+        g = load_graph(LINE3)
+        for lows in ([0.1], [0.1, 0.2, 0.3], np.zeros(0)):
+            with pytest.raises(ValidationError, match="expected 2 per-edge values"):
+                minus_graph(g, lows)
+
+    def test_minus_names_first_offending_edge(self):
+        g = load_graph(LINE3)
+        with pytest.raises(ValidationError) as exc:
+            minus_graph(g, np.array([0.1, 1.0]))
+        assert str(exc.value) == "lower disturbance bound 1.0 not in [0, w) on edge (2, 1)"
+        with pytest.raises(ValidationError, match=r"bound 2\.0 .* edge \(3, 2\)"):
+            minus_graph(g, np.array([2.0, 3.0]))
+        with pytest.raises(ValidationError, match=r"bound nan .* edge \(3, 2\)"):
+            minus_graph(g, [math.nan, 0.1])
+        with pytest.raises(ValidationError, match=r"bound -0\.5 .* edge \(2, 1\)"):
+            minus_graph(g, [0.1, -0.5])
 
     def test_scale_identity(self):
         g = load_graph(LINE3)

@@ -397,15 +397,7 @@ class TestWritersMatchPerValueLoops:
             ),
         }
         errors = np.column_stack((np.zeros(rows), zeros[:, 0], neighbour[:, :2]))
-        traj = Trajectory(
-            params=PTGainParams(gamma=2.0, h=12.0, deadline=5.0),
-            p=np.array([0.0, 1.0, 2.0, 3.0]),
-            source_mask=np.array([True, False, False, False]),
-            times=times,
-            errors=errors,
-            x0=errors[0] + np.array([0.0, 1.0, 2.0, 3.0]),
-            t_end=1.0,
-        )
+        traj = Trajectory(p=np.array([0.0, 1.0, 2.0, 3.0]), times=times, errors=errors)
         for focus in g.non_sources:
             _assert_writers_match_loops(g, traj, curves, focus)
         text = bounds_csv(g, times, curves)
@@ -437,15 +429,7 @@ class TestNonFiniteInputs:
         times = np.linspace(0.0, 1.0, 4)
         errors = np.zeros((4, 3))
         errors[2, 2] = error
-        traj = Trajectory(
-            params=PTGainParams(gamma=2.0, h=12.0, deadline=5.0),
-            p=np.array([0.0, 1.0, 2.0]),
-            source_mask=np.array([True, False, False]),
-            times=times,
-            errors=errors,
-            x0=errors[0] + np.array([0.0, 1.0, 2.0]),
-            t_end=1.0,
-        )
+        traj = Trajectory(p=np.array([0.0, 1.0, 2.0]), times=times, errors=errors)
         return g, traj
 
     @pytest.mark.parametrize("kind", ["chain", "uniform"])
@@ -660,3 +644,28 @@ class TestFastPathsMatchOracles:
             assert not lower.flags.writeable, kind
             with pytest.raises(ValueError):
                 lower[0, 0] = 0.0
+
+
+class TestBoundCurveMemory:
+    @pytest.mark.parametrize(
+        "kinds",
+        [BOUND_KINDS, ("chain", "proportional"), ("proportional", "uniform", "envelope")],
+        ids=["all", "chain-proportional", "proportional-uniform-envelope"],
+    )
+    def test_upper_bands_share_no_memory(self, kinds):
+        # The last envelope-based band is written into the shared envelope
+        # in place; every other band must stay an array of its own.
+        sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
+        plan = plan_scenario(sc, t_end="0.1Ts")
+        times = np.linspace(0.0, plan.t_stop, 5)
+        args = (plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+                sc.params, times)
+        curves = compute_bound_curves(*args, kinds)
+        uppers = [upper for _, upper in curves.values()]
+        for a in range(len(uppers)):
+            for b in range(a + 1, len(uppers)):
+                assert not np.shares_memory(uppers[a], uppers[b]), (kinds[a], kinds[b])
+        for kind in kinds:
+            (alone,) = compute_bound_curves(*args, (kind,)).values()
+            for got, want in zip(curves[kind], alone):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), kind

@@ -8,6 +8,7 @@ from dbmc import (
     DisturbanceModel,
     DisturbanceSpec,
     MissingParentError,
+    PreconditionError,
     VERDICT_CORRECT,
     VERDICT_INCORRECT,
     VERDICT_SOURCE,
@@ -39,6 +40,14 @@ class TestCurrentParents:
             for i in g.non_sources:
                 assert got[i] == sol.parents(i)
 
+    def test_model_must_cover_the_graphs_edges(self):
+        g = load_graph(LINE3)
+        shortcut = load_graph(LINE3 + "3 1 3.0\n")
+        x = np.array([0.0, 1.0, 2.0])
+        for graph, other in ((g, shortcut), (shortcut, g)):
+            with pytest.raises(PreconditionError, match="disturbance model has"):
+                current_parents(graph, zero_model(other), x, 0.0)
+
     def test_tie_window(self):
         g = load_graph("nodes 3\nsources 1 2\n3 1 3.0\n3 2 3.0000005\n")
         x = np.zeros(3)
@@ -57,9 +66,10 @@ class TestCurrentParents:
             x = rng.uniform(0.0, 12.0, g.node_count)
             t = float(rng.uniform(0.0, 5.0))
             got = current_parents(g, m, x, t, tie_tol=0.0)
+            u = m.sample_all(t)
             for i in g.non_sources:
                 values = {
-                    j: x[j - 1] + w + m.sample((i, j), t)
+                    j: x[j - 1] + w + u[g.edge_index[(i, j)]]
                     for j, w in g.out_adjacency[i - 1]
                 }
                 best = min(values.values())
