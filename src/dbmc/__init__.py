@@ -7,13 +7,10 @@ still identifying correct shortest-path parents.
 
 from .bounds import (
     chain_initial_errors,
-    chain_upper_bound,
     early_termination_time,
     nominal_envelope,
     optimal_q,
     power_law_envelope,
-    proportional_bounds,
-    uniform_bounds,
     worst_case_offset,
 )
 from .disturbance import DisturbanceModel, DisturbanceSpec, build_model

@@ -1,5 +1,11 @@
 """Closed-form error bands for the disturbed dynamics, and the early stop time.
 
+This module holds the pieces of the bands: the nominal envelope of each
+parent chain, the constant shifts of the proportional and uniform bands,
+the network-wide offset and the power-law envelope that the stop time
+inverts.  ``harness.compute_bound_curves`` is the one place that assembles
+them into the chain, proportional, uniform and envelope bands.
+
 Chains are source-first node sequences as produced by ``graph.parent_chain``;
 a chain of ell + 1 nodes has depth ell.  Every evaluator accepts a scalar
 time or an array of times and broadcasts accordingly.
@@ -14,7 +20,7 @@ import numpy as np
 
 from .dynamics import PTGainParams, log_integrating_factor
 from .errors import DomainError, InfeasibleError
-from .graph import ShortestPathSolution, parent_chain
+from .graph import ShortestPathSolution
 
 
 def chain_initial_errors(
@@ -87,34 +93,6 @@ def nominal_envelope(e0_chain: Sequence[float], params: PTGainParams, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def chain_offset(e0_chain: Sequence[float], edge_caps: Sequence[float]) -> float:
-    """What the chain bound adds to the nominal envelope: the sum of the caps.
-
-    ``edge_caps`` holds the upper envelope of each chain edge (child to
-    parent), one per hop.
-    """
-    if len(edge_caps) != len(e0_chain) - 1:
-        raise DomainError(
-            f"expected {len(e0_chain) - 1} edge caps, got {len(edge_caps)}"
-        )
-    return float(sum(edge_caps))
-
-
-def chain_upper_bound(
-    e0_chain: Sequence[float],
-    edge_caps: Sequence[float],
-    params: PTGainParams,
-    t,
-):
-    """Upper error bound along a chain under per-edge disturbance caps.
-
-    The bound is the nominal envelope plus :func:`chain_offset`, which is
-    also its limit at the deadline.
-    """
-    offset = chain_offset(e0_chain, edge_caps)
-    return nominal_envelope(e0_chain, params, t) + offset
-
-
 def proportional_offsets(alpha_lower: float, alpha_upper: float, p):
     """(lower, upper shift) of the proportional band at distance ``p``.
 
@@ -126,27 +104,6 @@ def proportional_offsets(alpha_lower: float, alpha_upper: float, p):
     return -alpha_lower * p, alpha_upper * p
 
 
-def proportional_bounds(
-    sol: ShortestPathSolution,
-    x0: Sequence[float],
-    alpha_lower: float,
-    alpha_upper: float,
-    node: int,
-    params: PTGainParams,
-    t,
-):
-    """(lower, upper) error band when -a1*w <= u <= a2*w on every edge.
-
-    See :func:`proportional_offsets`.
-    """
-    low, shift = proportional_offsets(alpha_lower, alpha_upper, sol.p[node - 1])
-    chain = parent_chain(sol, node)
-    upper = nominal_envelope(chain_initial_errors(sol, x0, chain), params, t) + shift
-    if np.ndim(t) == 0:
-        return low, float(upper)
-    return np.full_like(np.asarray(upper), low), upper
-
-
 def uniform_offsets(u_minus: float, u_plus: float, depth, diameter_minus: int):
     """(lower, upper shift) of the uniform band of a chain of depth ``depth``.
 
@@ -156,30 +113,6 @@ def uniform_offsets(u_minus: float, u_plus: float, depth, diameter_minus: int):
     """
     _check_uniform_bounds(u_minus, u_plus)
     return -(diameter_minus - 1) * u_minus, depth * u_plus
-
-
-def uniform_bounds(
-    sol: ShortestPathSolution,
-    sol_minus: ShortestPathSolution,
-    x0: Sequence[float],
-    u_minus: float,
-    u_plus: float,
-    node: int,
-    params: PTGainParams,
-    t,
-):
-    """(lower, upper) error band under uniform disturbance bounds.
-
-    See :func:`uniform_offsets`.
-    """
-    chain = parent_chain(sol, node)
-    low, shift = uniform_offsets(
-        u_minus, u_plus, len(chain) - 1, sol_minus.effective_diameter
-    )
-    upper = nominal_envelope(chain_initial_errors(sol, x0, chain), params, t) + shift
-    if np.ndim(t) == 0:
-        return low, float(upper)
-    return np.full_like(np.asarray(upper), low), upper
 
 
 def power_law_envelope(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import early_termination_time, optimal_q
 from .dynamics import PTGainParams, simulate
-from .errors import DbmcError, InfeasibleError
+from .errors import DbmcError, InfeasibleError, SpecError
 from .generate import generate_graph
 from .graph import dump_graph, load_graph, solve_shortest_paths
 from .harness import (
@@ -156,6 +156,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.points < 2:
+        raise SpecError(f"--points must be at least 2, got {args.points}")
     sc = load_scenario(args.scenario)
     plan = plan_scenario(sc, seed=args.seed, q=args.q, t_end=args.t_end)
     times = np.linspace(0.0, plan.t_stop, args.points)

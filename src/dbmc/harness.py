@@ -29,7 +29,6 @@ import numpy as np
 
 from .bounds import (
     chain_initial_errors,
-    chain_offset,
     early_termination_time,
     nominal_envelopes,
     power_law_envelope,
@@ -223,14 +222,17 @@ def compute_bound_curves(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per enabled kind, (lower, upper) arrays of shape (len(times), non_sources).
 
-    Columns follow ``g.non_sources`` order.  The chain kind has no lower
-    bound and uses -inf; the envelope kind is the network-wide band
-    +-(offset + power-law envelope at the largest depth).  The chain,
-    proportional and uniform upper bands share one nominal envelope per
-    node and add a constant per node; each is an array of its own.  The
-    curves constant in time or across nodes (every lower band and the
-    envelope kind's upper) are read-only ``np.broadcast_to`` views of one
-    value, one row or one column, so callers must not write into them.
+    This is the one place a band is assembled.  Columns follow
+    ``g.non_sources`` order.  The chain kind's upper band is the nominal
+    envelope plus the sum of the edge caps along the node's parent chain;
+    it has no lower bound and uses -inf.  The envelope kind is the
+    network-wide band +-(offset + power-law envelope at the largest depth),
+    the band ``t_s`` inverts.  The chain, proportional and uniform upper
+    bands share one nominal envelope per node and add a constant per node;
+    each is an array of its own.  The curves constant in time or across
+    nodes (every lower band and the envelope kind's upper) are read-only
+    ``np.broadcast_to`` views of one value, one row or one column, so
+    callers must not write into them.
     """
     ns = g.non_sources
     shape = (len(times), len(ns))
@@ -250,12 +252,11 @@ def compute_bound_curves(
         return env + shift
 
     if "chain" in kinds:
+        # each chain's caps summed from the source end, one per hop
         offsets = [
-            chain_offset(e0, [
-                float(model.edge_upper[g.edge_index[(c[k + 1], c[k])]])
-                for k in range(len(c) - 1)
-            ])
-            for c, e0 in zip(chains, e0s)
+            sum(float(model.edge_upper[g.edge_index[(c[k + 1], c[k])]])
+                for k in range(len(c) - 1))
+            for c in chains
         ]
         curves["chain"] = (np.broadcast_to(-np.inf, shape), shifted("chain", np.array(offsets)))
 
@@ -418,6 +419,11 @@ def run_scenario(
 
     plan = plan_scenario(sc, seed=seed, q=q, t_end=t_end)
     g, sol, model, x0, t_stop = plan.g, plan.sol, plan.model, plan.x0, plan.t_stop
+    focus = sc.focus_node
+    if focus is None:
+        focus = max(g.non_sources, key=lambda i: sol.p[i - 1])
+    elif focus in g.sources or not 1 <= focus <= g.node_count:
+        raise SpecError(f"[run] focus_node {focus} must be a non-source node")
     traj = simulate(g, model, sc.params, x0, t_stop, sol=sol)
 
     kinds = plan.kinds
@@ -428,11 +434,6 @@ def run_scenario(
 
     report = build_report(g, sol, model, traj.final_states, t_stop)
 
-    focus = sc.focus_node
-    if focus is None:
-        focus = max(g.non_sources, key=lambda i: sol.p[i - 1])
-    elif focus in g.sources or not 1 <= focus <= g.node_count:
-        raise SpecError(f"[run] focus_node {focus} must be a non-source node")
     focus_kind = "proportional" if "proportional" in curves else (
         "uniform" if "uniform" in curves else None
     )

@@ -169,6 +169,8 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         for name in bounds_raw:
             if name not in BOUND_KINDS:
                 raise SpecError(f"[run] bounds: unknown kind {name!r}")
+            if bounds_raw.count(name) > 1:
+                raise SpecError(f"[run] bounds: kind {name!r} is listed twice")
         bound_kinds = tuple(bounds_raw)
 
     return Scenario(

@@ -14,20 +14,22 @@ from dbmc import (
     PTGainParams,
     build_model,
     chain_initial_errors,
-    chain_upper_bound,
     early_termination_time,
+    line_graph,
     load_graph,
     minus_graph,
     nominal_envelope,
     optimal_q,
     parent_chain,
     power_law_envelope,
-    proportional_bounds,
+    simulate,
     solve_shortest_paths,
-    uniform_bounds,
     worst_case_offset,
 )
-from dbmc.bounds import nominal_envelopes
+from dbmc.bounds import nominal_envelopes, proportional_offsets
+from dbmc.harness import compute_bound_curves
+
+from helpers import constant_initial, random_weighted_graph
 
 PARAMS = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
 
@@ -114,86 +116,127 @@ class TestNominalEnvelope:
             assert both[k, 0] == pytest.approx(want, rel=1e-12)
 
 
+PATH3 = "nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n"
+
+
+def bound_curves(g, spec, x0, times, kinds):
+    """``compute_bound_curves`` of ``g`` under ``spec`` (seed 0), with q = 3
+    and chi0 the largest initial error."""
+    sol = solve_shortest_paths(g)
+    model = build_model(spec, g, 0, PARAMS.deadline)
+    sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
+    chi0 = max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources)
+    return compute_bound_curves(
+        g, sol, sol_minus, model, x0, 3.0, chi0, PARAMS, np.atleast_1d(times), kinds
+    )
+
+
+def node_envelope(g, x0, node, times):
+    """The nominal envelope of ``node``'s parent chain, evaluated on its own."""
+    sol = solve_shortest_paths(g)
+    e0 = chain_initial_errors(sol, x0, parent_chain(sol, node))
+    return nominal_envelope(e0, PARAMS, np.atleast_1d(times))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestChainUpperBound:
+    """The chain band of ``compute_bound_curves``: the node's nominal envelope
+    plus the sum of the caps along its parent chain, with no lower bound."""
+
+    def setup_method(self):
+        self.g = load_graph(PATH3)
+        self.x0 = np.array([0.0, 12.0, 12.0])
+        self.col = self.g.non_sources.index(3)
+        self.spec = DisturbanceSpec(kind="sinusoid", amplitude=0.4)  # caps 0.4, 0.4
+
     def test_zero_caps_equal_nominal(self):
-        e0 = [0.0, 11.0, 10.0]
-        assert chain_upper_bound(e0, [0.0, 0.0], PARAMS, 1.3) == nominal_envelope(
-            e0, PARAMS, 1.3
-        )
+        ts = np.linspace(0.0, 4.0, 9)
+        ((lower, upper),) = bound_curves(
+            self.g, DisturbanceSpec(kind="zero"), self.x0, ts, ("chain",)
+        ).values()
+        assert np.all(lower == -np.inf)
+        assert same_bits(upper[:, self.col], node_envelope(self.g, self.x0, 3, ts))
 
     def test_caps_shift_by_their_sum(self):
-        e0 = [0.0, 11.0, 10.0]
-        base = nominal_envelope(e0, PARAMS, 2.0)
-        assert chain_upper_bound(e0, [0.4, 0.4], PARAMS, 2.0) == pytest.approx(
-            base + 0.8
-        )
+        ((_, upper),) = bound_curves(self.g, self.spec, self.x0, 2.0, ("chain",)).values()
+        base = node_envelope(self.g, self.x0, 3, 2.0)[0]
+        assert upper[0, self.col] == pytest.approx(base + 0.8)
 
     def test_limit_near_deadline_is_cap_sum(self):
-        e0 = [0.0, 11.0, 10.0]
         t = 5.0 * (1.0 - 1e-9)
-        assert chain_upper_bound(e0, [0.4, 0.4], PARAMS, t) == pytest.approx(
-            0.8, abs=1e-12
-        )
-
-    def test_cap_count_must_match_chain(self):
-        with pytest.raises(DomainError):
-            chain_upper_bound([0.0, 1.0], [0.1, 0.1], PARAMS, 1.0)
+        ((_, upper),) = bound_curves(self.g, self.spec, self.x0, t, ("chain",)).values()
+        assert upper[0, self.col] == pytest.approx(0.8, abs=1e-12)
 
 
 class TestProportionalBounds:
+    """The proportional band of ``compute_bound_curves``: -a1 * p below, the
+    nominal envelope plus a2 * p above."""
+
     def setup_method(self):
-        self.g = load_graph("nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n")
-        self.sol = solve_shortest_paths(self.g)
+        self.g = load_graph(PATH3)
         self.x0 = np.array([0.0, 12.0, 12.0])
+        self.col = self.g.non_sources.index(3)
 
     def test_zero_fractions_reduce_to_nominal(self):
-        lo, hi = proportional_bounds(self.sol, self.x0, 0.0, 0.0, 3, PARAMS, 1.0)
-        assert lo == 0.0
-        chain = parent_chain(self.sol, 3)
-        assert hi == nominal_envelope(
-            chain_initial_errors(self.sol, self.x0, chain), PARAMS, 1.0
-        )
+        ts = np.linspace(0.0, 4.0, 9)
+        ((lower, upper),) = bound_curves(
+            self.g, DisturbanceSpec(kind="zero"), self.x0, ts, ("proportional",)
+        ).values()
+        assert np.all(lower[:, self.col] == 0.0)
+        assert same_bits(upper[:, self.col], node_envelope(self.g, self.x0, 3, ts))
 
     def test_lower_bound_scales_with_distance(self):
-        lo, _ = proportional_bounds(self.sol, self.x0, 0.4, 0.4, 3, PARAMS, 2.0)
-        assert lo == pytest.approx(-0.8)
+        spec = DisturbanceSpec(kind="sinusoid", amplitude=0.4)
+        ((lower, _),) = bound_curves(self.g, spec, self.x0, 2.0, ("proportional",)).values()
+        assert lower[0, self.col] == pytest.approx(-0.8)  # -a1 * p with p = 2
 
     def test_fraction_domain(self):
         with pytest.raises(DomainError):
-            proportional_bounds(self.sol, self.x0, 1.0, 0.4, 3, PARAMS, 2.0)
+            proportional_offsets(1.0, 0.4, 2.0)
         with pytest.raises(DomainError):
-            proportional_bounds(self.sol, self.x0, 0.4, -0.1, 3, PARAMS, 2.0)
+            proportional_offsets(0.4, -0.1, 2.0)
 
     def test_vectorized_shapes(self):
         ts = np.linspace(0.0, 4.0, 9)
-        lo, hi = proportional_bounds(self.sol, self.x0, 0.4, 0.4, 3, PARAMS, ts)
-        assert lo.shape == hi.shape == ts.shape
-        assert np.all(lo <= hi)
+        spec = DisturbanceSpec(kind="sinusoid", amplitude=0.4)
+        ((lower, upper),) = bound_curves(self.g, spec, self.x0, ts, ("proportional",)).values()
+        assert lower.shape == upper.shape == (len(ts), 2)
+        assert np.all(lower <= upper)
 
 
 class TestUniformBounds:
+    """The uniform band of ``compute_bound_curves``: -(D_minus - 1) * u_minus
+    below, the nominal envelope plus depth * u_plus above."""
+
     def test_zero_bounds_reduce_to_nominal(self):
-        g = load_graph("nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n")
-        sol = solve_shortest_paths(g)
+        g = load_graph(PATH3)
         x0 = np.array([0.0, 12.0, 12.0])
-        lo, hi = uniform_bounds(sol, sol, x0, 0.0, 0.0, 3, PARAMS, 1.0)
-        assert lo == 0.0
-        chain = parent_chain(sol, 3)
-        assert hi == nominal_envelope(chain_initial_errors(sol, x0, chain), PARAMS, 1.0)
+        ts = np.linspace(0.0, 4.0, 9)
+        ((lower, upper),) = bound_curves(
+            g, DisturbanceSpec(kind="zero"), x0, ts, ("uniform",)
+        ).values()
+        col = g.non_sources.index(3)
+        assert np.all(lower[:, col] == 0.0)
+        assert same_bits(upper[:, col], node_envelope(g, x0, 3, ts))
 
     def test_line13_values(self):
-        lines = ["nodes 13", "sources 1"] + [f"{k} {k-1} 1.0" for k in range(2, 14)]
-        g = load_graph("\n".join(lines) + "\n")
-        sol = solve_shortest_paths(g)
-        sol_minus = solve_shortest_paths(minus_graph(g, 0.03))
-        assert sol_minus.effective_diameter == 13
+        g = line_graph(13)
         x0 = np.zeros(13)
         x0[1:] = 12.0
-        lo, hi = uniform_bounds(sol, sol_minus, x0, 0.03, 0.03, 13, PARAMS, 2.0)
-        assert lo == pytest.approx(-0.36)
-        chain = parent_chain(sol, 13)
-        env = nominal_envelope(chain_initial_errors(sol, x0, chain), PARAMS, 2.0)
-        assert hi == pytest.approx(12 * 0.03 + env)
+        spec = DisturbanceSpec(kind="sinusoid", amplitude=0.03)  # u- = u+ = 0.03
+        sol_minus = solve_shortest_paths(
+            minus_graph(g, build_model(spec, g, 0, PARAMS.deadline).edge_lower)
+        )
+        assert sol_minus.effective_diameter == 13
+        ((lower, upper),) = bound_curves(g, spec, x0, 2.0, ("uniform",)).values()
+        col = g.non_sources.index(13)
+        assert lower[0, col] == pytest.approx(-0.36)
+        env = node_envelope(g, x0, 13, 2.0)[0]
+        assert upper[0, col] == pytest.approx(12 * 0.03 + env)
 
 
 class TestPowerLawEnvelope:
@@ -313,9 +356,6 @@ class TestOptimalQ:
 
 class TestBoundValidityAgainstSimulation:
     def test_uniform_lower_bound_holds_on_random_runs(self):
-        from dbmc import simulate
-        from helpers import constant_initial, random_weighted_graph
-
         for seed in range(6):
             g = random_weighted_graph(seed)
             sol = solve_shortest_paths(g)
@@ -325,10 +365,10 @@ class TestBoundValidityAgainstSimulation:
             x0 = constant_initial(g, max(12.0, max(sol.p) + 1.0))
             traj = simulate(g, m, PARAMS, x0, 4.5, sol=sol)
             sol_minus = solve_shortest_paths(minus_graph(g, m.edge_lower))
-            for i in g.non_sources:
-                lo, hi = uniform_bounds(
-                    sol, sol_minus, x0, m.u_minus, m.u_plus, i, PARAMS, traj.times
-                )
-                err = traj.error_of(i)
-                assert np.all(err >= lo - 1e-6)
-                assert np.all(err <= hi + 1e-6)
+            chi0 = max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources)
+            ((lo, hi),) = compute_bound_curves(
+                g, sol, sol_minus, m, x0, 3.0, chi0, PARAMS, traj.times, ("uniform",)
+            ).values()
+            err = traj.errors[:, [i - 1 for i in g.non_sources]]
+            assert np.all(err >= lo - 1e-6)
+            assert np.all(err <= hi + 1e-6)

@@ -130,6 +130,20 @@ def test_bounds_verb_grid(tmp_path, capsys):
     assert len(lines) > 40
 
 
+@pytest.mark.parametrize("points", ["-1", "0", "1"])
+def test_bounds_verb_needs_two_grid_points(tmp_path, capsys, points):
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(SCENARIO)
+    out_dir = tmp_path / "out"
+    code = main([
+        "bounds", "--scenario", str(scenario), "--out", str(out_dir),
+        "--points", points,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --points must be at least 2, got {points}\n"
+    assert not (out_dir / "bounds.csv").exists()
+
+
 def test_bounds_verb_auto_stop_needs_guaranteed_time(tmp_path, capsys):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(SCENARIO.replace("kind = standin13", "kind = grid\nrows = 3\ncols = 4"))

@@ -26,6 +26,7 @@ from dbmc import (
     standin13,
     synthetic_positions,
 )
+from dbmc import harness
 from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
     BOUND_KINDS,
@@ -197,6 +198,11 @@ class TestScenarioParsing:
         with pytest.raises(SpecError, match="bounds"):
             parse_scenario(BASE_SCENARIO.replace("bounds = auto", "bounds = secret"))
 
+    def test_repeated_bound_kind(self):
+        text = BASE_SCENARIO.replace("bounds = auto", "bounds = uniform chain uniform")
+        with pytest.raises(SpecError, match="'uniform' is listed twice"):
+            parse_scenario(text)
+
     def test_file_graph_path_resolves_relative(self, tmp_path):
         graph = tmp_path / "net.txt"
         graph.write_text("nodes 2\nsources 1\n2 1 1.0\n")
@@ -271,6 +277,17 @@ class TestRunScenario:
         # the source side win and identification must fail
         assert result.exit_code == 2
         assert not result.report.overall
+
+    @pytest.mark.parametrize("focus", [1, 0, 6])
+    def test_bad_focus_node_is_refused_before_simulating(self, tmp_path, monkeypatch, focus):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate ran before focus_node was checked")
+
+        monkeypatch.setattr(harness, "simulate", no_simulate)
+        sc = parse_scenario(BASE_SCENARIO + f"focus_node = {focus}\n")
+        with pytest.raises(SpecError, match=f"focus_node {focus} must be a non-source"):
+            run_scenario(sc, tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_chi0_override_must_cover_actual_errors(self, tmp_path):
         text = BASE_SCENARIO + "chi0 = 1\n"
