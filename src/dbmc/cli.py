@@ -25,6 +25,7 @@ from .harness import (
     bounds_csv,
     compute_bound_curves,
     errors_csv,
+    make_out_dir,
     plan_scenario,
     run_scenario,
     trajectory_csv,
@@ -138,17 +139,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _out_dir(args, sc) -> Path:
-    out = Path(args.out or sc.out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     plan = plan_scenario(sc, seed=args.seed, q=args.q, t_end=args.t_end)
     traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
-    out = _out_dir(args, sc)
+    out = make_out_dir(args.out, sc)
     write_atomic(out / "trajectory.csv", trajectory_csv(traj))
     write_atomic(out / "errors.csv", errors_csv(traj))
     print(f"wrote {out}/trajectory.csv and errors.csv ({len(traj.times) - 1} steps)")
@@ -166,7 +161,7 @@ def _cmd_bounds(args) -> int:
         plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
         sc.params, times, kinds,
     )
-    out = _out_dir(args, sc)
+    out = make_out_dir(args.out, sc)
     write_atomic(out / "bounds.csv", bounds_csv(plan.g, times, curves))
     print(f"wrote {out}/bounds.csv ({args.points} grid points, kinds: {', '.join(kinds)})")
     return 0

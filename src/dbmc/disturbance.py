@@ -60,12 +60,14 @@ class DisturbanceModel:
     ``alpha_lower*c`` elsewhere, with ``proportional_fractions = (alpha_lower,
     alpha_upper)`` and ``c`` scaled by each edge weight ``w``.  When the two
     fractions are equal the carrier is scaled by ``alpha*w`` instead, and a
-    sample is the carrier itself.  The sinusoid carrier
-    ``s*sin(omega*t + phase)`` is stored in quadrature form,
-    ``sin_coef*sin(omega*t) + cos_coef*cos(omega*t)`` with
-    ``sin_coef = s*cos(phase)`` and ``cos_coef = s*sin(phase)``, so a sample
-    costs two scalar sines and two scalar-vector products.  The piecewise
-    carrier interpolates ``knot_values`` linearly.
+    sample is the carrier itself.  Every carrier is one time-major table:
+    ``rows`` are views into one C-contiguous (rows x edges) block, and a
+    carrier value is ``rows[k]*a + rows[k + 1]*b``.  A sinusoid
+    (``knot_spacing`` None) ``s*sin(omega*t + phase)`` has the rows
+    ``(s*cos(phase), s*sin(phase))`` and weights ``(sin(omega*t),
+    cos(omega*t))``; a piecewise carrier has one row per knot and weights
+    ``(1 - frac, frac)``; the zero kind has two zero knots spanning the
+    horizon.
     """
 
     horizon: float
@@ -74,26 +76,22 @@ class DisturbanceModel:
     u_minus: float
     u_plus: float
     proportional_fractions: tuple[float, float]
+    rows: tuple[np.ndarray, ...]  # a tuple item is ~7x cheaper to index than a 2-D row
     omega: float = 0.0
-    sin_coef: np.ndarray | None = None
-    cos_coef: np.ndarray | None = None
-    knot_values: np.ndarray | None = None
     knot_spacing: float | None = None
-    carrier: str | None = None
 
     def sample_all(self, t: float) -> np.ndarray:
         """Disturbance value of every edge at time t, in the model's edge order."""
         if not 0.0 <= t <= self.horizon:
             raise DomainError(f"time {t!r} outside [0, {self.horizon}]")
-        if self.carrier == "sinusoid":
+        if self.knot_spacing is None:
             wt = self.omega * t
-            c = self.sin_coef * math.sin(wt) + self.cos_coef * math.cos(wt)
-        elif self.carrier == "piecewise":
-            k = min(int(t / self.knot_spacing), self.knot_values.shape[1] - 2)
-            frac = t / self.knot_spacing - k
-            c = self.knot_values[:, k] * (1.0 - frac) + self.knot_values[:, k + 1] * frac
+            k, a, b = 0, math.sin(wt), math.cos(wt)
         else:
-            return np.zeros(len(self.edge_lower))
+            k = min(int(t / self.knot_spacing), len(self.rows) - 2)
+            b = t / self.knot_spacing - k
+            a = 1.0 - b
+        c = self.rows[k] * a + self.rows[k + 1] * b
         lo, hi = self.proportional_fractions
         if lo == hi:
             return c
@@ -106,17 +104,14 @@ class DisturbanceModel:
         equals ``sample_all(t)[order]`` bit for bit.
         """
         order = np.asarray(order, dtype=np.intp)
-
-        def pick(a: np.ndarray | None) -> np.ndarray | None:
-            return None if a is None else a[order]
-
+        table = np.empty((len(self.rows), len(order)))
+        for row, src in zip(table, self.rows):
+            np.take(src, order, out=row)
         return replace(
             self,
             edge_lower=self.edge_lower[order],
             edge_upper=self.edge_upper[order],
-            sin_coef=pick(self.sin_coef),
-            cos_coef=pick(self.cos_coef),
-            knot_values=pick(self.knot_values),
+            rows=tuple(table),
         )
 
 
@@ -210,35 +205,36 @@ def build_model(
     w = g.weights
     n_edges = len(w)
 
-    sin_coef = cos_coef = knots = knot_dt = None
-    if carrier is None:
-        lower = np.zeros(n_edges)
-        upper = np.zeros(n_edges)
+    if alpha_lower == alpha_upper:
+        scale, f_lower, f_upper = alpha_lower * w, 1.0, 1.0
     else:
-        if alpha_lower == alpha_upper:
-            scale, f_lower, f_upper = alpha_lower * w, 1.0, 1.0
+        scale, f_lower, f_upper = w, alpha_lower, alpha_upper
+    rng = np.random.default_rng(seed)
+    knot_dt = None
+    if carrier is None:
+        table, knot_dt = np.zeros((2, n_edges)), float(horizon)
+        c_lower = c_upper = np.zeros(n_edges)
+    elif carrier == "sinusoid":
+        if not spec.omega > 0.0:
+            raise SpecError("omega must be positive")
+        if spec.phase is not None:
+            phases = np.full(n_edges, float(spec.phase))
         else:
-            scale, f_lower, f_upper = w, alpha_lower, alpha_upper
-        rng = np.random.default_rng(seed)
-        if carrier == "sinusoid":
-            if not spec.omega > 0.0:
-                raise SpecError("omega must be positive")
-            if spec.phase is not None:
-                phases = np.full(n_edges, float(spec.phase))
-            else:
-                phases = rng.uniform(0.0, TWO_PI, n_edges)
-            sin_coef, cos_coef = scale * np.cos(phases), scale * np.sin(phases)
-            c_lower = c_upper = scale
-        else:
-            knot_dt = spec.knot_spacing if spec.knot_spacing is not None else horizon / 500.0
-            if not knot_dt > 0.0:
-                raise SpecError("knot_spacing must be positive")
-            n_knots = int(math.ceil(horizon / knot_dt)) + 1
-            knots = rng.uniform(-1.0, 1.0, (n_edges, n_knots)) * scale[:, None]
-            c_lower = np.maximum(0.0, -knots.min(axis=1))
-            c_upper = np.maximum(0.0, knots.max(axis=1))
-        lower = f_lower * c_lower
-        upper = f_upper * c_upper
+            phases = rng.uniform(0.0, TWO_PI, n_edges)
+        table = np.stack((scale * np.cos(phases), scale * np.sin(phases)))
+        c_lower = c_upper = scale
+    else:
+        knot_dt = spec.knot_spacing if spec.knot_spacing is not None else horizon / 500.0
+        if not knot_dt > 0.0:
+            raise SpecError("knot_spacing must be positive")
+        n_knots = int(math.ceil(horizon / knot_dt)) + 1
+        # drawn edge-major, so a seed keeps giving the same knots
+        table = np.ascontiguousarray(rng.uniform(-1.0, 1.0, (n_edges, n_knots)).T)
+        table *= scale
+        c_lower = np.maximum(0.0, -table.min(axis=0))
+        c_upper = np.maximum(0.0, table.max(axis=0))
+    lower = f_lower * c_lower
+    upper = f_upper * c_upper
 
     return DisturbanceModel(
         horizon=float(horizon),
@@ -247,12 +243,9 @@ def build_model(
         u_minus=_loosened(float(lower.max(initial=0.0)), spec.uniform_lower, "uniform_lower"),
         u_plus=_loosened(float(upper.max(initial=0.0)), spec.uniform_upper, "uniform_upper"),
         proportional_fractions=(alpha_lower, alpha_upper),
+        rows=tuple(table),
         omega=spec.omega,
-        sin_coef=sin_coef,
-        cos_coef=cos_coef,
-        knot_values=knots,
         knot_spacing=knot_dt,
-        carrier=carrier,
     )
 
 

@@ -124,10 +124,6 @@ class Trajectory:
         return self.errors[:, node - 1] + self.p[node - 1]
 
     @property
-    def final_errors(self) -> np.ndarray:
-        return self.errors[-1]
-
-    @property
     def final_states(self) -> np.ndarray:
         return self.errors[-1] + self.p
 
@@ -160,6 +156,18 @@ def check_initial_state(
                 f"initial state of node {i} underestimates its distance "
                 f"({float(x0[i - 1])!r} < {float(sol.p[i - 1])!r})"
             )
+
+
+def check_t_end(params: PTGainParams, t_end: float, horizon: float) -> None:
+    """Raise PreconditionError unless 0 < t_end <= horizon and t_end stays
+    a relative 1e-9 short of the deadline, where the gain is singular."""
+    limit = params.deadline * (1.0 - 1e-9)
+    if not 0.0 < t_end < limit:
+        raise PreconditionError(f"t_end must lie in (0, {limit!r}), got {t_end!r}")
+    if horizon < t_end:
+        raise PreconditionError(
+            f"disturbance model covers [0, {horizon}], t_end {t_end} is beyond it"
+        )
 
 
 def _rates(
@@ -246,10 +254,9 @@ def simulate(
 ) -> Trajectory:
     """Integrate the disturbed dynamics on [0, t_end] with classic RK4.
 
-    Preconditions: those of :func:`check_initial_state`, t_end stays a
-    relative 1e-9 short of the deadline (the gain is singular there), and
-    ``model`` is built on ``g``.  Disturbances are sampled once per RK4
-    stage, four times per step.
+    Preconditions: those of :func:`check_initial_state` and
+    :func:`check_t_end`, and ``model`` is built on ``g``.  Disturbances
+    are sampled once per RK4 stage, four times per step.
     Deterministic for fixed inputs; every accepted step is stored.  Row 0
     of ``errors`` is x0 - p; later rows hold 0.0 in the source columns.
     """
@@ -258,13 +265,7 @@ def simulate(
     opts = options or IntegratorOptions()
     x0 = np.asarray(x0, dtype=float)
     check_initial_state(g, sol, x0)
-    limit = params.deadline * (1.0 - 1e-9)
-    if not 0.0 < t_end < limit:
-        raise PreconditionError(f"t_end must lie in (0, {limit!r}), got {t_end!r}")
-    if model.horizon < t_end:
-        raise PreconditionError(
-            f"disturbance model covers [0, {model.horizon}], t_end {t_end} is beyond it"
-        )
+    check_t_end(params, t_end, model.horizon)
 
     h_cap = opts.max_step if opts.max_step is not None else params.deadline / 5000.0
     if h_cap <= 0.0 or opts.remaining_fraction <= 0.0:

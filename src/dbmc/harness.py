@@ -37,7 +37,7 @@ from .bounds import (
     worst_case_offset,
 )
 from .disturbance import DisturbanceModel, build_model
-from .dynamics import Trajectory, check_initial_state, simulate
+from .dynamics import Trajectory, check_initial_state, check_t_end, simulate
 from .errors import DbmcError, InfeasibleError, PreconditionError, SpecError
 from .generate import generate_graph, synthetic_positions
 from .graph import (
@@ -153,8 +153,9 @@ def plan_scenario(
     ``seed``, ``q`` and ``t_end`` override the corresponding scenario fields
     (``t_end`` accepts the same syntax as the scenario key).  Raises
     SpecError when ``t_end = auto`` but no guaranteed stop time exists, and
-    PreconditionError when x0 fails :func:`dynamics.check_initial_state`,
-    so every verb enforces the preconditions ``simulate`` does.
+    PreconditionError when x0 fails :func:`dynamics.check_initial_state` or
+    the stop time fails :func:`dynamics.check_t_end`, so every verb enforces
+    the preconditions ``simulate`` does.
     """
     g = resolve_graph(sc.graph_spec)
     sol = solve_shortest_paths(g)
@@ -191,6 +192,7 @@ def plan_scenario(
         if ts_status != "ok":
             raise SpecError(f"t_end = auto needs a guaranteed stop time: {ts_detail}")
         t_stop = max(ts_value, 1e-6 * sc.params.deadline)
+    check_t_end(sc.params, t_stop, model.horizon)
 
     auto_kinds = BOUND_KINDS
     if not all(f < 1.0 for f in model.proportional_fractions):
@@ -397,6 +399,14 @@ def focus_csv(
     return _series_csv("t,error,lower,upper\n", traj.times, values)
 
 
+def make_out_dir(out_dir: str | os.PathLike | None, sc: Scenario) -> Path:
+    """Create ``out_dir``, else the scenario's, else ``out`` ("" is unset).
+    Called once every check has passed, so a failed run leaves no directory."""
+    out = Path(out_dir or sc.out_dir or "out")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -414,9 +424,6 @@ def run_scenario(
     ``seed``, ``q`` and ``t_end`` override the corresponding scenario fields
     (``t_end`` accepts the same syntax as the scenario key).
     """
-    out = Path(out_dir if out_dir is not None else (sc.out_dir or "out"))
-    out.mkdir(parents=True, exist_ok=True)
-
     plan = plan_scenario(sc, seed=seed, q=q, t_end=t_end)
     g, sol, model, x0, t_stop = plan.g, plan.sol, plan.model, plan.x0, plan.t_stop
     focus = sc.focus_node
@@ -424,6 +431,7 @@ def run_scenario(
         focus = max(g.non_sources, key=lambda i: sol.p[i - 1])
     elif focus in g.sources or not 1 <= focus <= g.node_count:
         raise SpecError(f"[run] focus_node {focus} must be a non-source node")
+    out = make_out_dir(out_dir, sc)
     traj = simulate(g, model, sc.params, x0, t_stop, sol=sol)
 
     kinds = plan.kinds

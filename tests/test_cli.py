@@ -242,3 +242,47 @@ def test_ts_non_finite_input_exits_one(capsys, flag):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "t_s" not in captured.out
+
+
+@pytest.mark.parametrize("t_end", ["4.9999999999", "5", "6"])
+@pytest.mark.parametrize("verb", ["bounds", "simulate", "run"])
+def test_every_verb_enforces_the_t_end_range(tmp_path, capsys, verb, t_end):
+    # The deadline is 5, so t_end must stay below 5 * (1 - 1e-9).
+    scenario = Path("scenarios/case_study_40pct.ini")
+    out_dir = tmp_path / "out"
+    flags = [verb, "--scenario", str(scenario), "--out", str(out_dir), "--t-end", t_end]
+    assert main(flags) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: t_end must lie in (0, 4.9999999950000005), got {float(t_end)!r}\n"
+    assert "array(" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        (SCENARIO.replace("focus_node = 8", "focus_node = 1"), []),
+        (SCENARIO, ["--t-end", "6"]),
+    ],
+    ids=["source-focus-node", "t-end-past-deadline"],
+)
+def test_failed_run_creates_no_output_directory(tmp_path, capsys, text, flags):
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(text)
+    out_dir = tmp_path / "new" / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out_dir)] + flags) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_dir.exists()
+    assert not out_dir.parent.exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "run"])
+def test_empty_out_flag_falls_back_to_the_scenario_directory(tmp_path, monkeypatch, capsys, verb):
+    monkeypatch.chdir(tmp_path)
+    scenario = tmp_path / "sc.ini"
+    text = SCENARIO.replace("t_end = auto", "t_end = 0.2Ts")
+    scenario.write_text(text + "out = from_scenario\n")
+    assert main([verb, "--scenario", str(scenario), "--out", ""]) in (0, 2)
+    capsys.readouterr()
+    assert (tmp_path / "from_scenario" / "errors.csv").exists()
+    assert not (tmp_path / "errors.csv").exists()

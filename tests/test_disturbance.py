@@ -21,6 +21,13 @@ def line4():
     return load_graph(LINE4)
 
 
+def sample_times(knot_spacing: float) -> list[float]:
+    """0, every knot time in [0, HORIZON], HORIZON and 1000 random times."""
+    knots = [k * knot_spacing for k in range(int(math.ceil(HORIZON / knot_spacing)) + 1)]
+    random = np.random.default_rng(5).uniform(0.0, HORIZON, 1000).tolist()
+    return [0.0] + [t for t in knots if t <= HORIZON] + [HORIZON] + random
+
+
 def test_zero_model():
     g = line4()
     m = build_model(DisturbanceSpec(kind="zero"), g, 0, HORIZON)
@@ -61,15 +68,16 @@ def test_piecewise_sample_at_knot_equals_stored_value():
     for k in (0, 3, 7):
         t = k * m.knot_spacing
         got = m.sample_all(t)
-        assert got == pytest.approx(m.knot_values[:, k], abs=1e-12)
+        assert got == pytest.approx(m.rows[k], abs=1e-12)
 
 
 def test_piecewise_envelope_is_exact_knot_extremes():
     g = line4()
     spec = DisturbanceSpec(kind="piecewise", amplitude=0.3)
     m = build_model(spec, g, 5, HORIZON)
-    assert np.allclose(m.edge_lower, np.maximum(0.0, -m.knot_values.min(axis=1)))
-    assert np.allclose(m.edge_upper, np.maximum(0.0, m.knot_values.max(axis=1)))
+    knots = np.array(m.rows)
+    assert np.allclose(m.edge_lower, np.maximum(0.0, -knots.min(axis=0)))
+    assert np.allclose(m.edge_upper, np.maximum(0.0, knots.max(axis=0)))
 
 
 @pytest.mark.parametrize(
@@ -155,7 +163,7 @@ def test_identical_seeds_give_bit_identical_streams():
     spec = DisturbanceSpec(kind="piecewise", amplitude=0.25)
     a = build_model(spec, g, 99, HORIZON)
     b = build_model(spec, g, 99, HORIZON)
-    assert np.array_equal(a.knot_values, b.knot_values)
+    assert np.array_equal(np.array(a.rows), np.array(b.rows))
     ts = np.random.default_rng(0).uniform(0.0, HORIZON, 100)
     for t in ts:
         assert np.array_equal(a.sample_all(float(t)), b.sample_all(float(t)))
@@ -169,8 +177,8 @@ def test_different_seeds_differ():
     b = build_model(spec, g, 2, HORIZON)
     for m, seed in ((a, 1), (b, 2)):
         phases = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, len(w))
-        assert np.array_equal(m.sin_coef, 0.1 * w * np.cos(phases))
-        assert np.array_equal(m.cos_coef, 0.1 * w * np.sin(phases))
+        assert np.array_equal(m.rows[0], 0.1 * w * np.cos(phases))
+        assert np.array_equal(m.rows[1], 0.1 * w * np.sin(phases))
     assert not np.array_equal(a.sample_all(0.3), b.sample_all(0.3))
 
 
@@ -257,8 +265,11 @@ def test_equal_fraction_kinds_match_per_kind_builder(spec):
     assert np.array_equal(m.edge_lower, ref.edge_lower)
     assert np.array_equal(m.edge_upper, ref.edge_upper)
     assert (m.u_minus, m.u_plus) == (ref.u_minus, ref.u_plus)
-    for t in np.random.default_rng(5).uniform(0.0, HORIZON, 1000):
-        assert np.array_equal(m.sample_all(float(t)), ref.sample_all(float(t)))
+    # Bits, not values: the last-interval clamp at t = horizon and the zero
+    # kind's +0.0 must match too.
+    for t in sample_times(ref.knot_spacing):
+        got, want = m.sample_all(t), ref.sample_all(t)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
 
 
 @pytest.mark.parametrize(
@@ -279,9 +290,9 @@ def test_proportional_samples_match_per_kind_builder(spec):
     w = np.array([wt for _, _, wt in g.edges])
     m = build_model(spec, g, 17, HORIZON)
     ref = build_model_per_kind(spec, g, 17, HORIZON)
-    for t in np.random.default_rng(5).uniform(0.0, HORIZON, 1000):
-        diff = np.abs(m.sample_all(float(t)) - ref.sample_all(float(t)))
-        assert np.all(diff <= 1e-15 * w)
+    for t in sample_times(ref.knot_spacing):
+        diff = np.abs(m.sample_all(t) - ref.sample_all(t))
+        assert np.all(diff <= 1e-15 * w), t
 
 
 def test_proportional_piecewise_envelope_is_fraction_times_knot_extremes():
@@ -292,8 +303,9 @@ def test_proportional_piecewise_envelope_is_fraction_times_knot_extremes():
     spec = DisturbanceSpec(kind="proportional", alpha_lower=0.1, alpha_upper=0.3,
                            carrier="piecewise")
     m = build_model(spec, g, 6, HORIZON)
-    assert np.array_equal(m.edge_lower, 0.1 * np.maximum(0.0, -m.knot_values.min(axis=1)))
-    assert np.array_equal(m.edge_upper, 0.3 * np.maximum(0.0, m.knot_values.max(axis=1)))
+    knots = np.array(m.rows)
+    assert np.array_equal(m.edge_lower, 0.1 * np.maximum(0.0, -knots.min(axis=0)))
+    assert np.array_equal(m.edge_upper, 0.3 * np.maximum(0.0, knots.max(axis=0)))
     assert np.all(m.edge_lower <= 0.1 * w) and np.all(m.edge_upper <= 0.3 * w)
     assert m.u_plus == float(m.edge_upper.max())
 
@@ -351,3 +363,27 @@ def test_take_reorders_samples_and_edges_together(spec, subset):
         k = g.edge_index[(i, j)]
         assert (taken.edge_lower[r], taken.edge_upper[r]) == (m.edge_lower[k], m.edge_upper[k])
         assert taken_u[r] == u[k]
+
+
+@pytest.mark.parametrize(
+    "spec, n_rows",
+    [
+        (DisturbanceSpec(kind="zero"), 2),
+        (DisturbanceSpec(kind="sinusoid", amplitude=0.3), 2),
+        (DisturbanceSpec(kind="piecewise", amplitude=0.3), 501),
+        (DisturbanceSpec(kind="proportional", alpha_lower=0.0, alpha_upper=0.3,
+                         carrier="piecewise", knot_spacing=0.3), 18),
+    ],
+    ids=["zero", "sinusoid", "piecewise", "prop-pw-coarse"],
+)
+def test_rows_are_views_of_one_time_major_block(spec, n_rows):
+    # One row per basis vector, each over every edge, so a sample reads two
+    # contiguous rows; take keeps that layout.
+    g = random_weighted_graph(12, max_nodes=10)
+    m = build_model(spec, g, 3, HORIZON)
+    order = np.random.default_rng(8).permutation(len(g.edges))
+    for model in (m, m.take(order)):
+        block = model.rows[0].base
+        assert block.flags.c_contiguous
+        assert block.shape == (n_rows, len(g.edges))
+        assert all(row.base is block for row in model.rows)
