@@ -15,13 +15,11 @@ from .bounds import (
 )
 from .disturbance import DisturbanceModel, DisturbanceSpec, build_model
 from .dynamics import (
-    IntegratorOptions,
     PTGainParams,
     Trajectory,
     gain,
     integrating_factor,
     log_integrating_factor,
-    make_rhs,
     simulate,
 )
 from .errors import (

@@ -192,8 +192,9 @@ def build_model(
     (the scale for the sinusoid, the knot extremes for the piecewise
     carrier), so it contains every sample on [0, horizon]; the uniform
     bounds are its maxima unless the spec loosens them.  Raises SpecError
-    for non-finite numbers, for fractions that would let a weight reach
-    zero (amplitude or alpha_lower >= 1) and for malformed specs.
+    for a negative seed, for non-finite numbers, for fractions that would
+    let a weight reach zero (amplitude or alpha_lower >= 1) and for
+    malformed specs.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise SpecError(f"horizon must be positive and finite, got {horizon!r}")
@@ -209,6 +210,8 @@ def build_model(
         scale, f_lower, f_upper = alpha_lower * w, 1.0, 1.0
     else:
         scale, f_lower, f_upper = w, alpha_lower, alpha_upper
+    if seed < 0:
+        raise SpecError(f"disturbance seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     knot_dt = None
     if carrier is None:

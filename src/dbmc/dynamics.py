@@ -36,6 +36,12 @@ from .errors import (
 )
 from .graph import ShortestPathSolution, WeightedDigraph, solve_shortest_paths
 
+# The one step policy: no step exceeds deadline / STEPS_PER_DEADLINE nor
+# REMAINING_FRACTION of the time left to the deadline, which keeps
+# gain * step bounded as the gain blows up.
+STEPS_PER_DEADLINE = 5000.0
+REMAINING_FRACTION = 0.01
+
 
 @dataclass(frozen=True)
 class PTGainParams:
@@ -93,19 +99,6 @@ def integrating_factor(params: PTGainParams, t):
 
 
 @dataclass(frozen=True)
-class IntegratorOptions:
-    """Step-size policy for the fixed-order integrator.
-
-    The step never exceeds ``max_step`` (default deadline/5000) nor
-    ``remaining_fraction`` of the time left to the deadline, which keeps
-    gain * step bounded as the gain blows up.
-    """
-
-    max_step: float | None = None
-    remaining_fraction: float = 0.01
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Stored output of one integration: every accepted step, no interpolation."""
 
@@ -119,9 +112,6 @@ class Trajectory:
 
     def error_of(self, node: int) -> np.ndarray:
         return self.errors[:, node - 1]
-
-    def state_of(self, node: int) -> np.ndarray:
-        return self.errors[:, node - 1] + self.p[node - 1]
 
     @property
     def final_states(self) -> np.ndarray:
@@ -193,45 +183,20 @@ def _rates(
     return rates
 
 
-def make_rhs(
-    g: WeightedDigraph,
-    sol: ShortestPathSolution,
-    model: DisturbanceModel,
-    params: PTGainParams,
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Right-hand side f(t, e) of the error dynamics over all n nodes.
-
-    A full-length view of the rates :func:`simulate` integrates: sources
-    get 0, and the source entries of ``e`` are read as 0, the error the
-    dynamics keep them at.  ``model`` must be built on ``g``.
-    """
-    lay = candidate_layout(g, model)
-    rates = _rates(lay, sol, params)
-    ns = lay.non_sources
-
-    def rhs(t: float, e: np.ndarray) -> np.ndarray:
-        z = np.append(e[ns], 0.0)
-        out = np.zeros_like(e)
-        out[ns] = rates(t, z, z[:-1])
-        return out
-
-    return rhs
-
-
-def _step_grid(
-    params: PTGainParams, t_end: float, h_cap: float, remaining_fraction: float
-) -> tuple[list[float], list[float]]:
+def _step_grid(params: PTGainParams, t_end: float) -> tuple[list[float], list[float]]:
     """Stored times on [0, t_end] (0 and t_end included) and the step sizes.
 
-    A step is min(h_cap, remaining_fraction * time left to the deadline),
-    cut to land on t_end; raises IntegrationError when one underflows.
+    A step is min(deadline / STEPS_PER_DEADLINE, REMAINING_FRACTION * time
+    left to the deadline), cut to land on t_end; raises IntegrationError
+    when one underflows.
     """
+    h_cap = params.deadline / STEPS_PER_DEADLINE
     floor = 1e-15 * params.deadline
     t = 0.0
     times = [0.0]
     steps = []
     while t < t_end:
-        hs = min(h_cap, remaining_fraction * (params.deadline - t))
+        hs = min(h_cap, REMAINING_FRACTION * (params.deadline - t))
         last = (t_end - t) <= hs
         if last:
             hs = t_end - t
@@ -249,7 +214,6 @@ def simulate(
     params: PTGainParams,
     x0: Sequence[float],
     t_end: float,
-    options: IntegratorOptions | None = None,
     sol: ShortestPathSolution | None = None,
 ) -> Trajectory:
     """Integrate the disturbed dynamics on [0, t_end] with classic RK4.
@@ -262,15 +226,11 @@ def simulate(
     """
     if sol is None:
         sol = solve_shortest_paths(g)
-    opts = options or IntegratorOptions()
     x0 = np.asarray(x0, dtype=float)
     check_initial_state(g, sol, x0)
     check_t_end(params, t_end, model.horizon)
 
-    h_cap = opts.max_step if opts.max_step is not None else params.deadline / 5000.0
-    if h_cap <= 0.0 or opts.remaining_fraction <= 0.0:
-        raise PreconditionError("step bounds must be positive")
-    times, steps = _step_grid(params, t_end, h_cap, opts.remaining_fraction)
+    times, steps = _step_grid(params, t_end)
     lay = candidate_layout(g, model)
     rates = _rates(lay, sol, params)
     ns = lay.non_sources

@@ -28,6 +28,8 @@ def hop_random_graph(n: int, extra_edge_prob: float, seed: int) -> WeightedDigra
         raise SpecError("hop-random graph needs n >= 2")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise SpecError("extra_edge_prob must lie in [0, 1]")
+    if seed < 0:
+        raise SpecError(f"graph seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     edges = [(k, int(rng.integers(1, k)), 1.0) for k in range(2, n + 1)]
     # Row i draws one number per head other than i and its tree parent, in

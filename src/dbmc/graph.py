@@ -114,9 +114,6 @@ class WeightedDigraph:
     def non_sources(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.node_count + 1) if i not in self.sources)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.out_adjacency[i - 1])
-
     def weight(self, i: int, j: int) -> float:
         try:
             return self.edges[self.edge_index[(i, j)]][2]
@@ -216,9 +213,6 @@ class ShortestPathSolution:
     true_parents: tuple[frozenset[int], ...]
     effective_diameter: int
     path_gap: float
-
-    def distance(self, i: int) -> float:
-        return self.p[i - 1]
 
     def parents(self, i: int) -> frozenset[int]:
         return self.true_parents[i - 1]

@@ -152,15 +152,18 @@ def plan_scenario(
 
     ``seed``, ``q`` and ``t_end`` override the corresponding scenario fields
     (``t_end`` accepts the same syntax as the scenario key).  Raises
-    SpecError when ``t_end = auto`` but no guaranteed stop time exists, and
-    PreconditionError when x0 fails :func:`dynamics.check_initial_state` or
-    the stop time fails :func:`dynamics.check_t_end`, so every verb enforces
-    the preconditions ``simulate`` does.
+    SpecError when q does not exceed 1 or when ``t_end = auto`` but no
+    guaranteed stop time exists, and PreconditionError when x0 fails
+    :func:`dynamics.check_initial_state` or the stop time fails
+    :func:`dynamics.check_t_end`, so every verb enforces the preconditions
+    ``simulate`` does.
     """
+    q_eff = sc.q if q is None else q
+    if not q_eff > 1.0:
+        raise SpecError(f"q must exceed 1, got {q_eff!r}")
     g = resolve_graph(sc.graph_spec)
     sol = solve_shortest_paths(g)
     seed_eff = sc.seed if seed is None else seed
-    q_eff = sc.q if q is None else q
     model = build_model(sc.disturbance, g, seed_eff, horizon=sc.params.deadline)
     x0 = initial_state_vector(g, sc)
 

@@ -243,9 +243,10 @@ def build_model_per_kind(
                         sin_coef, cos_coef, knots, knot_dt, carrier)
 
 
-def simulate_scatter(g, model, params, x0, t_end, sol, max_step=None, remaining_fraction=0.01):
+def simulate_scatter(g, model, params, x0, t_end, sol, max_step=None):
     """RK4 over ``np.minimum.at`` into every node, one sample per stage,
-    storing a copy of every step; returns (times, errors)."""
+    storing a copy of every step; returns (times, errors).  ``max_step``
+    replaces the step cap deadline/5000 of ``simulate``."""
     p = np.asarray(sol.p, dtype=float)
     tails = np.array([i - 1 for i, _, _ in g.edges], dtype=np.intp)
     heads = np.array([j - 1 for _, j, _ in g.edges], dtype=np.intp)
@@ -269,7 +270,7 @@ def simulate_scatter(g, model, params, x0, t_end, sol, max_step=None, remaining_
     times = [0.0]
     errors = [e.copy()]
     while t < t_end:
-        hs = min(h_cap, remaining_fraction * (deadline - t))
+        hs = min(h_cap, 0.01 * (deadline - t))
         last = (t_end - t) <= hs
         if last:
             hs = t_end - t

@@ -258,22 +258,61 @@ def test_every_verb_enforces_the_t_end_range(tmp_path, capsys, verb, t_end):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize(
-    "text, flags",
-    [
-        (SCENARIO.replace("focus_node = 8", "focus_node = 1"), []),
-        (SCENARIO, ["--t-end", "6"]),
-    ],
-    ids=["source-focus-node", "t-end-past-deadline"],
+# A grid has no competitor edge, so its path gap is infinite and no stop
+# time is computed from q.
+GRID_HALF_TS = (
+    SCENARIO.replace("kind = standin13", "kind = grid\nrows = 3\ncols = 4")
+    .replace("t_end = auto", "t_end = 0.5Ts")
+    .replace("bounds = none", "bounds = auto")
 )
-def test_failed_run_creates_no_output_directory(tmp_path, capsys, text, flags):
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        (SCENARIO.replace("focus_node = 8", "focus_node = 1"), [],
+         "focus_node 1 must be a non-source node"),
+        (SCENARIO, ["--t-end", "6"], "t_end must lie in"),
+        (SCENARIO, ["--seed", "-1"], "disturbance seed must be non-negative, got -1"),
+        (SCENARIO.replace("seed = 1", "seed = -1"), [],
+         "disturbance seed must be non-negative, got -1"),
+        (SCENARIO.replace("kind = standin13", "kind = hop-random\nn = 8\nseed = -1"), [],
+         "graph seed must be non-negative, got -1"),
+        (GRID_HALF_TS.replace("q = 3", "q = 0.5"), [], "q must exceed 1, got 0.5"),
+    ],
+    ids=[
+        "source-focus-node", "t-end-past-deadline", "negative-seed-flag",
+        "negative-disturbance-seed", "negative-graph-seed", "q-below-one",
+    ],
+)
+def test_failed_run_creates_no_output_directory(tmp_path, capsys, text, flags, message):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(text)
     out_dir = tmp_path / "new" / "out"
     assert main(["run", "--scenario", str(scenario), "--out", str(out_dir)] + flags) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert not out_dir.exists()
     assert not out_dir.parent.exists()
+
+
+@pytest.mark.parametrize("q", ["0.5", "1", "nan"])
+def test_simulate_refuses_q_not_above_one(tmp_path, capsys, q):
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(GRID_HALF_TS)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out_dir), "--q", q]) == 1
+    assert capsys.readouterr().err == f"error: q must exceed 1, got {float(q)!r}\n"
+    assert not out_dir.exists()
+
+
+def test_gen_refuses_a_negative_seed(tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    assert main(["gen", "hop-random", "--seed", "-2", "--out", str(graph_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: graph seed must be non-negative, got -2\n"
+    assert captured.out == ""
+    assert not graph_file.exists()
 
 
 @pytest.mark.parametrize("verb", ["simulate", "run"])

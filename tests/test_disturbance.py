@@ -193,6 +193,11 @@ def test_amplitude_at_or_above_one_rejected():
         )
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(SpecError, match="disturbance seed must be non-negative, got -1"):
+        build_model(DisturbanceSpec(kind="zero"), line4(), -1, HORIZON)
+
+
 def test_unknown_kind_and_carrier_rejected():
     g = line4()
     with pytest.raises(SpecError):

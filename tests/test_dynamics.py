@@ -10,7 +10,6 @@ from dbmc import (
     DisturbanceModel,
     DisturbanceSpec,
     DomainError,
-    IntegratorOptions,
     PTGainParams,
     PreconditionError,
     ValidationError,
@@ -21,7 +20,6 @@ from dbmc import (
     load_graph,
     log_integrating_factor,
     line_graph,
-    make_rhs,
     nominal_envelope,
     parent_chain,
     simulate,
@@ -29,9 +27,11 @@ from dbmc import (
     standin13,
 )
 
+from dbmc import dynamics
 from dbmc.bounds import nominal_envelopes
+from dbmc.disturbance import candidate_layout
 
-from helpers import constant_initial, random_weighted_graph
+from helpers import constant_initial, random_weighted_graph, simulate_scatter
 
 PARAMS = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
 TWO_NODE = "nodes 2\nsources 1\n2 1 1.0\n"
@@ -167,23 +167,25 @@ class TestSimulate:
         g = standin13()
         sol = solve_shortest_paths(g)
         m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), g, 2, 5.0)
-        rhs = make_rhs(g, sol, m, PARAMS)
+        lay = candidate_layout(g, m)
+        rates = dynamics._rates(lay, sol, PARAMS)
         rng = np.random.default_rng(0)
         p = np.array(sol.p)
         for t in rng.uniform(0.0, 4.5, 50):
             e = rng.uniform(0.0, 12.0, 13)
             e[0] = 0.0
-            de = rhs(float(t), e)
+            z = np.append(e[lay.non_sources], 0.0)
+            de = rates(float(t), z, z[:-1])
             u = m.sample_all(float(t))
             x = p + e
-            for i in g.non_sources:
+            for k, i in enumerate(g.non_sources):
                 best = min(
                     x[j - 1] + w + u[g.edge_index[(i, j)]]
                     for j, w in g.out_adjacency[i - 1]
                 )
-                assert math.copysign(1.0, de[i - 1]) == math.copysign(
+                assert math.copysign(1.0, de[k]) == math.copysign(
                     1.0, best - x[i - 1]
-                ) or de[i - 1] == 0.0 == best - x[i - 1]
+                ) or de[k] == 0.0 == best - x[i - 1]
 
     def test_nonnegative_disturbance_keeps_errors_nonnegative(self):
         spec = DisturbanceSpec(
@@ -217,13 +219,16 @@ class TestSimulate:
         assert tail[-1] < 1e-12 and np.all(np.diff(tail) < 0)
 
     def test_step_halving_consistency(self):
+        """The default grid against the scatter oracle at half its step cap."""
         g = standin13()
+        sol = solve_shortest_paths(g)
         m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.03), g, 1, 5.0)
         x0 = constant_initial(g, 12.0)
-        a = simulate(g, m, PARAMS, x0, 3.0)
-        b = simulate(g, m, PARAMS, x0, 3.0, options=IntegratorOptions(max_step=5e-4))
-        rel = np.max(np.abs(a.final_states - b.final_states)) / max(
-            1.0, np.max(np.abs(b.final_states))
+        a = simulate(g, m, PARAMS, x0, 3.0, sol=sol)
+        _, errors = simulate_scatter(g, m, PARAMS, x0, 3.0, sol, max_step=5e-4)
+        b_final = errors[-1] + a.p
+        rel = np.max(np.abs(a.final_states - b_final)) / max(
+            1.0, np.max(np.abs(b_final))
         )
         assert rel < 1e-7
 
@@ -239,7 +244,7 @@ class TestSimulate:
     def test_trajectory_accessors(self):
         g = load_graph(TWO_NODE)
         traj = simulate(g, zero_model(g), PARAMS, [0.0, 12.0], 1.0)
-        assert traj.state_of(2)[0] == 12.0
+        assert traj.states[:, 1][0] == 12.0
         assert traj.error_of(2)[0] == 11.0
         assert traj.final_states.shape == (2,)
 
@@ -248,7 +253,10 @@ def test_rhs_needs_an_out_edge_per_non_source():
     line3 = load_graph("nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n")
     stranded = load_graph("nodes 3\nsources 1\n2 1 1.0\n")  # node 3 has no out-edge
     with pytest.raises(PreconditionError, match="out-edge"):
-        make_rhs(stranded, solve_shortest_paths(line3), zero_model(stranded), PARAMS)
+        candidate_layout(stranded, zero_model(stranded))
+    with pytest.raises(PreconditionError, match="out-edge"):
+        simulate(stranded, zero_model(stranded), PARAMS, [0.0, 12.0, 12.0], 1.0,
+                 sol=solve_shortest_paths(line3))
 
 
 def test_model_must_cover_the_graphs_edges():
@@ -258,7 +266,7 @@ def test_model_must_cover_the_graphs_edges():
         with pytest.raises(PreconditionError, match="disturbance model has"):
             simulate(g, zero_model(other), PARAMS, [0.0, 12.0, 12.0], 1.0)
         with pytest.raises(PreconditionError, match="disturbance model has"):
-            make_rhs(g, solve_shortest_paths(g), zero_model(other), PARAMS)
+            candidate_layout(g, zero_model(other))
 
 
 class TestAccuracyAgainstExactChains:

@@ -106,6 +106,10 @@ class TestGenerators:
     def test_hop_random_matches_scalar_draw_loop(self, n, p, seed):
         assert hop_random_graph(n, p, seed) == hop_random_graph_loop(n, p, seed)
 
+    def test_hop_random_refuses_a_negative_seed(self):
+        with pytest.raises(SpecError, match="graph seed must be non-negative, got -1"):
+            hop_random_graph(5, 0.2, -1)
+
     def test_hop_random_unit_weights(self):
         g = hop_random_graph(9, 0.3, 1)
         assert all(w == 1.0 for _, _, w in g.edges)
