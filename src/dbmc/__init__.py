@@ -8,7 +8,6 @@ still identifying correct shortest-path parents.
 from .bounds import (
     chain_initial_errors,
     early_termination_time,
-    nominal_envelope,
     optimal_q,
     power_law_envelope,
     worst_case_offset,
@@ -17,8 +16,6 @@ from .disturbance import DisturbanceModel, DisturbanceSpec, build_model
 from .dynamics import (
     PTGainParams,
     Trajectory,
-    gain,
-    integrating_factor,
     log_integrating_factor,
     simulate,
 )
@@ -32,7 +29,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     SpecError,
-    UnknownEdgeError,
     UnreachableError,
     ValidationError,
 )
@@ -47,12 +43,10 @@ from .generate import (
 from .graph import (
     ShortestPathSolution,
     WeightedDigraph,
-    check_reachability,
     dump_graph,
     load_graph,
     minus_graph,
     parent_chain,
-    scale_graph,
     solve_shortest_paths,
 )
 from .harness import RunResult, run_scenario

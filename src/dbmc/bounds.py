@@ -87,12 +87,6 @@ def nominal_envelopes(e0_chains: Sequence[Sequence[float]], params: PTGainParams
     return total[:, np.argsort(order)].reshape(np.shape(t) + (len(e0_chains),))
 
 
-def nominal_envelope(e0_chain: Sequence[float], params: PTGainParams, t):
-    """:func:`nominal_envelopes` of one chain; a float for scalar ``t``."""
-    out = nominal_envelopes([e0_chain], params, t)[..., 0]
-    return float(out) if np.ndim(t) == 0 else out
-
-
 def proportional_offsets(alpha_lower: float, alpha_upper: float, p):
     """(lower, upper shift) of the proportional band at distance ``p``.
 
@@ -121,14 +115,14 @@ def power_law_envelope(
     """Closed-form relaxation of the nominal envelope used to place the stop time.
 
         max_initial_error * (q^depth - 1)/(q - 1) * ((deadline - t)/deadline)^x,
-        x = (2h + 2)(1 - 1/q),  q > 1.
+        x = (2h + 2)(1 - 1/q),  1 < q < inf.
 
     Strictly dominates the nominal envelope of any depth-``depth`` chain with
     zero source error and initial errors at most ``max_initial_error``, for
     every t in (0, deadline); defined up to t = deadline where it vanishes.
     """
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
+    if not 1.0 < q < math.inf:
+        raise DomainError(f"q must be finite and exceed 1, got {q!r}")
     if max_initial_error < 0.0:
         raise DomainError("max_initial_error must be nonnegative")
     arr = np.asarray(t, dtype=float)
@@ -184,8 +178,8 @@ def early_termination_time(
     deadline whenever the initial errors are not all zero; when the exact
     value rounds to the deadline it is nudged to the nearest float below.
     """
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
+    if not 1.0 < q < math.inf:
+        raise DomainError(f"q must be finite and exceed 1, got {q!r}")
     if not (math.isfinite(path_gap) and path_gap > 0.0):
         raise DomainError(f"path gap must be positive and finite, got {path_gap!r}")
     if not 0.0 <= max_initial_error < math.inf:

@@ -65,37 +65,15 @@ class PTGainParams:
             raise ValidationError("deadline must be positive")
 
 
-def _checked_times(params: PTGainParams, t):
+def log_integrating_factor(params: PTGainParams, t):
+    """The running integral of the gain on [0, deadline); a float for scalar ``t``."""
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= params.deadline):
         raise DomainError(f"time must lie in [0, {params.deadline}), got {t!r}")
-    return arr
-
-
-def _as_input_shape(template, arr: np.ndarray):
-    return float(arr) if np.ndim(template) == 0 else arr
-
-
-def gain(params: PTGainParams, t):
-    """Time-varying feedback gain; strictly increasing, divergent at the deadline."""
-    arr = _checked_times(params, t)
-    out = params.gamma + 2.0 * (1.0 + params.h) / (params.deadline - arr)
-    return _as_input_shape(t, out)
-
-
-def log_integrating_factor(params: PTGainParams, t):
-    """Natural log of the integrating factor: the running integral of the gain."""
-    arr = _checked_times(params, t)
     out = params.gamma * arr + (2.0 + 2.0 * params.h) * np.log(
         params.deadline / (params.deadline - arr)
     )
-    return _as_input_shape(t, out)
-
-
-def integrating_factor(params: PTGainParams, t):
-    """exp(integral of gain from 0 to t); equals 1 at t = 0 and blows up at the deadline."""
-    arr = np.exp(np.asarray(log_integrating_factor(params, t), dtype=float))
-    return _as_input_shape(t, arr)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -116,10 +94,6 @@ class Trajectory:
     @property
     def final_states(self) -> np.ndarray:
         return self.errors[-1] + self.p
-
-    def index_at(self, t: float) -> int:
-        """Index of the stored time closest to ``t``."""
-        return int(np.argmin(np.abs(self.times - t)))
 
 
 def check_initial_state(

@@ -21,10 +21,6 @@ class SpecError(DbmcError):
     """Invalid disturbance, generator, or scenario specification."""
 
 
-class UnknownEdgeError(DbmcError):
-    """An (i, j) pair that is not an edge of the graph."""
-
-
 class DomainError(DbmcError):
     """Argument outside the mathematical domain of a formula."""
 

@@ -25,13 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ParseError,
-    UnknownEdgeError,
-    UnreachableError,
-    ValidationError,
-)
+from .errors import ParseError, UnreachableError, ValidationError
 
 # Membership tolerance for argmin sets; edge weights are assumed to dwarf it.
 ARGMIN_TOL = 1e-12
@@ -114,12 +108,6 @@ class WeightedDigraph:
     def non_sources(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.node_count + 1) if i not in self.sources)
 
-    def weight(self, i: int, j: int) -> float:
-        try:
-            return self.edges[self.edge_index[(i, j)]][2]
-        except KeyError:
-            raise UnknownEdgeError(f"({i}, {j}) is not an edge") from None
-
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
     try:
@@ -181,11 +169,6 @@ def dump_graph(g: WeightedDigraph) -> str:
     for i, j, w in g.edges:
         lines.append(f"{i} {j} {w:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def check_reachability(g: WeightedDigraph) -> bool:
-    """True iff every node has a directed path to some source."""
-    return not _unreachable_nodes(g)
 
 
 def _unreachable_nodes(g: WeightedDigraph) -> list[int]:
@@ -314,14 +297,3 @@ def minus_graph(
             )
         new_edges.append((i, j, w - u))
     return WeightedDigraph(g.node_count, g.sources, tuple(new_edges))
-
-
-def scale_graph(g: WeightedDigraph, factor: float) -> WeightedDigraph:
-    """Multiply every weight by ``factor`` in (0, 1]; argmin structure is preserved."""
-    if not 0.0 < factor <= 1.0:
-        raise DomainError(f"scale factor must lie in (0, 1], got {factor!r}")
-    return WeightedDigraph(
-        g.node_count,
-        g.sources,
-        tuple((i, j, w * factor) for i, j, w in g.edges),
-    )

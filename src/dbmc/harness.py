@@ -152,15 +152,15 @@ def plan_scenario(
 
     ``seed``, ``q`` and ``t_end`` override the corresponding scenario fields
     (``t_end`` accepts the same syntax as the scenario key).  Raises
-    SpecError when q does not exceed 1 or when ``t_end = auto`` but no
+    SpecError when q is not finite and above 1 or when ``t_end = auto`` but no
     guaranteed stop time exists, and PreconditionError when x0 fails
     :func:`dynamics.check_initial_state` or the stop time fails
     :func:`dynamics.check_t_end`, so every verb enforces the preconditions
     ``simulate`` does.
     """
     q_eff = sc.q if q is None else q
-    if not q_eff > 1.0:
-        raise SpecError(f"q must exceed 1, got {q_eff!r}")
+    if not 1.0 < q_eff < math.inf:
+        raise SpecError(f"q must be finite and exceed 1, got {q_eff!r}")
     g = resolve_graph(sc.graph_spec)
     sol = solve_shortest_paths(g)
     seed_eff = sc.seed if seed is None else seed
@@ -473,10 +473,15 @@ def run_scenario(
     write_atomic(out / "graph.txt", dump_graph(g))
     write_atomic(out / "trajectory.csv", trajectory_csv(traj))
     write_atomic(out / "errors.csv", errors_csv(traj))
+    # a band file this run does not write is removed, so none is left stale
     if curves:
         write_atomic(out / "bounds.csv", bounds_csv(g, traj.times, curves))
-        if focus_kind is not None:
-            write_atomic(out / "focus.csv", focus_csv(g, traj, curves, focus, focus_kind))
+    else:
+        (out / "bounds.csv").unlink(missing_ok=True)
+    if focus_kind is not None:
+        write_atomic(out / "focus.csv", focus_csv(g, traj, curves, focus, focus_kind))
+    else:
+        (out / "focus.csv").unlink(missing_ok=True)
     write_atomic(out / "termination.json", _json_dump(report.to_dict()))
 
     positions = synthetic_positions(sc.graph_spec, g)

@@ -18,12 +18,12 @@ from dbmc import (
     hop_random_graph,
     load_graph,
     minus_graph,
-    nominal_envelope,
     power_law_envelope,
     simulate,
     solve_shortest_paths,
     standin13,
 )
+from dbmc.bounds import nominal_envelopes
 from dbmc.harness import BOUND_KINDS, compute_bound_curves, resolve_chi0
 
 from helpers import (
@@ -58,7 +58,7 @@ def test_criterion_2_closed_form_ode_oracle():
     elapsed = time.perf_counter() - t0
     worst = 0.0
     for target in (1.0, 2.5, 4.0):
-        k = traj.index_at(target)
+        k = int(np.argmin(np.abs(traj.times - target)))
         t = traj.times[k]
         exact = 11.0 * math.exp(-2.0 * t) * ((5.0 - t) / 5.0) ** 26
         worst = max(worst, abs(traj.errors[k, 1] - exact) / exact)
@@ -143,7 +143,7 @@ def test_criterion_5_power_law_dominance():
         q = float(rng.choice([1.5, 2.0, 3.0, 5.0]))
         e0 = np.concatenate(([0.0], rng.uniform(0.05, 12.0, ell)))
         t = float(rng.uniform(1e-9, params.deadline * (1.0 - 1e-9)))
-        nominal = nominal_envelope(e0, params, t)
+        nominal = nominal_envelopes([e0], params, t)[..., 0]
         relaxed = power_law_envelope(float(e0.max()), ell, q, params, t)
         if nominal > 0.0:
             strict = strict and (relaxed > nominal)

@@ -18,7 +18,6 @@ from dbmc import (
     line_graph,
     load_graph,
     minus_graph,
-    nominal_envelope,
     optimal_q,
     parent_chain,
     power_law_envelope,
@@ -50,14 +49,14 @@ def high_precision_envelope(e0, gamma, h, deadline, t):
 
 class TestNominalEnvelope:
     def test_at_zero_equals_last_initial_error(self):
-        assert nominal_envelope([0.0, 11.0, 10.0], PARAMS, 0.0) == 10.0
+        assert nominal_envelopes([[0.0, 11.0, 10.0]], PARAMS, 0.0)[..., 0] == 10.0
 
     def test_source_only_chain_is_zero(self):
         ts = np.linspace(0.0, 4.9, 50)
-        assert np.all(nominal_envelope([0.0], PARAMS, ts) == 0.0)
+        assert np.all(nominal_envelopes([[0.0]], PARAMS, ts)[..., 0] == 0.0)
 
     def test_matches_high_precision_oracle_at_reference_point(self):
-        got = nominal_envelope([0.0, 11.0, 10.0], PARAMS, 2.5)
+        got = nominal_envelopes([[0.0, 11.0, 10.0]], PARAMS, 2.5)[..., 0]
         # frozen from a 50-digit evaluation of the defining sum
         assert got == pytest.approx(2.643015681179744e-08, rel=1e-12)
 
@@ -72,19 +71,20 @@ class TestNominalEnvelope:
             ell = int(rng.integers(1, 8))
             e0 = [0.0] + list(rng.uniform(0.0, 12.0, ell))
             t = float(rng.uniform(0.0, 0.99 * params.deadline))
-            got = nominal_envelope(e0, params, t)
+            got = nominal_envelopes([e0], params, t)[..., 0]
             want = high_precision_envelope(e0, params.gamma, params.h, params.deadline, t)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_vectorized_matches_scalar(self):
         ts = np.linspace(0.0, 4.5, 7)
-        vec = nominal_envelope([0.0, 11.0, 10.0], PARAMS, ts)
+        chain = [0.0, 11.0, 10.0]
+        vec = nominal_envelopes([chain], PARAMS, ts)[..., 0]
         for k, t in enumerate(ts):
-            assert vec[k] == nominal_envelope([0.0, 11.0, 10.0], PARAMS, float(t))
+            assert vec[k] == nominal_envelopes([chain], PARAMS, float(t))[..., 0]
 
     def test_domain_error_at_deadline(self):
         with pytest.raises(DomainError):
-            nominal_envelope([0.0, 1.0], PARAMS, 5.0)
+            nominal_envelopes([[0.0, 1.0]], PARAMS, 5.0)
 
     @pytest.mark.parametrize("depth", [179, 499])
     def test_deep_chain_is_finite_and_matches_high_precision_oracle(self, depth):
@@ -94,7 +94,7 @@ class TestNominalEnvelope:
         ts = np.array([0.5, 4.0, 4.5, 4.9])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = nominal_envelope(e0, PARAMS, ts)
+            got = nominal_envelopes([e0], PARAMS, ts)[..., 0]
         for k, t in enumerate(ts):
             want = high_precision_envelope(e0, PARAMS.gamma, PARAMS.h, PARAMS.deadline, t)
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-300)
@@ -135,7 +135,7 @@ def node_envelope(g, x0, node, times):
     """The nominal envelope of ``node``'s parent chain, evaluated on its own."""
     sol = solve_shortest_paths(g)
     e0 = chain_initial_errors(sol, x0, parent_chain(sol, node))
-    return nominal_envelope(e0, PARAMS, np.atleast_1d(times))
+    return nominal_envelopes([e0], PARAMS, np.atleast_1d(times))[..., 0]
 
 
 def same_bits(a, b):
@@ -264,7 +264,7 @@ class TestPowerLawEnvelope:
             e0 = np.concatenate(([0.0], rng.uniform(0.1, 12.0, ell)))
             q = float(rng.choice([1.5, 2.0, 3.0, 5.0]))
             t = float(rng.uniform(1e-6, params.deadline * (1 - 1e-9)))
-            nominal = nominal_envelope(e0, params, t)
+            nominal = nominal_envelopes([e0], params, t)[..., 0]
             relaxed = power_law_envelope(float(e0.max()), ell, q, params, t)
             assert relaxed > nominal > 0.0
 

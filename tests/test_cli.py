@@ -278,11 +278,14 @@ GRID_HALF_TS = (
          "disturbance seed must be non-negative, got -1"),
         (SCENARIO.replace("kind = standin13", "kind = hop-random\nn = 8\nseed = -1"), [],
          "graph seed must be non-negative, got -1"),
-        (GRID_HALF_TS.replace("q = 3", "q = 0.5"), [], "q must exceed 1, got 0.5"),
+        (GRID_HALF_TS.replace("q = 3", "q = 0.5"), [],
+         "q must be finite and exceed 1, got 0.5"),
+        (GRID_HALF_TS.replace("q = 3", "q = inf"), [],
+         "q must be finite and exceed 1, got inf"),
     ],
     ids=[
         "source-focus-node", "t-end-past-deadline", "negative-seed-flag",
-        "negative-disturbance-seed", "negative-graph-seed", "q-below-one",
+        "negative-disturbance-seed", "negative-graph-seed", "q-below-one", "q-infinite",
     ],
 )
 def test_failed_run_creates_no_output_directory(tmp_path, capsys, text, flags, message):
@@ -296,14 +299,32 @@ def test_failed_run_creates_no_output_directory(tmp_path, capsys, text, flags, m
     assert not out_dir.parent.exists()
 
 
-@pytest.mark.parametrize("q", ["0.5", "1", "nan"])
+@pytest.mark.parametrize("q", ["0.5", "1", "nan", "inf"])
 def test_simulate_refuses_q_not_above_one(tmp_path, capsys, q):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(GRID_HALF_TS)
     out_dir = tmp_path / "out"
     assert main(["simulate", "--scenario", str(scenario), "--out", str(out_dir), "--q", q]) == 1
-    assert capsys.readouterr().err == f"error: q must exceed 1, got {float(q)!r}\n"
+    assert capsys.readouterr().err == f"error: q must be finite and exceed 1, got {float(q)!r}\n"
     assert not out_dir.exists()
+
+
+def test_bounds_refuses_an_infinite_q(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    flags = ["bounds", "--scenario", "scenarios/case_study_3pct.ini", "--out", str(out_dir),
+             "--q", "inf", "--t-end", "0.5Ts"]
+    assert main(flags) == 1
+    assert capsys.readouterr().err == "error: q must be finite and exceed 1, got inf\n"
+    assert not out_dir.exists()
+
+
+def test_ts_refuses_an_infinite_q(capsys):
+    flags = list(TS_FLAGS)
+    flags[flags.index("--q") + 1] = "inf"
+    assert main(flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: q must be finite and exceed 1, got inf\n"
+    assert "t_s" not in captured.out
 
 
 def test_gen_refuses_a_negative_seed(tmp_path, capsys):

@@ -7,20 +7,15 @@ from hypothesis import strategies as st
 
 from dbmc import (
     ParseError,
-    UnknownEdgeError,
     UnreachableError,
     ValidationError,
     WeightedDigraph,
-    check_reachability,
     dump_graph,
     load_graph,
     minus_graph,
     parent_chain,
-    scale_graph,
     solve_shortest_paths,
 )
-from dbmc.errors import DomainError
-
 from helpers import brute_force_distances, brute_force_parents, random_weighted_graph
 
 LINE3 = "nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n"
@@ -122,14 +117,21 @@ class TestEdgeArrays:
                 )
 
 
+def solves(g):
+    """True when the solver accepts ``g``, False when it raises UnreachableError."""
+    try:
+        solve_shortest_paths(g)
+    except UnreachableError:
+        return False
+    return True
+
+
 class TestReachability:
     def test_two_node_true(self):
-        g = load_graph("nodes 2\nsources 1\n2 1 1.0\n")
-        assert check_reachability(g)
+        assert solves(load_graph("nodes 2\nsources 1\n2 1 1.0\n"))
 
     def test_isolated_node_false(self):
-        g = WeightedDigraph(3, frozenset({1}), ((2, 1, 1.0),))
-        assert not check_reachability(g)
+        assert not solves(WeightedDigraph(3, frozenset({1}), ((2, 1, 1.0),)))
 
     def test_line13_matches_reverse_bfs_oracle(self):
         g = load_graph(line_text(13))
@@ -146,7 +148,7 @@ class TestReachability:
                         frontier.append(j)
             return False
 
-        assert check_reachability(g) == all(
+        assert solves(g) == all(
             reaches_source(i) for i in range(1, 14)
         )
 
@@ -193,12 +195,6 @@ class TestSolve:
                     else:
                         assert value >= sol.p[i - 1] + sol.path_gap - 1e-12
 
-    def test_weight_accessor(self):
-        g = load_graph(LINE3)
-        assert g.weight(3, 2) == 1.0
-        with pytest.raises(UnknownEdgeError):
-            g.weight(1, 3)
-
 
 class TestParentChain:
     def test_chain_reaches_source_with_matching_length(self):
@@ -211,7 +207,8 @@ class TestParentChain:
                 assert chain[-1] == i
                 assert len(chain) - 1 <= sol.effective_diameter - 1
                 total = sum(
-                    g.weight(chain[k + 1], chain[k]) for k in range(len(chain) - 1)
+                    g.weights[g.edge_index[(chain[k + 1], chain[k])]]
+                    for k in range(len(chain) - 1)
                 )
                 assert total == pytest.approx(sol.p[i - 1], abs=1e-12)
 
@@ -266,22 +263,12 @@ class TestMinusAndScale:
         with pytest.raises(ValidationError, match=r"bound -0\.5 .* edge \(2, 1\)"):
             minus_graph(g, [0.1, -0.5])
 
-    def test_scale_identity(self):
-        g = load_graph(LINE3)
-        assert scale_graph(g, 1.0) == g
-
-    def test_scale_out_of_range(self):
-        g = load_graph(LINE3)
-        with pytest.raises(DomainError):
-            scale_graph(g, 0.0)
-        with pytest.raises(DomainError):
-            scale_graph(g, 1.5)
-
     def test_scale_preserves_argmin_structure(self):
         for seed in range(15):
             g = random_weighted_graph(seed)
             sol = solve_shortest_paths(g)
-            scaled = solve_shortest_paths(scale_graph(g, 0.6))
+            edges = tuple((i, j, w * 0.6) for i, j, w in g.edges)
+            scaled = solve_shortest_paths(WeightedDigraph(g.node_count, g.sources, edges))
             assert scaled.true_parents == sol.true_parents
             assert scaled.effective_diameter == sol.effective_diameter
             for a, b in zip(scaled.p, sol.p):

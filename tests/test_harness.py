@@ -14,7 +14,6 @@ from dbmc import (
     minus_graph,
     PreconditionError,
     SpecError,
-    check_reachability,
     generate_graph,
     grid_graph,
     hop_random_graph,
@@ -96,8 +95,7 @@ class TestGenerators:
         a = hop_random_graph(13, 0.2, 7)
         b = hop_random_graph(13, 0.2, 7)
         assert a == b
-        assert check_reachability(a)
-        sol = solve_shortest_paths(a)
+        sol = solve_shortest_paths(a)  # raises UnreachableError if a node is stranded
         assert sol.path_gap == 1.0
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -260,6 +258,18 @@ class TestRunScenario:
         assert (tmp_path / "a" / "trajectory.csv").read_bytes() != (
             tmp_path / "b" / "trajectory.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("bounds, kept", [("none", []), ("chain", ["bounds.csv"])])
+    def test_rerun_removes_band_files_it_does_not_write(self, tmp_path, bounds, kept):
+        run_scenario(parse_scenario(BASE_SCENARIO), tmp_path)
+        assert (tmp_path / "bounds.csv").exists() and (tmp_path / "focus.csv").exists()
+        text = BASE_SCENARIO.replace("bounds = auto", f"bounds = {bounds}")
+        result = run_scenario(parse_scenario(text), tmp_path, seed=5)
+        assert result.summary["bound_kinds"] == ([] if bounds == "none" else [bounds])
+        assert [n for n in ("bounds.csv", "focus.csv") if (tmp_path / n).exists()] == kept
+        if kept:
+            rows = (tmp_path / "bounds.csv").read_text().splitlines()[1:]
+            assert {row.rsplit(",", 1)[1] for row in rows} == {"chain"}
 
     def test_assumption_violation_names_node(self, tmp_path):
         sc = parse_scenario(BASE_SCENARIO.replace("value = 12", "value = 2"))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -136,7 +137,8 @@ class TestReconstructPath:
             for i in g.non_sources:
                 path = reconstruct_path(g, i, truth)
                 total = sum(
-                    g.weight(path[k], path[k + 1]) for k in range(len(path) - 1)
+                    g.weights[g.edge_index[(path[k], path[k + 1])]]
+                    for k in range(len(path) - 1)
                 )
                 assert total == pytest.approx(sol.p[i - 1], abs=1e-12)
 
@@ -219,3 +221,19 @@ class TestBuildReport:
         assert not report.overall
         assert report.verdicts[3] == VERDICT_INCORRECT
         assert report.verdicts[2] == VERDICT_CORRECT
+
+    @pytest.mark.parametrize(
+        "level, expected",
+        [
+            (logging.DEBUG, ["node 3 near-tie: strict parents [1], within 1.0e-09 also [2]"]),
+            (logging.WARNING, []),
+        ],
+        ids=["debug", "warning"],
+    )
+    def test_near_tie_listing_only_at_debug(self, caplog, level, expected):
+        g = load_graph("nodes 3\nsources 1 2\n3 1 3.0\n3 2 3.0000000005\n")
+        sol = solve_shortest_paths(g)
+        caplog.set_level(level, logger="dbmc")
+        report = build_report(g, sol, zero_model(g), np.array(sol.p), 1.0)
+        assert report.overall
+        assert [r.getMessage() for r in caplog.records] == expected
