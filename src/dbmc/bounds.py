@@ -120,6 +120,8 @@ def power_law_envelope(
     Strictly dominates the nominal envelope of any depth-``depth`` chain with
     zero source error and initial errors at most ``max_initial_error``, for
     every t in (0, deadline); defined up to t = deadline where it vanishes.
+    Raises DomainError when max_initial_error * (q^depth - 1)/(q - 1) is not
+    a finite float.
     """
     if not 1.0 < q < math.inf:
         raise DomainError(f"q must be finite and exceed 1, got {q!r}")
@@ -128,9 +130,16 @@ def power_law_envelope(
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > params.deadline):
         raise DomainError(f"time must lie in [0, {params.deadline}], got {t!r}")
-    geo = (q**depth - 1.0) / (q - 1.0)
+    try:
+        scale = max_initial_error * ((q**depth - 1.0) / (q - 1.0))
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise DomainError(
+            f"the power-law envelope overflows: q = {q!r} is too large for depth {depth}"
+        )
     expo = (2.0 * params.h + 2.0) * (1.0 - 1.0 / q)
-    out = max_initial_error * geo * ((params.deadline - arr) / params.deadline) ** expo
+    out = scale * ((params.deadline - arr) / params.deadline) ** expo
     return float(out) if np.ndim(t) == 0 else out
 
 

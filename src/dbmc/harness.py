@@ -11,19 +11,26 @@ Artifacts written per run (all files atomically, write-then-rename):
     path.json         traced route of the focus node plus the full edge list
     summary.json      scalar diagnostics: gap, diameters, bounds, stop-time status
 
+Every CSV cell is ``%.17g``.  The CSV writers return the file as a list of
+chunks, one per block of ``BLOCK`` rows, each assembled with one
+``"".join``.  Each distinct float column is formatted once per file: within
+a block, columns are cached by their bytes, so a band several bound kinds
+share costs one formatting, and a constant column is one string.
+``write_atomic`` writes the chunks to a temporary file and renames it over
+the target, so no second copy of a whole file is built, and a failed write
+leaves any earlier file as it was.
+
 Exit codes: 0 success, 2 identification failure, 1 any error.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -56,6 +63,7 @@ log = logging.getLogger("dbmc")
 
 BRACKET_TOL = 1e-6
 CHECK_BLOCK = 1 << 18  # values per block of the bracket check (2 MiB of float64)
+BLOCK = 128  # rows of a CSV file joined into one string
 
 
 @dataclass
@@ -67,11 +75,18 @@ class RunResult:
     trajectory: Trajectory
 
 
-def write_atomic(path: Path, data: str) -> None:
+def write_atomic(path: Path, data: str | list[str]) -> None:
+    """Write ``data``, one string or a list of chunks, to ``path`` through a
+    temporary file renamed over it.  If writing fails, the temporary file is
+    removed and any earlier ``path`` is left as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines([data] if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def resolve_graph(spec: dict) -> WeightedDigraph:
@@ -320,49 +335,64 @@ def check_brackets(
                 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _cells(a: np.ndarray, seen: dict[bytes, np.ndarray]) -> np.ndarray:
+    """Object array of the ``%.17g`` strings of the 2-D float block ``a``.
 
-
-def _format_rows(a: np.ndarray) -> Iterator[list[str]]:
-    """Yield each row of the 2-D float array ``a`` as a list of ``%.17g`` strings.
-
-    Each distinct value is formatted once where the layout allows it: when
-    every column holds the same value row by row (a node-independent band),
-    one value per row is formatted, and a column whose value never changes
-    is formatted once.  Values are compared by their bits, not as floats,
-    because -0.0 == 0.0 but prints as "-0".
+    ``seen`` maps the bytes of each column formatted so far to its strings.
+    Columns are keyed by their bytes, not compared as floats, because
+    -0.0 == 0.0 but prints as "-0"; a column seen before reuses its strings,
+    and a column holding one value is formatted as one string.
     """
-    bits = a.view(np.uint64)
-    width = a.shape[1]
-    if width > 1 and np.array_equal(bits, np.broadcast_to(bits[:, :1], bits.shape)):
-        for (s,) in _format_rows(a[:, :1]):
-            yield [s] * width
-        return
-    if len(a) == 0:
-        return
-    constant = (bits == bits[:1]).all(axis=0).tolist()
-    fixed = [_fmt(v) if c else None for v, c in zip(a[0].tolist(), constant)]
-    for row in a:
-        yield [s if s is not None else _fmt(v) for s, v in zip(fixed, row.tolist())]
+    out = np.empty(a.shape, dtype=object)
+    for j in range(a.shape[1]):
+        col = np.ascontiguousarray(a[:, j], dtype=np.float64)
+        key = col.tobytes()
+        text = seen.get(key)
+        if text is None:
+            bits = col.view(np.uint64)
+            if len(bits) > 1 and np.all(bits == bits[0]):
+                text = np.full(len(col), f"{float(col[0]):.17g}", dtype=object)
+            else:
+                text = np.array([f"{v:.17g}" for v in col.tolist()], dtype=object)
+            seen[key] = text
+        out[:, j] = text
+    return out
 
 
-def _series_csv(header: str, times: np.ndarray, values: np.ndarray) -> str:
+def _blocks(rows: int) -> list[slice]:
+    return [slice(a, a + BLOCK) for a in range(0, rows, BLOCK)]
+
+
+def _join(fields: list) -> str:
+    """One block of rows as one string.
+
+    The fields broadcast to (rows, width), and the text is, row by row and
+    column by column, ``field[r, j]`` of each field in order.  A string field
+    is the same at every position, a 1-D field the same in every row.
+    """
+    shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
+    parts = np.empty(shape + (len(fields),), dtype=object)
+    for k, f in enumerate(fields):
+        parts[..., k] = f
+    return "".join(parts.ravel().tolist())
+
+
+def _series_csv(header: str, times: np.ndarray, values: np.ndarray) -> list[str]:
     """``header`` then one row ``t,v_1,...,v_m`` per time, ``values`` of shape (T, m)."""
-    buf = io.StringIO()
-    buf.write(header)
-    for t, row in zip(times.tolist(), _format_rows(values)):
-        buf.write(_fmt(t) + "," + ",".join(row) + "\n")
-    return buf.getvalue()
+    ends = np.array([","] * values.shape[1] + ["\n"], dtype=object)
+    return [header] + [
+        _join([_cells(np.column_stack((times[rows], values[rows])), {}), ends])
+        for rows in _blocks(len(times))
+    ]
 
 
-def trajectory_csv(traj: Trajectory) -> str:
+def trajectory_csv(traj: Trajectory) -> list[str]:
     n = traj.errors.shape[1]
     header = "t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + "\n"
     return _series_csv(header, traj.times, traj.states)
 
 
-def errors_csv(traj: Trajectory) -> str:
+def errors_csv(traj: Trajectory) -> list[str]:
     n = traj.errors.shape[1]
     header = "t," + ",".join(f"e_{i}" for i in range(1, n + 1)) + "\n"
     return _series_csv(header, traj.times, traj.errors)
@@ -372,21 +402,22 @@ def bounds_csv(
     g: WeightedDigraph,
     times: np.ndarray,
     curves: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> str:
-    buf = io.StringIO()
-    buf.write("t,node,lower,upper,kind\n")
-    ns = g.non_sources
-    stamps = [_fmt(t) for t in times.tolist()]
-    for kind in BOUND_KINDS:
-        if kind not in curves:
-            continue
-        lower, upper = curves[kind]
-        for ts, lows, highs in zip(stamps, _format_rows(lower), _format_rows(upper)):
-            # one write per line: joining a row's lines into one string first
-            # raised the case studies' peak RSS by about 13 MB
-            for i, lo, hi in zip(ns, lows, highs):
-                buf.write(f"{ts},{i},{lo},{hi},{kind}\n")
-    return buf.getvalue()
+) -> list[str]:
+    """The file is kind by kind, but it is built block by block of rows, so
+    that one cache of the block's strings serves every kind."""
+    nodes = np.array([f",{i}," for i in g.non_sources], dtype=object)
+    kinds = [kind for kind in BOUND_KINDS if kind in curves]
+    chunks: dict[str, list[str]] = {kind: [] for kind in kinds}
+    for rows in _blocks(len(times)):
+        seen: dict[bytes, np.ndarray] = {}
+        stamps = _cells(times[rows, None], seen)
+        for kind in kinds:
+            lower, upper = curves[kind]
+            chunks[kind].append(_join([
+                stamps, nodes, _cells(lower[rows], seen), ",",
+                _cells(upper[rows], seen), f",{kind}\n",
+            ]))
+    return ["t,node,lower,upper,kind\n"] + [c for kind in kinds for c in chunks[kind]]
 
 
 def focus_csv(
@@ -395,7 +426,7 @@ def focus_csv(
     curves: dict[str, tuple[np.ndarray, np.ndarray]],
     focus: int,
     kind: str,
-) -> str:
+) -> list[str]:
     col = g.non_sources.index(focus)
     lower, upper = curves[kind]
     values = np.column_stack((traj.error_of(focus), lower[:, col], upper[:, col]))
@@ -434,7 +465,6 @@ def run_scenario(
         focus = max(g.non_sources, key=lambda i: sol.p[i - 1])
     elif focus in g.sources or not 1 <= focus <= g.node_count:
         raise SpecError(f"[run] focus_node {focus} must be a non-source node")
-    out = make_out_dir(out_dir, sc)
     traj = simulate(g, model, sc.params, x0, t_stop, sol=sol)
 
     kinds = plan.kinds
@@ -444,6 +474,7 @@ def run_scenario(
     check_brackets(g, traj, curves)
 
     report = build_report(g, sol, model, traj.final_states, t_stop)
+    out = make_out_dir(out_dir, sc)
 
     focus_kind = "proportional" if "proportional" in curves else (
         "uniform" if "uniform" in curves else None

@@ -252,6 +252,16 @@ class TestPowerLawEnvelope:
         with pytest.raises(DomainError):
             power_law_envelope(12.0, 12, 1.0, PARAMS, 1.0)
 
+    @pytest.mark.parametrize("q, depth", [(1e200, 12), (1e26, 12), (1e300, 2)])
+    def test_rejects_a_scale_past_the_float_range(self, q, depth):
+        with pytest.raises(DomainError, match="power-law envelope overflows"):
+            power_law_envelope(12.0, depth, q, PARAMS, np.array([0.0, 1.0]))
+
+    def test_largest_representable_q_is_kept(self):
+        # (q^12 - 1)/(q - 1) ~ 1e275 is finite, so the band is too
+        got = power_law_envelope(12.0, 12, 1e25, PARAMS, 0.0)
+        assert math.isfinite(got) and got > 1e275
+
     def test_dominates_nominal_envelope(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -2,9 +2,15 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dbmc import load_scenario
 from dbmc.cli import main
+from dbmc.dynamics import simulate
+from dbmc.harness import compute_bound_curves, plan_scenario
+
+from helpers import bounds_csv_loop, errors_csv_loop, focus_csv_loop, trajectory_csv_loop
 
 TS_FLAGS = [
     "ts", "--zeta", "1", "--u-minus", "0.03", "--u-plus", "0.03",
@@ -346,3 +352,53 @@ def test_empty_out_flag_falls_back_to_the_scenario_directory(tmp_path, monkeypat
     capsys.readouterr()
     assert (tmp_path / "from_scenario" / "errors.csv").exists()
     assert not (tmp_path / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["bounds", "run"])
+def test_q_whose_power_law_envelope_overflows_exits_one(tmp_path, capsys, verb):
+    out_dir = tmp_path / "new" / "out"
+    flags = [verb, "--scenario", "scenarios/case_study_3pct.ini", "--out", str(out_dir),
+             "--q", "1e200", "--t-end", "0.5Ts"]
+    assert main(flags) == 1
+    assert capsys.readouterr().err == (
+        "error: the power-law envelope overflows: q = 1e+200 is too large for depth 12\n"
+    )
+    assert not out_dir.parent.exists()
+
+
+def test_written_csv_files_equal_the_per_value_loops(tmp_path, capsys):
+    """Every CSV that run, simulate and bounds write on disk, through the
+    chunk path of write_atomic, is the text of the one-%.17g-per-cell loops."""
+    path = "scenarios/case_study_40pct.ini"
+    for verb in ("run", "simulate", "bounds"):
+        assert main([verb, "--scenario", path, "--out", str(tmp_path / verb)]) == 0
+    capsys.readouterr()
+
+    sc = load_scenario(path)
+    plan = plan_scenario(sc)
+    traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
+
+    def curves_at(times, kinds):
+        return compute_bound_curves(
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+            sc.params, times, kinds,
+        )
+
+    curves = curves_at(traj.times, plan.kinds)
+    grid = np.linspace(0.0, plan.t_stop, 600)
+    series = {"trajectory.csv": trajectory_csv_loop(traj), "errors.csv": errors_csv_loop(traj)}
+    expected = {
+        "run": {
+            **series,
+            "bounds.csv": bounds_csv_loop(plan.g, traj.times, curves),
+            "focus.csv": focus_csv_loop(plan.g, traj, curves, sc.focus_node, "proportional"),
+        },
+        "simulate": series,
+        "bounds": {"bounds.csv": bounds_csv_loop(plan.g, grid, curves_at(grid, plan.auto_kinds))},
+    }
+    for verb, files in expected.items():
+        out = tmp_path / verb
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(files), verb
+        for name, text in files.items():
+            assert (out / name).read_bytes() == text.encode("utf-8"), (verb, name)
+        assert not list(out.glob("*.tmp")), verb

@@ -28,6 +28,7 @@ from dbmc import (
 from dbmc import harness
 from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
+    BLOCK,
     BOUND_KINDS,
     bounds_csv,
     check_brackets,
@@ -363,11 +364,11 @@ def _zero_disturbance_scenario() -> str:
 
 
 def _assert_writers_match_loops(g, traj, curves, focus):
-    assert trajectory_csv(traj) == trajectory_csv_loop(traj)
-    assert errors_csv(traj) == errors_csv_loop(traj)
-    assert bounds_csv(g, traj.times, curves) == bounds_csv_loop(g, traj.times, curves)
+    assert "".join(trajectory_csv(traj)) == trajectory_csv_loop(traj)
+    assert "".join(errors_csv(traj)) == errors_csv_loop(traj)
+    assert "".join(bounds_csv(g, traj.times, curves)) == bounds_csv_loop(g, traj.times, curves)
     for kind in curves:
-        assert focus_csv(g, traj, curves, focus, kind) == focus_csv_loop(
+        assert "".join(focus_csv(g, traj, curves, focus, kind)) == focus_csv_loop(
             g, traj, curves, focus, kind
         ), kind
 
@@ -391,7 +392,7 @@ class TestWritersMatchPerValueLoops:
         assert len(curves) == 4
         _assert_writers_match_loops(plan.g, traj, curves, sc.focus_node)
         if scenario == "zero":
-            assert ",-0," in bounds_csv(plan.g, traj.times, curves)
+            assert ",-0," in "".join(bounds_csv(plan.g, traj.times, curves))
 
     def test_crafted_curves(self):
         g = line_graph(4)  # non-sources 2, 3, 4
@@ -431,8 +432,108 @@ class TestWritersMatchPerValueLoops:
         traj = Trajectory(p=np.array([0.0, 1.0, 2.0, 3.0]), times=times, errors=errors)
         for focus in g.non_sources:
             _assert_writers_match_loops(g, traj, curves, focus)
-        text = bounds_csv(g, times, curves)
+        text = "".join(bounds_csv(g, times, curves))
         assert ",-0," in text and ",0," in text and ",-inf," in text
+
+
+def _writer_inputs(rows: int, seed: int = 0):
+    """A line of 4 nodes (non-sources 2, 3, 4) with every bound kind on ``rows`` rows."""
+    g = line_graph(4)
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.0, 1e-3, rows))
+    env = rng.standard_normal((rows, 3))
+    band = np.abs(env[:, 0]) + 1.0
+    curves = {
+        "chain": (np.broadcast_to(-np.inf, (rows, 3)), env + 1.0),
+        "proportional": (np.broadcast_to(np.array([-0.5, -1.0, -1.5]), (rows, 3)), env + 1.0),
+        "uniform": (np.broadcast_to(-0.25, (rows, 3)), env + np.array([0.5, 1.0, 2.0])),
+        "envelope": (
+            np.broadcast_to(-band[:, None], (rows, 3)),
+            np.broadcast_to(band[:, None], (rows, 3)),
+        ),
+    }
+    errors = np.column_stack((np.zeros(rows), env))
+    traj = Trajectory(p=np.array([0.0, 1.0, 2.0, 3.0]), times=times, errors=errors)
+    return g, traj, curves
+
+
+class TestColumnFormatterEdges:
+    """The column cache and the block assembler against the per-value loops,
+    where a block boundary or a shared column could go wrong."""
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_row_counts_around_a_block(self, rows):
+        g, traj, curves = _writer_inputs(rows)
+        _assert_writers_match_loops(g, traj, curves, 3)
+        assert len(bounds_csv(g, traj.times, curves)) == 1 + 4 * -(-rows // BLOCK)
+
+    def test_writers_return_built_lists(self):
+        g, traj, curves = _writer_inputs(3)
+        for chunks in (
+            trajectory_csv(traj), errors_csv(traj), bounds_csv(g, traj.times, curves),
+            focus_csv(g, traj, curves, 2, "uniform"),
+        ):
+            assert type(chunks) is list and all(type(c) is str for c in chunks)
+
+    @pytest.mark.parametrize("row", [0, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("kind", ["proportional", "uniform"])
+    def test_column_differing_from_another_kinds_in_one_cell(self, row, kind):
+        g, traj, curves = _writer_inputs(BLOCK + 2)
+        near = curves["chain"][1].copy()
+        near[row, 1] = np.nextafter(near[row, 1], np.inf)
+        curves[kind] = (curves[kind][0], near)
+        assert np.count_nonzero(near != curves["chain"][1]) == 1
+        _assert_writers_match_loops(g, traj, curves, 3)
+
+    def test_non_finite_and_signed_zero_cells(self):
+        rows = BLOCK + 3
+        g, traj, curves = _writer_inputs(rows, seed=1)
+        neg_nan = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+        odd_values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, neg_nan, 5e-324, -1e308])
+        mixed = curves["chain"][1].copy()
+        mixed[::7, 0] = np.resize(odd_values, mixed[::7, 0].shape)
+        mixed[BLOCK - 2 : BLOCK + 2, 2] = [np.inf, -np.inf, np.nan, -0.0]
+        zeros = np.zeros((rows, 3))
+        zeros[:, 1] = -0.0  # equal to column 0 as floats, printed "-0"
+        zeros[1::2, 2] = -0.0
+        curves["chain"] = (np.full((rows, 3), np.nan), mixed)
+        curves["proportional"] = (zeros, np.full((rows, 3), np.inf))
+        curves["uniform"] = (-zeros, np.where(zeros == 0.0, -np.inf, 0.0))
+        errors = np.column_stack((np.full(rows, -0.0), mixed))
+        traj = Trajectory(p=np.zeros(4), times=traj.times, errors=errors)
+        for focus in g.non_sources:
+            _assert_writers_match_loops(g, traj, curves, focus)
+        text = "".join(bounds_csv(g, traj.times, curves))
+        for cell in (",nan,", ",inf,", ",-inf,", ",-0,", ",0,", ",4.9406564584124654e-324,"):
+            assert cell in text, cell
+
+    def test_broadcast_and_strided_views(self):
+        rows = 2 * BLOCK + 5
+        g, traj, curves = _writer_inputs(rows, seed=2)
+        row = np.array([1.5, -2.5, 3.5])
+        fortran = np.asfortranarray(curves["chain"][1])
+        curves["proportional"] = (np.broadcast_to(row, (rows, 3)), fortran)
+        curves["uniform"] = (curves["uniform"][0], curves["uniform"][1][:, ::-1])
+        _assert_writers_match_loops(g, traj, curves, 4)
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("before", [None, "old,file\n"])
+    def test_failed_write_leaves_no_temporary_and_the_old_file(self, tmp_path, before):
+        path = tmp_path / "bounds.csv"
+        if before is not None:
+            harness.write_atomic(path, [before])
+        chunks = ["t,node\n", "x" * (1 << 16), None, "never written\n"]  # fails on None
+        with pytest.raises(TypeError):
+            harness.write_atomic(path, chunks)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["bounds.csv"])
+        if before is not None:
+            assert path.read_text(encoding="utf-8") == before
+
+    def test_string_and_chunks_write_the_same_bytes(self, tmp_path):
+        harness.write_atomic(tmp_path / "a", "t,x\n0,1\n")
+        harness.write_atomic(tmp_path / "b", ["t,x\n", "0,", "1\n"])
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes() == b"t,x\n0,1\n"
 
 
 class TestNonFiniteInputs:
