@@ -220,20 +220,13 @@ def optimal_q(
     diameter_minus: int,
     max_initial_error: float,
     params: PTGainParams,
-    q_grid: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """Grid-plus-refinement sweep of q > 1 minimizing the guaranteed stop time.
 
     Returns (q, stop_time).  Feasibility does not depend on q, so an
     InfeasibleError from the underlying evaluation propagates unchanged.
     """
-    grid = (
-        np.asarray(q_grid, dtype=float)
-        if q_grid is not None
-        else np.linspace(1.02, 20.0, 400)
-    )
-    if np.any(grid <= 1.0):
-        raise DomainError("every grid point must exceed 1")
+    grid = np.linspace(1.02, 20.0, 400)
 
     def ts_of(q: float) -> float:
         return early_termination_time(

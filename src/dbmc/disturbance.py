@@ -193,7 +193,8 @@ def build_model(
     carrier), so it contains every sample on [0, horizon]; the uniform
     bounds are its maxima unless the spec loosens them.  Raises SpecError
     for a negative seed, for non-finite numbers, for fractions that would
-    let a weight reach zero (amplitude or alpha_lower >= 1) and for
+    let a weight reach zero (amplitude or alpha_lower >= 1), for a
+    knot_spacing so fine that numpy refuses the knot table, and for
     malformed specs.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
@@ -230,7 +231,14 @@ def build_model(
         knot_dt = spec.knot_spacing if spec.knot_spacing is not None else horizon / 500.0
         if not knot_dt > 0.0:
             raise SpecError("knot_spacing must be positive")
-        n_knots = int(math.ceil(horizon / knot_dt)) + 1
+        ratio = horizon / knot_dt
+        # numpy refuses a table of more than the largest intp bytes
+        if not (ratio + 1.0) * 8.0 * max(n_edges, 1) < np.iinfo(np.intp).max:
+            raise SpecError(
+                f"knot_spacing = {knot_dt!r} needs {ratio:.3g} knots per edge, "
+                "more than an array can hold"
+            )
+        n_knots = int(math.ceil(ratio)) + 1
         # drawn edge-major, so a seed keeps giving the same knots
         table = np.ascontiguousarray(rng.uniform(-1.0, 1.0, (n_edges, n_knots)).T)
         table *= scale

@@ -4,6 +4,11 @@ Node ids are 1-based integers.  An edge (i, j, w) means node i can hand off
 to node j at cost w > 0.  A nonempty proper subset of nodes acts as sources;
 every other node wants the cheapest directed route to any source.
 
+A graph is its edge list plus three read-only arrays of it (tails, heads,
+weights).  Those arrays are the one per-edge view: the solver groups them
+by head itself, and reachability is read off Dijkstra's own distances, a
+node left at infinity being one that cannot reach a source.
+
 Besides plain distances, the solver extracts the structure the rest of the
 package feeds on:
 
@@ -21,7 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +46,9 @@ class WeightedDigraph:
     """Directed graph with positive edge weights and a set of source nodes.
 
     ``edges`` is the one edge list.  ``tails``, ``heads`` and ``weights``
-    are read-only arrays of it in the same order, with 0-based node ids,
-    and the adjacencies list each node's edges in that order too.
+    are read-only arrays of it in the same order, with 0-based node ids;
+    they are the only per-edge view, and a reader that needs the edges
+    grouped by node sorts them itself.
     """
 
     node_count: int
@@ -82,27 +88,6 @@ class WeightedDigraph:
     @cached_property
     def weights(self) -> np.ndarray:
         return _read_only(np.array([w for _, _, w in self.edges], dtype=float))
-
-    @cached_property
-    def out_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """``out_adjacency[i-1]`` lists ``(j, w)`` over the out-neighbors of i."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
-        for i, j, w in self.edges:
-            adj[i - 1].append((j, w))
-        return tuple(tuple(row) for row in adj)
-
-    @cached_property
-    def in_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """``in_adjacency[j-1]`` lists ``(i, w)`` over the in-neighbors of j."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
-        for i, j, w in self.edges:
-            adj[j - 1].append((i, w))
-        return tuple(tuple(row) for row in adj)
-
-    @cached_property
-    def edge_index(self) -> Mapping[tuple[int, int], int]:
-        """Position of each (i, j) pair inside ``edges``."""
-        return {(i, j): k for k, (i, j, _) in enumerate(self.edges)}
 
     @property
     def non_sources(self) -> tuple[int, ...]:
@@ -171,19 +156,6 @@ def dump_graph(g: WeightedDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _unreachable_nodes(g: WeightedDigraph) -> list[int]:
-    """Nodes with no directed path to any source, by reverse DFS from the sources."""
-    seen = set(g.sources)
-    stack = list(g.sources)
-    while stack:
-        j = stack.pop()
-        for i, _ in g.in_adjacency[j - 1]:
-            if i not in seen:
-                seen.add(i)
-                stack.append(i)
-    return [i for i in range(1, g.node_count + 1) if i not in seen]
-
-
 @dataclass(frozen=True)
 class ShortestPathSolution:
     """Distances to the nearest source plus derived structure.
@@ -204,57 +176,60 @@ class ShortestPathSolution:
 def solve_shortest_paths(g: WeightedDigraph) -> ShortestPathSolution:
     """Multi-source Dijkstra on the edge-reversed graph.
 
-    Raises :class:`UnreachableError` when some node cannot reach a source.
-    Argmin-set membership uses the ``ARGMIN_TOL`` cushion so that floating
-    point dust cannot drop a genuinely optimal parent.
+    Raises :class:`UnreachableError` when some node cannot reach a source,
+    that is, when Dijkstra leaves its distance infinite.  Argmin-set
+    membership uses the ``ARGMIN_TOL`` cushion so that floating point dust
+    cannot drop a genuinely optimal parent.
     """
-    missing = _unreachable_nodes(g)
-    if missing:
-        raise UnreachableError(f"nodes {missing} cannot reach any source")
     n = g.node_count
-    dist = [math.inf] * (n + 1)
+    # in-edges grouped by head, in edge order within a group
+    by_head = np.argsort(g.heads, kind="stable")
+    first_in = [0] + np.cumsum(np.bincount(g.heads, minlength=n)).tolist()
+    in_tails = g.tails[by_head].tolist()
+    in_weights = g.weights[by_head].tolist()
+    dist = [math.inf] * n
     heap: list[tuple[float, int]] = []
     for s in sorted(g.sources):
-        dist[s] = 0.0
-        heapq.heappush(heap, (0.0, s))
+        dist[s - 1] = 0.0
+        heapq.heappush(heap, (0.0, s - 1))
     while heap:
         d, j = heapq.heappop(heap)
         if d > dist[j]:
             continue
-        for i, w in g.in_adjacency[j - 1]:
-            nd = d + w
+        for k in range(first_in[j], first_in[j + 1]):
+            i, nd = in_tails[k], d + in_weights[k]
             if nd < dist[i]:
                 dist[i] = nd
                 heapq.heappush(heap, (nd, i))
+    missing = [i + 1 for i in range(n) if math.isinf(dist[i])]
+    if missing:
+        raise UnreachableError(f"nodes {missing} cannot reach any source")
 
-    parents: list[frozenset[int]] = [frozenset()] * n
-    for i in g.non_sources:
-        best = dist[i]
-        members = {
-            j for j, w in g.out_adjacency[i - 1] if dist[j] + w <= best + ARGMIN_TOL
-        }
-        parents[i - 1] = frozenset(members)
+    p = np.array(dist)
+    src = np.zeros(n, dtype=bool)
+    src[[s - 1 for s in g.sources]] = True
+    judged = ~src[g.tails]  # an edge leaving a source is no parent link or competitor
+    via = p[g.heads] + g.weights
+    tight = via <= p[g.tails] + ARGMIN_TOL
+    members: list[set[int]] = [set() for _ in range(n)]
+    links = judged & tight
+    for i, j in zip(g.tails[links].tolist(), g.heads[links].tolist()):
+        members[i].add(j + 1)
+    parents = tuple(frozenset(m) for m in members)
+    rivals = judged & ~tight
+    gap = float(np.min(via[rivals] - p[g.tails[rivals]], initial=math.inf))
 
     # Longest parent chain: parents always have strictly smaller distance,
     # so a sweep in increasing-distance order sees them first.
-    order = sorted(range(1, n + 1), key=lambda i: dist[i])
-    longest = [1] * (n + 1)
-    for i in order:
-        ps = parents[i - 1]
-        if ps:
-            longest[i] = 1 + max(longest[j] for j in ps)
-    diameter = max(longest[1:])
-
-    gap = math.inf
-    for i in g.non_sources:
-        for j, w in g.out_adjacency[i - 1]:
-            if j not in parents[i - 1]:
-                gap = min(gap, dist[j] + w - dist[i])
+    longest = [1] * n
+    for i in sorted(range(n), key=dist.__getitem__):
+        if parents[i]:
+            longest[i] = 1 + max(longest[j - 1] for j in parents[i])
 
     return ShortestPathSolution(
-        p=tuple(dist[1:]),
-        true_parents=tuple(parents),
-        effective_diameter=diameter,
+        p=tuple(dist),
+        true_parents=parents,
+        effective_diameter=max(longest),
         path_gap=gap,
     )
 

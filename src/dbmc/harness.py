@@ -72,7 +72,6 @@ class RunResult:
     out_dir: Path
     report: TerminationReport
     summary: dict
-    trajectory: Trajectory
 
 
 def write_atomic(path: Path, data: str | list[str]) -> None:
@@ -168,7 +167,8 @@ def plan_scenario(
     ``seed``, ``q`` and ``t_end`` override the corresponding scenario fields
     (``t_end`` accepts the same syntax as the scenario key).  Raises
     SpecError when q is not finite and above 1 or when ``t_end = auto`` but no
-    guaranteed stop time exists, and PreconditionError when x0 fails
+    guaranteed stop time exists or when ``[run] bounds`` lists a kind the
+    disturbance does not support, and PreconditionError when x0 fails
     :func:`dynamics.check_initial_state` or the stop time fails
     :func:`dynamics.check_t_end`, so every verb enforces the preconditions
     ``simulate`` does.
@@ -221,6 +221,11 @@ def plan_scenario(
         kinds = auto_kinds
     else:
         kinds = sc.bound_kinds
+    if "proportional" in kinds and "proportional" not in auto_kinds:
+        raise SpecError(
+            "[run] bounds = proportional needs fractional disturbance bounds "
+            f"in [0, 1), got {model.proportional_fractions}"
+        )
 
     return Plan(
         g, sol, sol_minus, model, x0, seed_eff, q_eff, chi0,
@@ -272,12 +277,12 @@ def compute_bound_curves(
         return env + shift
 
     if "chain" in kinds:
-        # each chain's caps summed from the source end, one per hop
-        offsets = [
-            sum(float(model.edge_upper[g.edge_index[(c[k + 1], c[k])]])
-                for k in range(len(c) - 1))
-            for c in chains
-        ]
+        # each node's cap on the hop to its smallest true parent, the hop
+        # parent_chain takes, then each chain's caps summed from the source end
+        first = np.array([min(ps, default=0) for ps in sol.true_parents])
+        hop = g.heads + 1 == first[g.tails]
+        caps = dict(zip(g.tails[hop].tolist(), model.edge_upper[hop].tolist()))
+        offsets = [sum(caps[i - 1] for i in c[1:]) for c in chains]
         curves["chain"] = (np.broadcast_to(-np.inf, shape), shifted("chain", np.array(offsets)))
 
     if "proportional" in kinds:
@@ -538,4 +543,4 @@ def run_scenario(
     if exit_code:
         log.warning("identification failed for nodes %s",
                     [i for i, v in report.verdicts.items() if v == "incorrect"])
-    return RunResult(exit_code, out, report, summary, traj)
+    return RunResult(exit_code, out, report, summary)

@@ -11,8 +11,9 @@ kind, and serves as the oracle for ``dbmc.disturbance.build_model``.
 earlier integration loop and bound evaluation, and serve as the oracles for
 ``dbmc.dynamics.simulate`` and ``dbmc.harness.compute_bound_curves``;
 ``nominal_envelope_exact`` sums in mpmath the cells where the float loop
-overflows.  ``current_parents_loop`` (a Python loop per node with
-``edge_index`` lookups) is the oracle for ``dbmc.termination.current_parents``.
+overflows.  ``current_parents_loop`` (a Python loop per node over
+``out_edges``) is the oracle for ``dbmc.termination.current_parents``.
+``out_edges`` is every test's adjacency, a plain loop over ``g.edges``.
 """
 
 from __future__ import annotations
@@ -30,15 +31,26 @@ from dbmc.dynamics import log_integrating_factor
 from dbmc.graph import parent_chain
 
 
+def out_edges(g: WeightedDigraph) -> dict[int, dict[int, tuple[float, int]]]:
+    """Per node i, ``{j: (w, k)}`` over its out-edges in edge order, where
+    ``g.edges[k] == (i, j, w)``."""
+    adj: dict[int, dict[int, tuple[float, int]]] = {
+        i: {} for i in range(1, g.node_count + 1)
+    }
+    for k, (i, j, w) in enumerate(g.edges):
+        adj[i][j] = (w, k)
+    return adj
+
+
 def brute_force_distances(g: WeightedDigraph) -> dict[int, float]:
     """Min over all simple paths to any source, by exhaustive DFS."""
-    adj = {i: list(g.out_adjacency[i - 1]) for i in range(1, g.node_count + 1)}
+    adj = out_edges(g)
 
     def shortest_from(i: int, visited: frozenset[int]) -> float:
         if i in g.sources:
             return 0.0
         best = math.inf
-        for j, w in adj[i]:
+        for j, (w, _) in adj[i].items():
             if j in visited:
                 continue
             tail = shortest_from(j, visited | {j})
@@ -52,13 +64,14 @@ def brute_force_distances(g: WeightedDigraph) -> dict[int, float]:
 def brute_force_parents(
     g: WeightedDigraph, dist: dict[int, float], tol: float = 1e-12
 ) -> dict[int, frozenset[int]]:
+    adj = out_edges(g)
     out = {}
     for i in range(1, g.node_count + 1):
         if i in g.sources:
             out[i] = frozenset()
             continue
         out[i] = frozenset(
-            j for j, w in g.out_adjacency[i - 1] if dist[j] + w <= dist[i] + tol
+            j for j, (w, _) in adj[i].items() if dist[j] + w <= dist[i] + tol
         )
     return out
 
@@ -83,6 +96,32 @@ def random_weighted_graph(seed: int, max_nodes: int = 10) -> WeightedDigraph:
                 edges.append((i, j, weight()))
                 present.add((i, j))
     return WeightedDigraph(n, frozenset({1}), tuple(edges))
+
+
+def multi_source_graph(seed: int) -> WeightedDigraph:
+    """Seeded random graph of 3-8 nodes with 1-3 sources and edges leaving them.
+
+    The nodes are shuffled with the sources first, each non-source gets an
+    edge toward a node before it, and then every other ordered pair is an
+    edge with probability 0.3.  Weights are 0.1 to 0.5, on the 1e-3 grid
+    and few enough that equal-cost co-parents are common.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    k = int(rng.integers(1, min(3, n - 1) + 1))
+    order = (rng.permutation(n) + 1).tolist()
+
+    def weight() -> float:
+        return float(rng.integers(1, 6)) / 10.0
+
+    edges = [(order[m], order[int(rng.integers(0, m))], weight()) for m in range(k, n)]
+    present = {(i, j) for i, j, _ in edges}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and (i, j) not in present and rng.random() < 0.3:
+                edges.append((i, j, weight()))
+                present.add((i, j))
+    return WeightedDigraph(n, frozenset(order[:k]), tuple(edges))
 
 
 def hop_random_graph_loop(n: int, extra_edge_prob: float, seed: int) -> WeightedDigraph:
@@ -332,6 +371,7 @@ def bound_curves_per_node(
     with ``envelope`` giving each node's nominal envelope."""
     ns = g.non_sources
     shape = (len(times), len(ns))
+    adj = out_edges(g)
     chains = {i: parent_chain(sol, i) for i in ns}
     env = {
         i: envelope(chain_initial_errors(sol, x0, chains[i]), params, times)
@@ -343,7 +383,7 @@ def bound_curves_per_node(
         for col, i in enumerate(ns):
             c = chains[i]
             caps = [
-                float(model.edge_upper[g.edge_index[(c[k + 1], c[k])]])
+                float(model.edge_upper[adj[c[k + 1]][c[k]][1]])
                 for k in range(len(c) - 1)
             ]
             upper[:, col] = env[i] + float(sum(caps))
@@ -376,15 +416,13 @@ def bound_curves_per_node(
 
 def current_parents_loop(g, model, x, t, tie_tol=0.0):
     """Per non-source node, the neighbors within ``tie_tol`` of the disturbed
-    minimum, one node at a time through ``edge_index``."""
+    minimum, one node at a time through ``out_edges``."""
     x = np.asarray(x, dtype=float)
     u = model.sample_all(t)
+    adj = out_edges(g)
     out = {}
     for i in g.non_sources:
-        values = [
-            (x[j - 1] + w + u[g.edge_index[(i, j)]], j)
-            for j, w in g.out_adjacency[i - 1]
-        ]
+        values = [(x[j - 1] + w + u[k], j) for j, (w, k) in adj[i].items()]
         best = min(v for v, _ in values)
         out[i] = frozenset(j for v, j in values if v <= best + tie_tol)
     return out

@@ -240,6 +240,22 @@ def test_non_finite_scenario_values_exit_one(tmp_path, capsys, old, new):
     assert not (out_dir / "summary.json").exists()
 
 
+@pytest.mark.parametrize("spacing", ["1e-300", "1e-320"])
+@pytest.mark.parametrize("verb", ["run", "bounds"])
+def test_knot_spacing_too_fine_for_an_array_exits_one(tmp_path, capsys, verb, spacing):
+    text = Path("scenarios/case_study_3pct.ini").read_text()
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(
+        text.replace("kind = sinusoid", f"kind = piecewise\nknot_spacing = {spacing}")
+    )
+    out_dir = tmp_path / "out"
+    assert main([verb, "--scenario", str(scenario), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: knot_spacing = {float(spacing)!r} needs")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flag", ["--u-minus", "--u-plus", "--chi0"])
 def test_ts_non_finite_input_exits_one(capsys, flag):
     flags = list(TS_FLAGS)

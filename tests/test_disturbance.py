@@ -11,7 +11,7 @@ from dbmc import (
     load_graph,
 )
 
-from helpers import build_model_per_kind, random_weighted_graph
+from helpers import build_model_per_kind, out_edges, random_weighted_graph
 
 HORIZON = 5.0
 LINE4 = "nodes 4\nsources 1\n4 3 1.0\n3 2 1.0\n2 1 1.0\n"
@@ -33,7 +33,7 @@ def test_zero_model():
     m = build_model(DisturbanceSpec(kind="zero"), g, 0, HORIZON)
     assert m.u_minus == 0.0 and m.u_plus == 0.0
     assert np.all(m.sample_all(1.7) == 0.0)
-    assert m.sample_all(0.0)[g.edge_index[(2, 1)]] == 0.0
+    assert m.sample_all(0.0)[out_edges(g)[2][1][1]] == 0.0
 
 
 def test_sinusoid_bounds_forty_percent():
@@ -41,7 +41,7 @@ def test_sinusoid_bounds_forty_percent():
     m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.4), g, 3, HORIZON)
     assert m.u_minus == pytest.approx(0.4)
     assert m.u_plus == pytest.approx(0.4)
-    k = g.edge_index[(3, 2)]
+    _, k = out_edges(g)[3][2]
     assert (m.edge_lower[k], m.edge_upper[k]) == (pytest.approx(0.4), pytest.approx(0.4))
 
 
@@ -56,7 +56,7 @@ def test_sinusoid_sample_quarter_period():
     g = line4()
     spec = DisturbanceSpec(kind="sinusoid", amplitude=0.4, omega=2 * math.pi, phase=0.0)
     m = build_model(spec, g, 0, HORIZON)
-    assert m.sample_all(0.25)[g.edge_index[(2, 1)]] == pytest.approx(
+    assert m.sample_all(0.25)[out_edges(g)[2][1][1]] == pytest.approx(
         0.4 * math.sin(math.pi / 2)
     )
 
@@ -315,6 +315,14 @@ def test_proportional_piecewise_envelope_is_fraction_times_knot_extremes():
     assert m.u_plus == float(m.edge_upper.max())
 
 
+@pytest.mark.parametrize("spacing", [1e-300, 1e-320])
+def test_knot_table_numpy_refuses_is_a_spec_error(spacing):
+    # 1e-300 gives 5e300 knots, past any numpy dimension; 1e-320 gives inf
+    spec = DisturbanceSpec(kind="piecewise", amplitude=0.1, knot_spacing=spacing)
+    with pytest.raises(SpecError, match=f"^knot_spacing = {spacing!r} needs"):
+        build_model(spec, line4(), 0, HORIZON)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "kind, field",
@@ -364,8 +372,9 @@ def test_take_reorders_samples_and_edges_together(spec, subset):
     # Row r of the taken model is the edge g.edges[order[r]].
     kept = [g.edges[k][:2] for k in order]
     taken_u, u = taken.sample_all(1.3), m.sample_all(1.3)
+    adj = out_edges(g)
     for r, (i, j) in enumerate(kept):
-        k = g.edge_index[(i, j)]
+        _, k = adj[i][j]
         assert (taken.edge_lower[r], taken.edge_upper[r]) == (m.edge_lower[k], m.edge_upper[k])
         assert taken_u[r] == u[k]
 

@@ -26,7 +26,7 @@ from dbmc import dynamics
 from dbmc.bounds import nominal_envelopes
 from dbmc.disturbance import candidate_layout
 
-from helpers import constant_initial, random_weighted_graph, simulate_scatter
+from helpers import constant_initial, out_edges, random_weighted_graph, simulate_scatter
 
 PARAMS = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
 TWO_NODE = "nodes 2\nsources 1\n2 1 1.0\n"
@@ -151,6 +151,7 @@ class TestSimulate:
         rates = dynamics._rates(lay, sol, PARAMS)
         rng = np.random.default_rng(0)
         p = np.array(sol.p)
+        adj = out_edges(g)
         for t in rng.uniform(0.0, 4.5, 50):
             e = rng.uniform(0.0, 12.0, 13)
             e[0] = 0.0
@@ -159,10 +160,7 @@ class TestSimulate:
             u = m.sample_all(float(t))
             x = p + e
             for k, i in enumerate(g.non_sources):
-                best = min(
-                    x[j - 1] + w + u[g.edge_index[(i, j)]]
-                    for j, w in g.out_adjacency[i - 1]
-                )
+                best = min(x[j - 1] + w + u[k] for j, (w, k) in adj[i].items())
                 assert math.copysign(1.0, de[k]) == math.copysign(
                     1.0, best - x[i - 1]
                 ) or de[k] == 0.0 == best - x[i - 1]

@@ -16,7 +16,13 @@ from dbmc import (
     parent_chain,
     solve_shortest_paths,
 )
-from helpers import brute_force_distances, brute_force_parents, random_weighted_graph
+from helpers import (
+    brute_force_distances,
+    brute_force_parents,
+    multi_source_graph,
+    out_edges,
+    random_weighted_graph,
+)
 
 LINE3 = "nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n"
 
@@ -108,14 +114,6 @@ class TestEdgeArrays:
                 a[0] = 1
         assert g == load_graph(LINE3)
 
-    def test_in_adjacency_follows_edge_order(self):
-        for seed in range(10):
-            g = random_weighted_graph(seed)
-            for j in range(1, g.node_count + 1):
-                assert g.in_adjacency[j - 1] == tuple(
-                    (i, w) for i, head, w in g.edges if head == j
-                )
-
 
 def solves(g):
     """True when the solver accepts ``g``, False when it raises UnreachableError."""
@@ -135,6 +133,7 @@ class TestReachability:
 
     def test_line13_matches_reverse_bfs_oracle(self):
         g = load_graph(line_text(13))
+        adj = out_edges(g)
         # independent oracle: forward walks from every node
         def reaches_source(start):
             frontier, seen = [start], {start}
@@ -142,7 +141,7 @@ class TestReachability:
                 i = frontier.pop()
                 if i in g.sources:
                     return True
-                for j, _ in g.out_adjacency[i - 1]:
+                for j in adj[i]:
                     if j not in seen:
                         seen.add(j)
                         frontier.append(j)
@@ -156,6 +155,14 @@ class TestReachability:
         g = WeightedDigraph(3, frozenset({1}), ((2, 1, 1.0),))
         with pytest.raises(UnreachableError, match="3"):
             solve_shortest_paths(g)
+
+    def test_unreachable_message_lists_every_stranded_node(self):
+        # 4, 5 and 6 only reach each other; a source's edge into 5 does not help
+        edges = ((6, 4, 1.0), (3, 1, 1.0), (4, 6, 1.0), (5, 4, 2.0), (1, 5, 1.0))
+        g = WeightedDigraph(6, frozenset({1, 2}), edges)
+        with pytest.raises(UnreachableError) as exc:
+            solve_shortest_paths(g)
+        assert str(exc.value) == "nodes [4, 5, 6] cannot reach any source"
 
 
 class TestSolve:
@@ -187,8 +194,9 @@ class TestSolve:
         for seed in range(25):
             g = random_weighted_graph(seed)
             sol = solve_shortest_paths(g)
+            adj = out_edges(g)
             for i in g.non_sources:
-                for j, w in g.out_adjacency[i - 1]:
+                for j, (w, _) in adj[i].items():
                     value = sol.p[j - 1] + w
                     if j in sol.parents(i):
                         assert abs(value - sol.p[i - 1]) <= 1e-12
@@ -201,15 +209,13 @@ class TestParentChain:
         for seed in range(25):
             g = random_weighted_graph(seed)
             sol = solve_shortest_paths(g)
+            adj = out_edges(g)
             for i in g.non_sources:
                 chain = parent_chain(sol, i)
                 assert chain[0] in g.sources
                 assert chain[-1] == i
                 assert len(chain) - 1 <= sol.effective_diameter - 1
-                total = sum(
-                    g.weights[g.edge_index[(chain[k + 1], chain[k])]]
-                    for k in range(len(chain) - 1)
-                )
+                total = sum(adj[chain[k + 1]][chain[k]][0] for k in range(len(chain) - 1))
                 assert total == pytest.approx(sol.p[i - 1], abs=1e-12)
 
     def test_tie_break_smallest_id(self):
@@ -303,6 +309,33 @@ def graphs(draw):
 
 
 class TestOracleEquivalence:
+    def test_multi_source_graphs_match_brute_force(self):
+        co_parents = source_edges = multi_source = 0
+        for seed in range(40):
+            g = multi_source_graph(seed)
+            nodes = range(1, g.node_count + 1)
+            sol = solve_shortest_paths(g)
+            dist = brute_force_distances(g)
+            parents = brute_force_parents(g, dist)
+            assert sol.p == pytest.approx([dist[i] for i in nodes], abs=1e-12)
+            assert sol.true_parents == tuple(parents[i] for i in nodes)
+
+            def chain_nodes(i):
+                return 1 + max((chain_nodes(j) for j in parents[i]), default=0)
+
+            assert sol.effective_diameter == max(chain_nodes(i) for i in nodes)
+            adj = out_edges(g)
+            gap = min(
+                (dist[j] + w - dist[i] for i in g.non_sources
+                 for j, (w, _) in adj[i].items() if j not in parents[i]),
+                default=math.inf,
+            )
+            assert sol.path_gap == pytest.approx(gap, abs=1e-12)
+            co_parents += sum(len(ps) > 1 for ps in sol.true_parents)
+            source_edges += sum(i in g.sources for i, _, _ in g.edges)
+            multi_source += len(g.sources) > 1
+        assert co_parents and source_edges and multi_source
+
     @settings(max_examples=40, deadline=None)
     @given(graphs())
     def test_matches_simple_path_enumeration(self, g):

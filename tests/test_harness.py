@@ -51,6 +51,7 @@ from helpers import (
     focus_csv_loop,
     hop_random_graph_loop,
     nominal_envelope_exact,
+    out_edges,
     random_weighted_graph,
     simulate_scatter,
     trajectory_csv_loop,
@@ -127,9 +128,7 @@ class TestGenerators:
         assert max(w for _, _, w in g.edges) == 1.0
         # one competitor edge per interior node
         for k in range(2, 13):
-            competitors = [
-                j for j, _ in g.out_adjacency[k - 1] if j not in sol.parents(k)
-            ]
+            competitors = [j for j in out_edges(g)[k] if j not in sol.parents(k)]
             assert len(competitors) == 1
 
     def test_dispatch_and_spec_errors(self):
@@ -302,6 +301,23 @@ class TestRunScenario:
         sc = parse_scenario(BASE_SCENARIO + f"focus_node = {focus}\n")
         with pytest.raises(SpecError, match=f"focus_node {focus} must be a non-source"):
             run_scenario(sc, tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_unsupported_bound_kind_is_refused_before_simulating(self, tmp_path, monkeypatch):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate ran before the bound kinds were checked")
+
+        monkeypatch.setattr(harness, "simulate", no_simulate)
+        text = BASE_SCENARIO.replace(
+            "kind = sinusoid\namplitude = 0.03", "kind = proportional\nalpha_upper = 1.5"
+        ).replace("bounds = auto", "bounds = proportional")
+        sc = parse_scenario(text)
+        with pytest.raises(SpecError) as exc:
+            run_scenario(sc, tmp_path)
+        assert str(exc.value) == (
+            "[run] bounds = proportional needs fractional disturbance bounds "
+            "in [0, 1), got (0.0, 1.5)"
+        )
         assert not any(tmp_path.iterdir())
 
     def test_chi0_override_must_cover_actual_errors(self, tmp_path):
@@ -619,6 +635,12 @@ ORACLE_CASES = {
     "grid": (lambda: grid_graph(4, 5), SINUSOID, 0.98),
     "sources-with-out-edges": (_sources_with_out_edges, SINUSOID, 0.98),
     "sources-not-node-1": (_relabelled_sources, SINUSOID, 0.98),
+    # node 3 has the co-parents 1 and 2, whose edge caps 0.6 and 0.3 differ;
+    # the chain band takes the cap toward the smaller id
+    "co-parents": (
+        lambda: WeightedDigraph(3, frozenset({1}), ((3, 2, 1.0), (2, 1, 1.0), (3, 1, 2.0))),
+        SINUSOID, 0.98,
+    ),
     # depth 179: the running factorial overflows past m = 170 and L**m
     # overflows near the deadline, so the float loop leaves some envelope
     # cells nan; those are checked against mpmath

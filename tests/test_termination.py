@@ -23,7 +23,7 @@ from dbmc import (
     standin13,
 )
 
-from helpers import random_weighted_graph
+from helpers import out_edges, random_weighted_graph
 
 LINE3 = "nodes 3\nsources 1\n3 2 1.0\n2 1 1.0\n"
 
@@ -68,11 +68,9 @@ class TestCurrentParents:
             t = float(rng.uniform(0.0, 5.0))
             got = current_parents(g, m, x, t, tie_tol=0.0)
             u = m.sample_all(t)
+            adj = out_edges(g)
             for i in g.non_sources:
-                values = {
-                    j: x[j - 1] + w + u[g.edge_index[(i, j)]]
-                    for j, w in g.out_adjacency[i - 1]
-                }
+                values = {j: x[j - 1] + w + u[k] for j, (w, k) in adj[i].items()}
                 best = min(values.values())
                 assert got[i] == frozenset(
                     j for j, v in values.items() if v <= best
@@ -134,12 +132,10 @@ class TestReconstructPath:
             g = random_weighted_graph(seed)
             sol = solve_shortest_paths(g)
             truth = {i: sol.parents(i) for i in g.non_sources}
+            adj = out_edges(g)
             for i in g.non_sources:
                 path = reconstruct_path(g, i, truth)
-                total = sum(
-                    g.weights[g.edge_index[(path[k], path[k + 1])]]
-                    for k in range(len(path) - 1)
-                )
+                total = sum(adj[path[k]][path[k + 1]][0] for k in range(len(path) - 1))
                 assert total == pytest.approx(sol.p[i - 1], abs=1e-12)
 
 
