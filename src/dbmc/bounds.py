@@ -22,6 +22,8 @@ from .dynamics import PTGainParams, log_integrating_factor
 from .errors import DomainError, InfeasibleError
 from .graph import ShortestPathSolution
 
+ENVELOPE_BLOCK = 1 << 15  # values per block of time rows nominal_envelopes fills
+
 
 def chain_initial_errors(
     sol: ShortestPathSolution, x0: Sequence[float], chain: Sequence[int]
@@ -52,18 +54,40 @@ def nominal_envelopes(e0_chains: Sequence[Sequence[float]], params: PTGainParams
     space as e0 * exp(m ln L - lgamma(m + 1) - L) and added after the
     exp(-L) factor, so every envelope is finite and every cell without such
     a term keeps the bits of the direct sum.
+
+    The result is the only array as large as the output: it is filled one
+    block of about ``ENVELOPE_BLOCK`` values (whole time rows) at a time,
+    and every temporary is one block.  A cell depends only on its own time,
+    so the block size does not change any bit.
     """
     lp = np.atleast_1d(np.asarray(log_integrating_factor(params, t), dtype=float))
     depths = np.array([len(e0) - 1 for e0 in e0_chains], dtype=int)
     order = np.argsort(-depths, kind="stable")  # deepest first
-    total = np.zeros((lp.size, len(e0_chains)))
+    # per m, the m-th coefficient of every chain deep enough to have one, deepest first
+    coeffs = [
+        np.array([e0_chains[c][depths[c] - m] for c in order[depths[order] >= m]], dtype=float)
+        for m in range(int(depths.max(initial=-1)) + 1)
+    ]
+    back = np.argsort(order)
+    total = np.empty((lp.size, len(e0_chains)))
+    step = max(1, ENVELOPE_BLOCK // max(len(e0_chains), 1))
+    for a in range(0, lp.size, step):
+        rows = slice(a, a + step)
+        total[rows] = _deepest_first_envelopes(coeffs, len(e0_chains), lp[rows])[:, back]
+    return total.reshape(np.shape(t) + (len(e0_chains),))
+
+
+def _deepest_first_envelopes(coeffs: list[np.ndarray], width: int, lp: np.ndarray) -> np.ndarray:
+    """The envelopes at the times whose L are ``lp``, one column per chain,
+    deepest first; ``coeffs[m]`` holds the m-th coefficient of each chain
+    deep enough to have one (see :func:`nominal_envelopes`)."""
+    total = np.zeros((lp.size, width))
     logged = None  # log-space terms, already times exp(-L), and where they go
     fact = 1.0
-    for m in range(int(depths.max(initial=-1)) + 1):  # m counts hops above each chain node
+    for m, coeff in enumerate(coeffs):  # m counts hops above each chain node
         if m > 0:
             fact *= m
-        live = order[: np.count_nonzero(depths >= m)].tolist()  # chains with an m-th term
-        coeff = np.array([e0_chains[c][depths[c] - m] for c in live], dtype=float)
+        live = len(coeff)  # chains with an m-th term
         with np.errstate(over="ignore", invalid="ignore"):
             lpm = lp**m
             term = lpm[:, None] * coeff
@@ -76,15 +100,15 @@ def nominal_envelopes(e0_chains: Sequence[Sequence[float]], params: PTGainParams
             block = term[rows]
             bad = ~np.isfinite(block)
             poisson = np.exp(m * np.log(lp[rows]) - math.lgamma(m + 1) - lp[rows])  # <= 1
-            logged[rows, : len(live)] += np.where(bad, poisson[:, None] * coeff, 0.0)
-            redone[rows, : len(live)] |= bad
+            logged[rows, :live] += np.where(bad, poisson[:, None] * coeff, 0.0)
+            redone[rows, :live] |= bad
             block[bad] = 0.0
             term[rows] = block
-        total[:, : len(live)] += term
+        total[:, :live] += term
     total *= np.exp(-lp)[:, None]
     if logged is not None:
         total[redone] += logged[redone]
-    return total[:, np.argsort(order)].reshape(np.shape(t) + (len(e0_chains),))
+    return total
 
 
 def proportional_offsets(alpha_lower: float, alpha_upper: float, p):

@@ -120,19 +120,20 @@ class CandidateLayout:
     """The candidates x_j + w_ij + u_ij(t) of every non-source i, grouped by i.
 
     Only edges whose tail is a non-source are kept, ordered by tail with a
-    stable sort; ``tails``, ``heads`` and ``weights`` are the graph's edge
-    arrays in that order, and ``model`` is the disturbance model reordered
-    to match, so ``model.sample_all(t)`` is already in layout order.  Node
-    ids are 0-based.  The m non-sources, ascending, own consecutive
-    segments: the k-th starts at edge ``starts[k]`` and has
-    ``degree[k] >= 1`` edges, so ``np.minimum.reduceat(values, starts)`` is
-    one minimum per non-source.  ``slots`` maps each head to a compact
-    index: its position among the non-sources, or m for every source.  A
-    state of the m non-source errors followed by one 0 (the error every
-    source keeps) is gathered with it.
+    stable sort: ``order`` indexes them in the graph's edge order, and
+    ``tails``, ``heads`` and ``weights`` are the graph's edge arrays in that
+    order.  A model's samples are put in layout order by
+    ``model.sample_all(t)[order]``, or, for many samples, by sampling
+    ``model.take(order)`` once it is built.  Node ids are 0-based.  The m
+    non-sources, ascending, own consecutive segments: the k-th starts at
+    edge ``starts[k]`` and has ``degree[k] >= 1`` edges, so
+    ``np.minimum.reduceat(values, starts)`` is one minimum per non-source.
+    ``slots`` maps each head to a compact index: its position among the
+    non-sources, or m for every source.  A state of the m non-source errors
+    followed by one 0 (the error every source keeps) is gathered with it.
     """
 
-    model: DisturbanceModel
+    order: np.ndarray
     non_sources: np.ndarray
     tails: np.ndarray
     heads: np.ndarray
@@ -172,7 +173,7 @@ def candidate_layout(g: WeightedDigraph, model: DisturbanceModel) -> CandidateLa
     slot_of = np.full(n, len(non_sources), dtype=np.intp)
     slot_of[non_sources] = np.arange(len(non_sources))
     return CandidateLayout(
-        model=model.take(order),
+        order=order,
         non_sources=non_sources,
         tails=tails,
         heads=heads,

@@ -135,19 +135,23 @@ def check_t_end(params: PTGainParams, t_end: float, horizon: float) -> None:
 
 
 def _rates(
-    lay: CandidateLayout, sol: ShortestPathSolution, params: PTGainParams
+    lay: CandidateLayout,
+    grouped: DisturbanceModel,
+    sol: ShortestPathSolution,
+    params: PTGainParams,
 ) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """rates(t, z, own): the time derivative of the m non-source errors.
 
-    ``z`` holds the m non-source errors followed by one 0, the error every
-    source keeps, and ``own`` is ``z[:m]``.  Candidate values are
-    z_j + (p_j + w_ij - p_i) + u_ij(t) over ``lay``; the offset term
-    vanishes on true-parent edges, so at the solution with zero disturbance
-    the rates are exactly zero.
+    ``grouped`` is the disturbance model taken in layout order,
+    ``model.take(lay.order)``.  ``z`` holds the m non-source errors followed
+    by one 0, the error every source keeps, and ``own`` is ``z[:m]``.
+    Candidate values are z_j + (p_j + w_ij - p_i) + u_ij(t) over ``lay``;
+    the offset term vanishes on true-parent edges, so at the solution with
+    zero disturbance the rates are exactly zero.
     """
     p = np.asarray(sol.p, dtype=float)
     offsets = p[lay.heads] + lay.weights - p[lay.tails]
-    slots, starts, grouped = lay.slots, lay.starts, lay.model
+    slots, starts = lay.slots, lay.starts
     gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
 
     def rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -206,7 +210,7 @@ def simulate(
 
     times, steps = _step_grid(params, t_end)
     lay = candidate_layout(g, model)
-    rates = _rates(lay, sol, params)
+    rates = _rates(lay, model.take(lay.order), sol, params)
     ns = lay.non_sources
     p = np.asarray(sol.p, dtype=float)
 

@@ -62,7 +62,7 @@ from .termination import TerminationReport, build_report
 log = logging.getLogger("dbmc")
 
 BRACKET_TOL = 1e-6
-CHECK_BLOCK = 1 << 18  # values per block of the bracket check (2 MiB of float64)
+CHECK_BLOCK = 1 << 15  # values per block of the bracket check (256 KiB of float64)
 BLOCK = 128  # rows of a CSV file joined into one string
 
 
@@ -233,6 +233,44 @@ def plan_scenario(
     )
 
 
+class ShiftedBand(np.lib.mixins.NDArrayOperatorsMixin):
+    """The read-only band ``env + shift``: a (times x nodes) envelope plus a
+    constant per node, formed only where it is read.
+
+    ``band[key]`` is ``env[key]`` plus the shift of each column it selects,
+    bit for bit the same cells of ``env + shift``, so a caller reading a
+    block of rows makes one block.  Numpy functions and operators (``upper -
+    err``, ``np.isnan(upper)``) see the whole band through ``__array__``.
+    Several bands may share one ``env``.
+    """
+
+    def __init__(self, env: np.ndarray, shift: np.ndarray) -> None:
+        self.env = env
+        self.shift = np.broadcast_to(shift, env.shape)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.env.shape
+
+    @property
+    def size(self) -> int:
+        return self.env.size
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.env[key] + self.shift[key]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a shifted band is formed on every read and cannot be a view")
+        return np.asarray(self[...], dtype=dtype)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if any(isinstance(o, ShiftedBand) for o in kwargs.get("out", ())):
+            return NotImplemented
+        inputs = tuple(np.asarray(x) if isinstance(x, ShiftedBand) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 def compute_bound_curves(
     g: WeightedDigraph,
     sol: ShortestPathSolution,
@@ -244,8 +282,8 @@ def compute_bound_curves(
     params,
     times: np.ndarray,
     kinds: tuple[str, ...],
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per enabled kind, (lower, upper) arrays of shape (len(times), non_sources).
+) -> dict[str, tuple]:
+    """Per enabled kind, (lower, upper) bands of shape (len(times), non_sources).
 
     This is the one place a band is assembled.  Columns follow
     ``g.non_sources`` order.  The chain kind's upper band is the nominal
@@ -253,28 +291,22 @@ def compute_bound_curves(
     it has no lower bound and uses -inf.  The envelope kind is the
     network-wide band +-(offset + power-law envelope at the largest depth),
     the band ``t_s`` inverts.  The chain, proportional and uniform upper
-    bands share one nominal envelope per node and add a constant per node;
-    each is an array of its own.  The curves constant in time or across
+    bands are one read-only nominal envelope per node plus a constant per
+    node: each is a :class:`ShiftedBand` over the same envelope array, so
+    the bands cost one (times x nodes) array together, and a reader forms
+    the block of rows it reads.  The curves constant in time or across
     nodes (every lower band and the envelope kind's upper) are read-only
-    ``np.broadcast_to`` views of one value, one row or one column, so
-    callers must not write into them.
+    ``np.broadcast_to`` views of one value, one row or one column.  No band
+    can be written into.
     """
     ns = g.non_sources
     shape = (len(times), len(ns))
-    curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    curves: dict[str, tuple] = {}
     chains = [parent_chain(sol, i) for i in ns]
     e0s = [chain_initial_errors(sol, x0, c) for c in chains]
-    env_kinds = [k for k in ("chain", "proportional", "uniform") if k in kinds]
-    if env_kinds:
+    if any(k in kinds for k in ("chain", "proportional", "uniform")):
         env = nominal_envelopes(e0s, params, times)
-
-    def shifted(kind: str, shift: np.ndarray) -> np.ndarray:
-        # The last band is written into env itself, which nothing reads
-        # afterwards.  One (times x nodes) array fewer keeps the peak RSS of
-        # large runs from depending on how the heap happens to be split.
-        if kind == env_kinds[-1]:
-            return np.add(env, shift, out=env)
-        return env + shift
+        env.flags.writeable = False
 
     if "chain" in kinds:
         # each node's cap on the hop to its smallest true parent, the hop
@@ -283,19 +315,19 @@ def compute_bound_curves(
         hop = g.heads + 1 == first[g.tails]
         caps = dict(zip(g.tails[hop].tolist(), model.edge_upper[hop].tolist()))
         offsets = [sum(caps[i - 1] for i in c[1:]) for c in chains]
-        curves["chain"] = (np.broadcast_to(-np.inf, shape), shifted("chain", np.array(offsets)))
+        curves["chain"] = (np.broadcast_to(-np.inf, shape), ShiftedBand(env, np.array(offsets)))
 
     if "proportional" in kinds:
         p = np.array([sol.p[i - 1] for i in ns])
         low, shift = proportional_offsets(*model.proportional_fractions, p)
-        curves["proportional"] = (np.broadcast_to(low, shape), shifted("proportional", shift))
+        curves["proportional"] = (np.broadcast_to(low, shape), ShiftedBand(env, shift))
 
     if "uniform" in kinds:
         depths = np.array([len(c) - 1 for c in chains])
         low, shift = uniform_offsets(
             model.u_minus, model.u_plus, depths, sol_minus.effective_diameter
         )
-        curves["uniform"] = (np.broadcast_to(low, shape), shifted("uniform", shift))
+        curves["uniform"] = (np.broadcast_to(low, shape), ShiftedBand(env, shift))
 
     if "envelope" in kinds:
         offset = worst_case_offset(
@@ -315,29 +347,37 @@ def compute_bound_curves(
 def check_brackets(
     g: WeightedDigraph,
     traj: Trajectory,
-    curves: dict[str, tuple[np.ndarray, np.ndarray]],
+    curves: dict[str, tuple],
     tol: float = BRACKET_TOL,
 ) -> None:
     """Every emitted curve must bracket the simulated errors pointwise.
 
     The comparisons are negated so that a NaN anywhere fails the check.
-    They run over blocks of about ``CHECK_BLOCK`` values, so the check
-    makes no temporary as large as a curve.
+    They run over blocks of about ``CHECK_BLOCK`` values, and each block of
+    errors is gathered once for every kind, so the check makes no temporary
+    as large as a curve until one fails.  The error names the first failing
+    kind in ``curves`` order and its worst slacks over the whole run.
     """
     cols = [i - 1 for i in g.non_sources]
     step = max(1, CHECK_BLOCK // len(cols))
+    failed: set[str] = set()
+    for a in range(0, len(traj.times), step):
+        rows = slice(a, a + step)
+        err = traj.errors[rows, cols]
+        for kind, (lower, upper) in curves.items():
+            if kind not in failed and not (
+                np.all(err >= lower[rows] - tol) and np.all(err <= upper[rows] + tol)
+            ):
+                failed.add(kind)
     for kind, (lower, upper) in curves.items():
-        for a in range(0, len(traj.times), step):
-            rows = slice(a, a + step)
-            err = traj.errors[rows, cols]
-            if not (np.all(err >= lower[rows] - tol) and np.all(err <= upper[rows] + tol)):
-                err = traj.errors[:, cols]
-                worst_low = float(np.min(err - lower))
-                worst_high = float(np.min(upper - err))
-                raise DbmcError(
-                    f"bound curve {kind!r} fails to bracket the trajectory "
-                    f"(worst lower slack {worst_low:.3e}, upper slack {worst_high:.3e})"
-                )
+        if kind in failed:
+            err = traj.errors[:, cols]
+            worst_low = float(np.min(err - lower))
+            worst_high = float(np.min(upper - err))
+            raise DbmcError(
+                f"bound curve {kind!r} fails to bracket the trajectory "
+                f"(worst lower slack {worst_low:.3e}, upper slack {worst_high:.3e})"
+            )
 
 
 def _cells(a: np.ndarray, seen: dict[bytes, np.ndarray]) -> np.ndarray:
@@ -406,7 +446,7 @@ def errors_csv(traj: Trajectory) -> list[str]:
 def bounds_csv(
     g: WeightedDigraph,
     times: np.ndarray,
-    curves: dict[str, tuple[np.ndarray, np.ndarray]],
+    curves: dict[str, tuple],
 ) -> list[str]:
     """The file is kind by kind, but it is built block by block of rows, so
     that one cache of the block's strings serves every kind."""
@@ -428,7 +468,7 @@ def bounds_csv(
 def focus_csv(
     g: WeightedDigraph,
     traj: Trajectory,
-    curves: dict[str, tuple[np.ndarray, np.ndarray]],
+    curves: dict[str, tuple],
     focus: int,
     kind: str,
 ) -> list[str]:

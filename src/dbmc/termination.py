@@ -47,7 +47,7 @@ def current_parents(
         raise DomainError("tie_tol must be nonnegative")
     lay = candidate_layout(g, model)
     x = np.asarray(x, dtype=float)
-    cand = x[lay.heads] + lay.weights + lay.model.sample_all(t)
+    cand = x[lay.heads] + lay.weights + model.sample_all(t)[lay.order]
     best = np.minimum.reduceat(cand, lay.starts)
     hit = cand <= np.repeat(best, lay.degree) + tie_tol
     out: dict[int, list[int]] = {i: [] for i in (lay.non_sources + 1).tolist()}

@@ -17,6 +17,7 @@ from dbmc import (
     early_termination_time,
     line_graph,
     load_graph,
+    log_integrating_factor,
     minus_graph,
     optimal_q,
     parent_chain,
@@ -99,6 +100,30 @@ class TestNominalEnvelope:
             want = high_precision_envelope(e0, PARAMS.gamma, PARAMS.h, PARAMS.deadline, t)
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["1-row", "7-rows", "one-block"])
+    def test_blocks_of_time_rows_keep_every_bit(self, monkeypatch, rows):
+        """The result is filled a block of time rows at a time; a cell
+        depends only on its own time, so every block size gives the same
+        bits, in the log-space cells of a deep chain near the deadline too."""
+        g = line_graph(200)
+        sol = solve_shortest_paths(g)
+        x0 = constant_initial(g, 220.0)
+        e0s = [chain_initial_errors(sol, x0, parent_chain(sol, i)) for i in g.non_sources]
+        ts = np.concatenate((np.linspace(0.0, 4.9, 40), [4.95, 4.99]))
+        # 199 hops at t = 4.99: L^199 is far past the largest float
+        assert 199 * math.log(log_integrating_factor(PARAMS, 4.99)) > 1000.0
+        columns = np.column_stack([nominal_envelopes([e0], PARAMS, ts)[:, 0] for e0 in e0s])
+        monkeypatch.setattr(
+            "dbmc.bounds.ENVELOPE_BLOCK", len(e0s) * rows if rows else 1 << 40
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nominal_envelopes(e0s, PARAMS, ts)
+            at_scalar = nominal_envelopes(e0s, PARAMS, 4.99)
+        assert got.shape == (len(ts), len(e0s)) and at_scalar.shape == (len(e0s),)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got.view(np.uint64), columns.view(np.uint64))
+        assert np.array_equal(at_scalar.view(np.uint64), columns[-1].view(np.uint64))
 
     def test_overflowing_chain_leaves_its_neighbours_bits(self):
         """Only cells with a non-finite term are redone in log space: a chain

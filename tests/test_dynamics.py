@@ -148,7 +148,7 @@ class TestSimulate:
         sol = solve_shortest_paths(g)
         m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), g, 2, 5.0)
         lay = candidate_layout(g, m)
-        rates = dynamics._rates(lay, sol, PARAMS)
+        rates = dynamics._rates(lay, m.take(lay.order), sol, PARAMS)
         rng = np.random.default_rng(0)
         p = np.array(sol.p)
         adj = out_edges(g)

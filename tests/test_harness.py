@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -601,6 +602,34 @@ class TestNonFiniteInputs:
             with pytest.raises(DbmcError, match="uniform"):
                 check_brackets(g, traj, curves)
 
+    @pytest.mark.parametrize("block", [2, 4, 8, 1 << 18])  # rows per block: 1, 2, 4, all
+    @pytest.mark.parametrize("first", ["chain", "uniform"])
+    def test_check_brackets_names_the_first_failing_kind(self, monkeypatch, block, first):
+        # uniform fails only in row 0 and chain only in row 3, so with small
+        # blocks they fail in different blocks; the error names the first
+        # failing kind in curves order, with its slacks over the whole run.
+        monkeypatch.setattr("dbmc.harness.CHECK_BLOCK", block)
+        g, traj = self._three_node_run(0.0)
+        traj.errors[0, 1] = -2.0
+        chain_upper = np.ones((4, 2))
+        chain_upper[3, 0] = -0.5
+        both = {
+            "chain": (np.broadcast_to(-np.inf, (4, 2)), chain_upper),
+            "uniform": (np.broadcast_to(-1.0, (4, 2)), np.ones((4, 2))),
+        }
+        slacks = {
+            "chain": "inf, upper slack -5.000e-01",
+            "uniform": "-1.000e+00, upper slack 1.000e+00",
+        }
+        curves = {first: both[first]} | both
+        want = (
+            f"bound curve {first!r} fails to bracket the trajectory "
+            f"(worst lower slack {slacks[first]})"
+        )
+        with pytest.raises(DbmcError) as info:
+            check_brackets(g, traj, curves)
+        assert str(info.value) == want
+
     def test_check_brackets_fails_on_nan_curve(self):
         g, traj = self._three_node_run(0.5)
         upper = np.ones((4, 2))
@@ -806,20 +835,74 @@ class TestBoundCurveMemory:
         [BOUND_KINDS, ("chain", "proportional"), ("proportional", "uniform", "envelope")],
         ids=["all", "chain-proportional", "proportional-uniform-envelope"],
     )
-    def test_upper_bands_share_no_memory(self, kinds):
-        # The last envelope-based band is written into the shared envelope
-        # in place; every other band must stay an array of its own.
+    def test_upper_bands_share_one_read_only_envelope(self, kinds):
+        # The chain, proportional and uniform uppers are one read-only
+        # envelope plus a constant per node; each still has the bits of the
+        # kind computed on its own.
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
         plan = plan_scenario(sc, t_end="0.1Ts")
         times = np.linspace(0.0, plan.t_stop, 5)
         args = (plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
                 sc.params, times)
         curves = compute_bound_curves(*args, kinds)
-        uppers = [upper for _, upper in curves.values()]
-        for a in range(len(uppers)):
-            for b in range(a + 1, len(uppers)):
-                assert not np.shares_memory(uppers[a], uppers[b]), (kinds[a], kinds[b])
+        shifted = [curves[k][1] for k in ("chain", "proportional", "uniform") if k in kinds]
+        assert shifted
+        for upper in shifted:
+            assert isinstance(upper, harness.ShiftedBand)
+            assert upper.env is shifted[0].env
+            assert upper.shape == upper.env.shape == (5, len(plan.g.non_sources))
+            assert not upper.env.flags.writeable
+            with pytest.raises(TypeError):
+                upper[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                upper.env[0, 0] = 0.0
         for kind in kinds:
             (alone,) = compute_bound_curves(*args, (kind,)).values()
             for got, want in zip(curves[kind], alone):
+                got, want = np.asarray(got), np.asarray(want)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), kind
+
+    def test_shifted_band_reads_the_cells_of_env_plus_shift(self):
+        rng = np.random.default_rng(4)
+        env, shift = rng.normal(size=(6, 4)), rng.normal(size=4)
+        band, want = harness.ShiftedBand(env, shift), env + shift
+        assert band.shape == want.shape and band.size == want.size
+        for key in [np.s_[2:5], np.s_[:, 1], np.s_[3, 2], np.s_[..., 0], np.s_[[0, 5]],
+                    np.s_[[1, 2], [3, 0]], np.s_[:]]:
+            got = band[key]
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want[key]).view(np.uint64)), key
+        err = rng.normal(size=(6, 4))
+        assert np.array_equal(band - err, want - err)
+        assert np.array_equal(err - band, err - want)
+        assert np.array_equal(np.asarray(band), want)
+        assert float(np.min(band)) == float(np.min(want))
+        with pytest.raises(ValueError):
+            np.asarray(band, copy=False)
+
+    def test_bands_and_check_peak_below_one_and_a_third_arrays(self):
+        # The three envelope-based uppers share one (times x nodes) envelope,
+        # and every other temporary of the bands and the check is one block.
+        g = hop_random_graph(400, 0.012, 1)
+        params = ORACLE_PARAMS
+        sol = solve_shortest_paths(g)
+        model = build_model(
+            DisturbanceSpec(kind="sinusoid", amplitude=0.03), g, 1, horizon=params.deadline
+        )
+        sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
+        x0 = constant_initial(g, 12.0)
+        chi0 = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
+        traj = simulate(g, model, params, x0, 0.34 * params.deadline, sol=sol)
+        array = len(traj.times) * len(g.non_sources) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            curves = compute_bound_curves(
+                g, sol, sol_minus, model, x0, 3.0, chi0, params, traj.times, BOUND_KINDS
+            )
+            check_brackets(g, traj, curves)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert list(curves) == list(BOUND_KINDS)
+        assert peak < 1.3 * array, peak / array

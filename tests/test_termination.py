@@ -22,6 +22,7 @@ from dbmc import (
     solve_shortest_paths,
     standin13,
 )
+from dbmc.disturbance import candidate_layout
 
 from helpers import out_edges, random_weighted_graph
 
@@ -75,6 +76,38 @@ class TestCurrentParents:
                 assert got[i] == frozenset(
                     j for j, v in values.items() if v <= best
                 )
+
+    def test_proportional_piecewise_parents_without_taking_the_model(self, monkeypatch):
+        # current_parents reorders one sample instead of taking the model,
+        # which would copy the whole knot table; the parents are those the
+        # taken model's candidates give.
+        rng = np.random.default_rng(6)
+        spec = DisturbanceSpec(
+            kind="proportional", alpha_lower=0.1, alpha_upper=0.4, carrier="piecewise"
+        )
+        for seed in range(6):
+            g = random_weighted_graph(seed)
+            sol = solve_shortest_paths(g)
+            m = build_model(spec, g, seed, 5.0)
+            x = rng.uniform(0.0, 12.0, g.node_count)
+            t = float(rng.uniform(0.0, 5.0))
+            lay = candidate_layout(g, m)
+            u = m.take(lay.order).sample_all(t)
+            values: dict[int, dict[int, float]] = {i: {} for i in g.non_sources}
+            for r, (i, j) in enumerate(zip(lay.tails.tolist(), lay.heads.tolist())):
+                values[i + 1][j + 1] = x[j] + lay.weights[r] + u[r]
+            want = {
+                i: frozenset(j for j, v in vs.items() if v <= min(vs.values()))
+                for i, vs in values.items()
+            }
+
+            def refuse(model, order):
+                raise AssertionError("current_parents took the model")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(DisturbanceModel, "take", refuse)
+                assert current_parents(g, m, x, t) == want
+                assert build_report(g, sol, m, x, t).current == want
 
     def test_samples_the_disturbance_once(self, monkeypatch):
         g = standin13()
