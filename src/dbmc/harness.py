@@ -35,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    NominalEnvelopes,
     chain_initial_errors,
     early_termination_time,
-    nominal_envelopes,
     power_law_envelope,
     proportional_offsets,
     uniform_offsets,
@@ -237,14 +237,15 @@ class ShiftedBand(np.lib.mixins.NDArrayOperatorsMixin):
     """The read-only band ``env + shift``: a (times x nodes) envelope plus a
     constant per node, formed only where it is read.
 
-    ``band[key]`` is ``env[key]`` plus the shift of each column it selects,
-    bit for bit the same cells of ``env + shift``, so a caller reading a
-    block of rows makes one block.  Numpy functions and operators (``upper -
-    err``, ``np.isnan(upper)``) see the whole band through ``__array__``.
-    Several bands may share one ``env``.
+    ``env`` is anything indexed like a 2-D array, such as the shared
+    :class:`bounds.NominalEnvelopes`.  ``band[key]`` is ``env[key]`` plus
+    the shift of each column it selects, bit for bit the same cells of ``env
+    + shift``, so a caller reading a block of rows makes one block.  Numpy
+    functions and operators (``upper - err``, ``np.isnan(upper)``) see the
+    whole band through ``__array__``.  Several bands may share one ``env``.
     """
 
-    def __init__(self, env: np.ndarray, shift: np.ndarray) -> None:
+    def __init__(self, env, shift: np.ndarray) -> None:
         self.env = env
         self.shift = np.broadcast_to(shift, env.shape)
 
@@ -254,7 +255,7 @@ class ShiftedBand(np.lib.mixins.NDArrayOperatorsMixin):
 
     @property
     def size(self) -> int:
-        return self.env.size
+        return math.prod(self.env.shape)
 
     def __getitem__(self, key) -> np.ndarray:
         return self.env[key] + self.shift[key]
@@ -291,13 +292,18 @@ def compute_bound_curves(
     it has no lower bound and uses -inf.  The envelope kind is the
     network-wide band +-(offset + power-law envelope at the largest depth),
     the band ``t_s`` inverts.  The chain, proportional and uniform upper
-    bands are one read-only nominal envelope per node plus a constant per
-    node: each is a :class:`ShiftedBand` over the same envelope array, so
-    the bands cost one (times x nodes) array together, and a reader forms
-    the block of rows it reads.  The curves constant in time or across
-    nodes (every lower band and the envelope kind's upper) are read-only
-    ``np.broadcast_to`` views of one value, one row or one column.  No band
-    can be written into.
+    bands are one nominal envelope per node plus a constant per node: each
+    is a :class:`ShiftedBand` over the same read-only
+    :class:`bounds.NominalEnvelopes`, which holds L = ln f(t) per time and
+    evaluates the envelope only at the rows a reader selects (only the
+    node's chain for one column), keeping the last block.  Readers that
+    loop blocks outside and kinds inside evaluate each block once for all
+    three bands, and no (times x nodes) array is made unless a whole band
+    is read.  A time outside [0, deadline) raises DomainError here, before
+    any read.  The curves constant in time or across nodes (every lower
+    band and the envelope kind's upper) are read-only ``np.broadcast_to``
+    views of one value, one row or one column.  No band can be written
+    into.
     """
     ns = g.non_sources
     shape = (len(times), len(ns))
@@ -305,8 +311,7 @@ def compute_bound_curves(
     chains = [parent_chain(sol, i) for i in ns]
     e0s = [chain_initial_errors(sol, x0, c) for c in chains]
     if any(k in kinds for k in ("chain", "proportional", "uniform")):
-        env = nominal_envelopes(e0s, params, times)
-        env.flags.writeable = False
+        env = NominalEnvelopes(e0s, params, times)
 
     if "chain" in kinds:
         # each node's cap on the hop to its smallest true parent, the hop

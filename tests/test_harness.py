@@ -10,9 +10,11 @@ import pytest
 from dbmc import (
     DbmcError,
     DisturbanceSpec,
+    DomainError,
     WeightedDigraph,
     build_model,
     minus_graph,
+    parent_chain,
     PreconditionError,
     SpecError,
     generate_graph,
@@ -26,7 +28,8 @@ from dbmc import (
     standin13,
     synthetic_positions,
 )
-from dbmc import harness
+from dbmc import bounds, harness
+from dbmc.bounds import NominalEnvelopes, chain_initial_errors, nominal_envelopes
 from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
     BLOCK,
@@ -849,12 +852,14 @@ class TestBoundCurveMemory:
         assert shifted
         for upper in shifted:
             assert isinstance(upper, harness.ShiftedBand)
+            assert isinstance(upper.env, NominalEnvelopes)
             assert upper.env is shifted[0].env
             assert upper.shape == upper.env.shape == (5, len(plan.g.non_sources))
-            assert not upper.env.flags.writeable
+            for key in [np.s_[...], np.s_[1:3], np.s_[:, 0], np.s_[2]]:
+                assert not upper.env[key].flags.writeable, key
             with pytest.raises(TypeError):
                 upper[0, 0] = 0.0
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 upper.env[0, 0] = 0.0
         for kind in kinds:
             (alone,) = compute_bound_curves(*args, (kind,)).values()
@@ -881,28 +886,176 @@ class TestBoundCurveMemory:
             np.asarray(band, copy=False)
 
     def test_bands_and_check_peak_below_one_and_a_third_arrays(self):
-        # The three envelope-based uppers share one (times x nodes) envelope,
-        # and every other temporary of the bands and the check is one block.
-        g = hop_random_graph(400, 0.012, 1)
-        params = ORACLE_PARAMS
+        # The three envelope-based uppers share one envelope, and every other
+        # temporary of the bands and the check is one block.
+        peak, array = _bands_and_check_peak()
+        assert peak < 1.3 * array, peak / array
+
+    def test_bands_and_check_make_no_envelope_array(self):
+        # The shared envelope is evaluated one block of rows at a time where
+        # it is read, so no (times x nodes) array is made at all.
+        peak, array = _bands_and_check_peak()
+        assert peak < 0.4 * array, peak / array
+
+    @pytest.mark.parametrize("rows", [None, 7], ids=["default-block", "7-rows"])
+    def test_lazy_bands_read_the_cells_of_the_eager_envelope_plus_shift(
+        self, monkeypatch, rows
+    ):
+        # Deep chains near the deadline, so log-space cells are read too.
+        g = line_graph(200)
+        ts = np.concatenate((np.linspace(0.0, 4.9, 300), [4.95, 4.99]))
         sol = solve_shortest_paths(g)
+        params = ORACLE_PARAMS
         model = build_model(
-            DisturbanceSpec(kind="sinusoid", amplitude=0.03), g, 1, horizon=params.deadline
+            DisturbanceSpec(kind="sinusoid", amplitude=0.4), g, 0, horizon=params.deadline
         )
         sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
-        x0 = constant_initial(g, 12.0)
+        x0 = constant_initial(g, 220.0)
         chi0 = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
-        traj = simulate(g, model, params, x0, 0.34 * params.deadline, sol=sol)
-        array = len(traj.times) * len(g.non_sources) * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            curves = compute_bound_curves(
-                g, sol, sol_minus, model, x0, 3.0, chi0, params, traj.times, BOUND_KINDS
-            )
-            check_brackets(g, traj, curves)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert list(curves) == list(BOUND_KINDS)
-        assert peak < 1.3 * array, peak / array
+        e0s = [chain_initial_errors(sol, x0, parent_chain(sol, i)) for i in g.non_sources]
+        eager = nominal_envelopes(e0s, params, ts)
+        if rows:
+            monkeypatch.setattr("dbmc.bounds.ENVELOPE_BLOCK", len(e0s) * rows)
+        kinds = ("chain", "proportional", "uniform")
+        curves = compute_bound_curves(
+            g, sol, sol_minus, model, x0, 3.0, chi0, params, ts, kinds
+        )
+        uppers = [curves[kind][1] for kind in kinds]
+        wants = [eager + np.asarray(upper.shift) for upper in uppers]
+        assert np.all(np.isfinite(eager)) and len(ts) > uppers[0].env.step
+        keys = [
+            0, 150, -1, np.int64(7),
+            np.s_[40:41], np.s_[160:167], np.s_[100:228], np.s_[0:128], np.s_[174:302],
+            np.s_[-128:], np.s_[::-3], np.s_[250:80:-7], np.s_[5:5],
+            np.s_[3:10, 5], np.s_[:, 198], np.s_[:, -1], np.s_[-1, -1], np.s_[301, 0],
+            np.s_[20:27, 190:], np.s_[20:27, [3, 0, 3]], np.s_[7, :],
+            np.s_[...], np.s_[..., 0], np.s_[299:, ...], np.s_[:],
+            [0, 5, 301], [301, 0, 0], np.s_[[1, 2], [3, 0]], [[1, 2], [3, 0]],
+            np.arange(len(ts)) % 3 == 0,
+        ]
+        block = np.s_[160:167]
+        for key in keys + [block, block, np.s_[0:128], block, np.s_[161:163], block]:
+            for upper, want in zip(uppers, wants):
+                got = upper[key]
+                assert np.shape(got) == np.shape(want[key]), key
+                assert np.array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(want[key]).view(np.uint64)), key
+        for upper, want in zip(uppers, wants):
+            assert np.array_equal(np.asarray(upper).view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(np.asarray(upper - eager), want - eager)
+
+    def test_each_block_is_evaluated_once_for_every_band(self, monkeypatch):
+        # A read evaluates the block of rows from its first row on, and the
+        # envelope keeps it: three bands reading the same rows, or rows
+        # inside the block, evaluate them once; a read elsewhere replaces the
+        # block, one column evaluates that chain alone, and a read longer
+        # than a block is evaluated a block at a time and not kept.
+        sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
+        plan = plan_scenario(sc, t_end="0.9Ts")
+        times = np.linspace(0.0, plan.t_stop, 600)
+        width = len(plan.g.non_sources)
+        monkeypatch.setattr("dbmc.bounds.ENVELOPE_BLOCK", 200 * width)
+        curves = compute_bound_curves(
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+            sc.params, times, BOUND_KINDS,
+        )
+        uppers = [curves[kind][1] for kind in ("chain", "proportional", "uniform")]
+        widths = []
+        evaluate = bounds._deepest_first_envelopes
+
+        def counted(hops, width, lp):
+            widths.append((width, lp.size))
+            return evaluate(hops, width, lp)
+
+        monkeypatch.setattr(bounds, "_deepest_first_envelopes", counted)
+        reads = [np.s_[0:128], np.s_[0:128], np.s_[5:9, 2], np.s_[128:256], np.s_[0:128],
+                 np.s_[100:120]]
+        evaluated = [(width, 200), None, None, (width, 200), (width, 200), None]
+        for key, want in zip(reads, evaluated):
+            for upper in uppers:
+                upper[key]
+            assert widths == ([want] if want else []), key
+            widths.clear()
+        uppers[0][:, 4]
+        assert widths == [(1, 600)]
+        widths.clear()
+        np.asarray(uppers[1])
+        assert widths == [(width, 200)] * 3
+        widths.clear()
+        uppers[2][300:400]
+        assert widths == [(width, 200)]
+
+    def test_each_reader_evaluates_each_row_once(self, monkeypatch):
+        # On 399 non-sources one envelope block is 82 rows, fewer than a
+        # block of CSV rows; check_brackets and bounds_csv still evaluate
+        # every time row once for all three bands, and focus_csv one chain.
+        g, sol, sol_minus, model, x0, chi0, traj = _wide_run()
+        traj = Trajectory(traj.p, traj.times[:300], traj.errors[:300])
+        curves = compute_bound_curves(
+            g, sol, sol_minus, model, x0, 3.0, chi0, ORACLE_PARAMS, traj.times, BOUND_KINDS
+        )
+        assert curves["chain"][1].env.step < BLOCK
+        widths = []
+        evaluate = bounds._deepest_first_envelopes
+
+        def counted(hops, width, lp):
+            widths.append((width, lp.size))
+            return evaluate(hops, width, lp)
+
+        monkeypatch.setattr(bounds, "_deepest_first_envelopes", counted)
+        for read in (lambda: check_brackets(g, traj, curves),
+                     lambda: bounds_csv(g, traj.times, curves)):
+            read()
+            assert {w for w, _ in widths} == {len(g.non_sources)}
+            assert sum(n for _, n in widths) == len(traj.times)
+            widths.clear()
+        focus_csv(g, traj, curves, g.non_sources[-1], "uniform")
+        assert widths == [(1, len(traj.times))]
+
+    def test_times_past_the_deadline_raise_before_any_read(self):
+        sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
+        plan = plan_scenario(sc, t_end="0.5Ts")
+        args = (plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+                sc.params)
+        for times in (np.linspace(0.0, sc.params.deadline, 5), np.array([0.0, 6.0])):
+            for kind in ("chain", "proportional", "uniform"):
+                with pytest.raises(DomainError, match="time must lie in"):
+                    compute_bound_curves(*args, times, (kind,))
+
+
+@functools.cache
+def _wide_run():
+    """(g, sol, sol_minus, model, x0, chi0, traj) of ``hop_random_graph(400,
+    0.012, 1)`` (399 non-sources) to 0.34 of the deadline."""
+    g = hop_random_graph(400, 0.012, 1)
+    params = ORACLE_PARAMS
+    sol = solve_shortest_paths(g)
+    model = build_model(
+        DisturbanceSpec(kind="sinusoid", amplitude=0.03), g, 1, horizon=params.deadline
+    )
+    sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
+    x0 = constant_initial(g, 12.0)
+    chi0 = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
+    traj = simulate(g, model, params, x0, 0.34 * params.deadline, sol=sol)
+    return g, sol, sol_minus, model, x0, chi0, traj
+
+
+@functools.cache
+def _bands_and_check_peak() -> tuple[int, int]:
+    """tracemalloc peak of ``compute_bound_curves`` with all four kinds plus
+    ``check_brackets`` on :func:`_wide_run`, and the bytes of one (times x
+    non-sources) float64 array."""
+    g, sol, sol_minus, model, x0, chi0, traj = _wide_run()
+    array = len(traj.times) * len(g.non_sources) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        curves = compute_bound_curves(
+            g, sol, sol_minus, model, x0, 3.0, chi0, ORACLE_PARAMS, traj.times, BOUND_KINDS
+        )
+        check_brackets(g, traj, curves)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert list(curves) == list(BOUND_KINDS)
+    return peak, array
