@@ -4,7 +4,8 @@ This module holds the pieces of the bands: the nominal envelope of each
 parent chain, the constant shifts of the proportional and uniform bands,
 the network-wide offset and the power-law envelope that the stop time
 inverts.  ``harness.compute_bound_curves`` is the one place that assembles
-them into the chain, proportional, uniform and envelope bands.
+them into the chain, proportional, uniform and envelope bands, and
+``harness.band_blocks`` reads those bands a block of rows at a time.
 
 Chains are source-first node sequences as produced by ``graph.parent_chain``;
 a chain of ell + 1 nodes has depth ell.  Every evaluator accepts a scalar
@@ -23,9 +24,6 @@ from .errors import DomainError, InfeasibleError
 from .graph import ShortestPathSolution
 
 ENVELOPE_BLOCK = 1 << 15  # values per block of time rows NominalEnvelopes evaluates
-# Rows a kept read may hold even past one block: at least harness.BLOCK, so
-# that bounds.csv evaluates each block of rows once for every kind.
-ENVELOPE_ROWS = 128
 
 
 def chain_initial_errors(
@@ -49,16 +47,16 @@ def nominal_envelopes(e0_chains: Sequence[Sequence[float]], params: PTGainParams
     denominator grows linearly, so the envelope vanishes at the deadline.
 
     Returns one read-only column per chain: shape ``np.shape(t) +
-    (len(e0_chains),)``.  This is one whole read of :class:`NominalEnvelopes`,
+    (len(e0_chains),)``.  This is every row of :class:`NominalEnvelopes`,
     the one evaluator.
     """
     env = NominalEnvelopes(e0_chains, params, t)
-    return env[...].reshape(np.shape(t) + (env.shape[1],))
+    return env.rows(0, env.shape[0]).reshape(np.shape(t) + (env.shape[1],))
 
 
 class NominalEnvelopes:
     """The (times x chains) table of :func:`nominal_envelopes`, evaluated
-    only where it is read.
+    only for the rows a reader asks for.
 
     Built once: L = ln f(t) at every time, so a time outside [0, deadline)
     raises DomainError here and not at a read; per hop count m, the m-th
@@ -66,76 +64,41 @@ class NominalEnvelopes:
     their largest magnitude and m!; and the permutation back to chain order.
     L, each power L^m and exp(-L) are shared by all chains, and each chain's
     terms are summed in the order m = 0, 1, ..., ell, so a cell has the same
-    bits whichever rows and chains are evaluated with it.  On deep chains
-    near the deadline L^m or the running factorial m! (inf past m = 170)
-    overflows; a term that is not finite is then evaluated in log space as
-    e0 * exp(m ln L - lgamma(m + 1) - L) and added after the exp(-L)
-    factor, so every envelope is finite and every cell without such a term
-    keeps the bits of the direct sum.
+    bits whichever rows are evaluated with it.  On deep chains near the
+    deadline L^m or the running factorial m! (inf past m = 170) overflows; a
+    term that is not finite is then evaluated in log space as
+    e0 * exp(m ln L - lgamma(m + 1) - L) and added after the exp(-L) factor,
+    so every envelope is finite and every cell without such a term keeps the
+    bits of the direct sum.
 
-    ``env[key]`` indexes the table like an array, but evaluates only the
-    time rows the key selects, and only one chain when the key's column is
-    an integer and the rows are not kept.  Rows are evaluated ``step`` rows
-    (about ``ENVELOPE_BLOCK`` values) at a time, and a shorter read
-    evaluates the ``step`` rows from its first row on.  A read of at most
-    ``step`` or ``ENVELOPE_ROWS`` rows is kept, read-only, and serves later
-    reads inside it until a read outside it; a longer read, such as a whole
-    band, is not kept.  Nothing else is stored per time row but L.  The table
-    cannot be written into: a read is a read-only array, or a copy where
-    numpy's indexing makes one.
+    The one read is :meth:`rows`.  Nothing is stored per time row but L, and
+    nothing is kept between reads: the caller decides which rows are
+    evaluated, and how often.
     """
 
     def __init__(self, e0_chains: Sequence[Sequence[float]], params: PTGainParams, t) -> None:
         self.lp = np.atleast_1d(np.asarray(log_integrating_factor(params, t), dtype=float))
-        self.e0s = list(e0_chains)
-        depths = np.array([len(e0) - 1 for e0 in self.e0s], dtype=int)
+        depths = np.array([len(e0) - 1 for e0 in e0_chains], dtype=int)
         order = np.argsort(-depths, kind="stable")  # deepest first
-        self.hops = _hops([self.e0s[c] for c in order])
+        self.hops = _hops([e0_chains[c] for c in order])
         self.back = np.argsort(order)
-        self.shape = (self.lp.size, len(self.e0s))
-        self.step = max(1, ENVELOPE_BLOCK // max(len(self.e0s), 1))
-        self._kept = (0, 0, np.empty((0, len(self.e0s))))  # first row, end row, block
+        self.shape = (self.lp.size, len(e0_chains))
+        self.step = max(1, ENVELOPE_BLOCK // max(len(e0_chains), 1))
 
-    def __getitem__(self, key) -> np.ndarray:
-        key = key if isinstance(key, tuple) else (key,)
-        dots = [k for k, part in enumerate(key) if part is Ellipsis]
-        if dots:
-            key = key[:dots[0]] + (slice(None),) * (3 - len(key)) + key[dots[0] + 1:]
-        if len(key) > 2:
-            raise IndexError(f"too many indices for a table of shape {self.shape}")
-        rows, cols = key + (slice(None),) * (2 - len(key))
-        picked = np.arange(self.shape[0])[rows]
-        lo = int(picked.min()) if picked.size else 0
-        hi = int(picked.max()) + 1 if picked.size else 0
-        # the key on rows lo..hi - 1 alone; a slice's rows are all of them
-        at = slice(None, None, rows.step) if isinstance(rows, slice) else picked - lo
-        first, end, kept = self._kept
-        if first <= lo and hi <= end:
-            return kept[lo - first:hi - first][at, cols]
-        if isinstance(cols, (int, np.integer)):
-            col = range(self.shape[1])[cols]
-            alone = _deepest_first_envelopes(_hops([self.e0s[col]]), 1, self.lp[lo:hi])[:, 0]
-            alone.setflags(write=False)
-            return alone[at]
-        return self._rows(lo, hi)[at, cols]
-
-    def _rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi - 1 of every chain, in chain order.  At least
-        ``step`` rows from ``lo`` on are evaluated, so that a reader walking
-        forward in shorter reads evaluates each block once."""
-        end = min(max(hi, lo + self.step), self.shape[0])
-        if end - lo <= self.step:
-            out = self._evaluate(lo, end)
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi - 1 of every chain, in chain order, as a read-only
+        (hi - lo, chains) array evaluated ``step`` rows (about
+        ``ENVELOPE_BLOCK`` values) at a time."""
+        if hi - lo <= self.step:
+            out = self._evaluate(lo, hi)
         else:
-            out = np.empty((end - lo, self.shape[1]))
-            for a in range(lo, end, self.step):
-                out[a - lo:a - lo + self.step] = self._evaluate(a, min(a + self.step, end))
+            out = np.empty((hi - lo, self.shape[1]))
+            for a in range(lo, hi, self.step):
+                out[a - lo:a - lo + self.step] = self._evaluate(a, min(a + self.step, hi))
         # setflags, not flags.writeable = False: numpy 2.4 leaks a few bytes
         # on each of those, and per block that pins freed heap in RSS
         out.setflags(write=False)
-        if end - lo <= max(self.step, ENVELOPE_ROWS):
-            self._kept = (lo, end, out)
-        return out[:hi - lo]
+        return out
 
     def _evaluate(self, lo: int, hi: int) -> np.ndarray:
         return _deepest_first_envelopes(self.hops, self.shape[1], self.lp[lo:hi])[:, self.back]

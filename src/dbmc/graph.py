@@ -37,7 +37,9 @@ ARGMIN_TOL = 1e-12
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    # setflags, not flags.writeable = False: numpy 2.4 leaks a few bytes on
+    # each of those
+    a.setflags(write=False)
     return a
 
 

@@ -12,10 +12,10 @@ Artifacts written per run (all files atomically, write-then-rename):
     summary.json      scalar diagnostics: gap, diameters, bounds, stop-time status
 
 Every CSV cell is ``%.17g``.  The CSV writers return the file as a list of
-chunks, one per block of ``BLOCK`` rows, each assembled with one
-``"".join``.  Each distinct float column is formatted once per file: within
-a block, columns are cached by their bytes, so a band several bound kinds
-share costs one formatting, and a constant column is one string.
+chunks of at most ``BLOCK`` rows, each assembled with one ``"".join``.
+Each distinct float column is formatted once per file: within a block,
+columns are cached by their bytes, so a band several bound kinds share
+costs one formatting, and a constant column is one string.
 ``write_atomic`` writes the chunks to a temporary file and renames it over
 the target, so no second copy of a whole file is built, and a failed write
 leaves any earlier file as it was.
@@ -237,17 +237,16 @@ class ShiftedBand(np.lib.mixins.NDArrayOperatorsMixin):
     """The read-only band ``env + shift``: a (times x nodes) envelope plus a
     constant per node, formed only where it is read.
 
-    ``env`` is anything indexed like a 2-D array, such as the shared
-    :class:`bounds.NominalEnvelopes`.  ``band[key]`` is ``env[key]`` plus
-    the shift of each column it selects, bit for bit the same cells of ``env
-    + shift``, so a caller reading a block of rows makes one block.  Numpy
-    functions and operators (``upper - err``, ``np.isnan(upper)``) see the
-    whole band through ``__array__``.  Several bands may share one ``env``.
+    ``env`` is the shared :class:`bounds.NominalEnvelopes`; several bands may
+    share one.  :func:`band_blocks` reads a band a block of rows at a time.
+    Numpy functions, operators (``upper - err``, ``np.isnan(upper)``) and
+    ``band[key]`` see the whole band through ``__array__``, which evaluates
+    every row of ``env`` again on each use.
     """
 
     def __init__(self, env, shift: np.ndarray) -> None:
         self.env = env
-        self.shift = np.broadcast_to(shift, env.shape)
+        self.shift = shift
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -258,18 +257,42 @@ class ShiftedBand(np.lib.mixins.NDArrayOperatorsMixin):
         return math.prod(self.env.shape)
 
     def __getitem__(self, key) -> np.ndarray:
-        return self.env[key] + self.shift[key]
+        return np.asarray(self)[key]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("a shifted band is formed on every read and cannot be a view")
-        return np.asarray(self[...], dtype=dtype)
+        return np.asarray(self.env.rows(0, self.shape[0]) + self.shift, dtype=dtype)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if any(isinstance(o, ShiftedBand) for o in kwargs.get("out", ())):
             return NotImplemented
         inputs = tuple(np.asarray(x) if isinstance(x, ShiftedBand) else x for x in inputs)
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def band_blocks(rows: int, width: int):
+    """Walk ``rows`` time rows of bands ``width`` nodes wide in blocks of
+    about ``CHECK_BLOCK`` values, yielding ``(span, read)`` per block.
+
+    ``span`` is the block's slice of rows, and ``read(band)`` is those rows
+    of ``band`` as an array.  Every :class:`ShiftedBand` over one envelope
+    shares one evaluation of the block, made at the first such read, so a
+    reader that reads no shifted band evaluates nothing.
+    """
+    step = max(1, CHECK_BLOCK // width)
+    for a in range(0, rows, step):
+        span = slice(a, min(a + step, rows))
+        envs: dict = {}
+
+        def read(band, span=span, envs=envs) -> np.ndarray:
+            if not isinstance(band, ShiftedBand):
+                return band[span]
+            if band.env not in envs:
+                envs[band.env] = band.env.rows(span.start, span.stop)
+            return envs[band.env] + band.shift
+
+        yield span, read
 
 
 def compute_bound_curves(
@@ -293,17 +316,15 @@ def compute_bound_curves(
     network-wide band +-(offset + power-law envelope at the largest depth),
     the band ``t_s`` inverts.  The chain, proportional and uniform upper
     bands are one nominal envelope per node plus a constant per node: each
-    is a :class:`ShiftedBand` over the same read-only
+    is a :class:`ShiftedBand` over the same stateless, read-only
     :class:`bounds.NominalEnvelopes`, which holds L = ln f(t) per time and
-    evaluates the envelope only at the rows a reader selects (only the
-    node's chain for one column), keeping the last block.  Readers that
-    loop blocks outside and kinds inside evaluate each block once for all
-    three bands, and no (times x nodes) array is made unless a whole band
-    is read.  A time outside [0, deadline) raises DomainError here, before
-    any read.  The curves constant in time or across nodes (every lower
-    band and the envelope kind's upper) are read-only ``np.broadcast_to``
-    views of one value, one row or one column.  No band can be written
-    into.
+    evaluates the envelope only for the rows it is asked for.  Read the
+    bands with :func:`band_blocks`, which evaluates each block of rows once
+    for all three; no (times x nodes) array is made unless a whole band is
+    read.  A time outside [0, deadline) raises DomainError here, before any
+    read.  The curves constant in time or across nodes (every lower band
+    and the envelope kind's upper) are read-only ``np.broadcast_to`` views
+    of one value, one row or one column.  No band can be written into.
     """
     ns = g.non_sources
     shape = (len(times), len(ns))
@@ -358,20 +379,19 @@ def check_brackets(
     """Every emitted curve must bracket the simulated errors pointwise.
 
     The comparisons are negated so that a NaN anywhere fails the check.
-    They run over blocks of about ``CHECK_BLOCK`` values, and each block of
+    They run over the blocks of :func:`band_blocks`, and each block of
     errors is gathered once for every kind, so the check makes no temporary
-    as large as a curve until one fails.  The error names the first failing
-    kind in ``curves`` order and its worst slacks over the whole run.
+    as large as a curve until one fails, and reads no band of a kind that
+    has failed.  The error names the first failing kind in ``curves`` order
+    and its worst slacks over the whole run.
     """
     cols = [i - 1 for i in g.non_sources]
-    step = max(1, CHECK_BLOCK // len(cols))
     failed: set[str] = set()
-    for a in range(0, len(traj.times), step):
-        rows = slice(a, a + step)
+    for rows, read in band_blocks(len(traj.times), len(cols)):
         err = traj.errors[rows, cols]
         for kind, (lower, upper) in curves.items():
             if kind not in failed and not (
-                np.all(err >= lower[rows] - tol) and np.all(err <= upper[rows] + tol)
+                np.all(err >= read(lower) - tol) and np.all(err <= read(upper) + tol)
             ):
                 failed.add(kind)
     for kind, (lower, upper) in curves.items():
@@ -453,20 +473,24 @@ def bounds_csv(
     times: np.ndarray,
     curves: dict[str, tuple],
 ) -> list[str]:
-    """The file is kind by kind, but it is built block by block of rows, so
-    that one cache of the block's strings serves every kind."""
+    """The file is kind by kind, but it is built block by block of rows:
+    each block of :func:`band_blocks` is read once for every kind, and
+    formatted ``BLOCK`` rows at a time, so that one cache of those rows'
+    strings serves every kind."""
     nodes = np.array([f",{i}," for i in g.non_sources], dtype=object)
     kinds = [kind for kind in BOUND_KINDS if kind in curves]
     chunks: dict[str, list[str]] = {kind: [] for kind in kinds}
-    for rows in _blocks(len(times)):
-        seen: dict[bytes, np.ndarray] = {}
-        stamps = _cells(times[rows, None], seen)
-        for kind in kinds:
-            lower, upper = curves[kind]
-            chunks[kind].append(_join([
-                stamps, nodes, _cells(lower[rows], seen), ",",
-                _cells(upper[rows], seen), f",{kind}\n",
-            ]))
+    for span, read in band_blocks(len(times), len(nodes)):
+        bands = {kind: tuple(map(read, curves[kind])) for kind in kinds}
+        for rows in _blocks(span.stop - span.start):
+            seen: dict[bytes, np.ndarray] = {}
+            stamps = _cells(times[span][rows, None], seen)
+            for kind in kinds:
+                lower, upper = bands[kind]
+                chunks[kind].append(_join([
+                    stamps, nodes, _cells(lower[rows], seen), ",",
+                    _cells(upper[rows], seen), f",{kind}\n",
+                ]))
     return ["t,node,lower,upper,kind\n"] + [c for kind in kinds for c in chunks[kind]]
 
 
@@ -479,7 +503,11 @@ def focus_csv(
 ) -> list[str]:
     col = g.non_sources.index(focus)
     lower, upper = curves[kind]
-    values = np.column_stack((traj.error_of(focus), lower[:, col], upper[:, col]))
+    err = traj.error_of(focus)
+    values = np.concatenate([
+        np.column_stack((err[rows], read(lower)[:, col], read(upper)[:, col]))
+        for rows, read in band_blocks(len(traj.times), len(g.non_sources))
+    ])
     return _series_csv("t,error,lower,upper\n", traj.times, values)
 
 

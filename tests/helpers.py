@@ -177,7 +177,7 @@ def bounds_csv_loop(g: WeightedDigraph, times: np.ndarray, curves: dict) -> str:
     for kind in ("chain", "proportional", "uniform", "envelope"):
         if kind not in curves:
             continue
-        lower, upper = curves[kind]
+        lower, upper = (np.asarray(band) for band in curves[kind])
         for k, t in enumerate(times):
             ts = _fmt(t)
             for col, i in enumerate(ns):
@@ -187,7 +187,7 @@ def bounds_csv_loop(g: WeightedDigraph, times: np.ndarray, curves: dict) -> str:
 
 def focus_csv_loop(g: WeightedDigraph, traj, curves: dict, focus: int, kind: str) -> str:
     col = g.non_sources.index(focus)
-    lower, upper = curves[kind]
+    lower, upper = (np.asarray(band) for band in curves[kind])
     buf = io.StringIO()
     buf.write("t,error,lower,upper\n")
     err = traj.error_of(focus)

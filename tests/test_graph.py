@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,23 @@ class TestEdgeArrays:
             with pytest.raises(ValueError):
                 a[0] = 1
         assert g == load_graph(LINE3)
+
+    def test_read_only_arrays_hold_no_memory_after_the_graph(self):
+        # Marking an array read-only must not leak: a sweep builds many graphs.
+        def build_and_read():
+            g = load_graph(LINE3)
+            return g.tails, g.heads, g.weights
+
+        build_and_read()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                build_and_read()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert grown < 500, grown
 
 
 def solves(g):

@@ -34,6 +34,7 @@ from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
     BLOCK,
     BOUND_KINDS,
+    band_blocks,
     bounds_csv,
     check_brackets,
     compute_bound_curves,
@@ -855,8 +856,9 @@ class TestBoundCurveMemory:
             assert isinstance(upper.env, NominalEnvelopes)
             assert upper.env is shifted[0].env
             assert upper.shape == upper.env.shape == (5, len(plan.g.non_sources))
-            for key in [np.s_[...], np.s_[1:3], np.s_[:, 0], np.s_[2]]:
-                assert not upper.env[key].flags.writeable, key
+            for lo, hi in [(0, 5), (1, 3), (2, 3), (4, 4)]:
+                assert upper.env.rows(lo, hi).shape == (hi - lo, len(plan.g.non_sources))
+                assert not upper.env.rows(lo, hi).flags.writeable, (lo, hi)
             with pytest.raises(TypeError):
                 upper[0, 0] = 0.0
             with pytest.raises(TypeError):
@@ -869,8 +871,11 @@ class TestBoundCurveMemory:
 
     def test_shifted_band_reads_the_cells_of_env_plus_shift(self):
         rng = np.random.default_rng(4)
-        env, shift = rng.normal(size=(6, 4)), rng.normal(size=4)
-        band, want = harness.ShiftedBand(env, shift), env + shift
+        e0s = [rng.normal(size=depth + 1) for depth in (0, 3, 1, 2)]
+        ts, shift = np.linspace(0.0, 4.0, 6), rng.normal(size=4)
+        env = NominalEnvelopes(e0s, ORACLE_PARAMS, ts)
+        band = harness.ShiftedBand(env, shift)
+        want = nominal_envelopes(e0s, ORACLE_PARAMS, ts) + shift
         assert band.shape == want.shape and band.size == want.size
         for key in [np.s_[2:5], np.s_[:, 1], np.s_[3, 2], np.s_[..., 0], np.s_[[0, 5]],
                     np.s_[[1, 2], [3, 0]], np.s_[:]]:
@@ -897,8 +902,8 @@ class TestBoundCurveMemory:
         peak, array = _bands_and_check_peak()
         assert peak < 0.4 * array, peak / array
 
-    @pytest.mark.parametrize("rows", [None, 7], ids=["default-block", "7-rows"])
-    def test_lazy_bands_read_the_cells_of_the_eager_envelope_plus_shift(
+    @pytest.mark.parametrize("rows", [1, 7, 128, None])
+    def test_band_blocks_read_the_cells_of_the_eager_envelope_plus_shift(
         self, monkeypatch, rows
     ):
         # Deep chains near the deadline, so log-space cells are read too.
@@ -915,80 +920,28 @@ class TestBoundCurveMemory:
         e0s = [chain_initial_errors(sol, x0, parent_chain(sol, i)) for i in g.non_sources]
         eager = nominal_envelopes(e0s, params, ts)
         if rows:
-            monkeypatch.setattr("dbmc.bounds.ENVELOPE_BLOCK", len(e0s) * rows)
-        kinds = ("chain", "proportional", "uniform")
+            monkeypatch.setattr("dbmc.harness.CHECK_BLOCK", len(e0s) * rows)
         curves = compute_bound_curves(
-            g, sol, sol_minus, model, x0, 3.0, chi0, params, ts, kinds
+            g, sol, sol_minus, model, x0, 3.0, chi0, params, ts, BOUND_KINDS
         )
-        uppers = [curves[kind][1] for kind in kinds]
-        wants = [eager + np.asarray(upper.shift) for upper in uppers]
-        assert np.all(np.isfinite(eager)) and len(ts) > uppers[0].env.step
-        keys = [
-            0, 150, -1, np.int64(7),
-            np.s_[40:41], np.s_[160:167], np.s_[100:228], np.s_[0:128], np.s_[174:302],
-            np.s_[-128:], np.s_[::-3], np.s_[250:80:-7], np.s_[5:5],
-            np.s_[3:10, 5], np.s_[:, 198], np.s_[:, -1], np.s_[-1, -1], np.s_[301, 0],
-            np.s_[20:27, 190:], np.s_[20:27, [3, 0, 3]], np.s_[7, :],
-            np.s_[...], np.s_[..., 0], np.s_[299:, ...], np.s_[:],
-            [0, 5, 301], [301, 0, 0], np.s_[[1, 2], [3, 0]], [[1, 2], [3, 0]],
-            np.arange(len(ts)) % 3 == 0,
-        ]
-        block = np.s_[160:167]
-        for key in keys + [block, block, np.s_[0:128], block, np.s_[161:163], block]:
-            for upper, want in zip(uppers, wants):
-                got = upper[key]
-                assert np.shape(got) == np.shape(want[key]), key
-                assert np.array_equal(np.asarray(got).view(np.uint64),
-                                      np.asarray(want[key]).view(np.uint64)), key
-        for upper, want in zip(uppers, wants):
-            assert np.array_equal(np.asarray(upper).view(np.uint64), want.view(np.uint64))
-            assert np.array_equal(np.asarray(upper - eager), want - eager)
-
-    def test_each_block_is_evaluated_once_for_every_band(self, monkeypatch):
-        # A read evaluates the block of rows from its first row on, and the
-        # envelope keeps it: three bands reading the same rows, or rows
-        # inside the block, evaluate them once; a read elsewhere replaces the
-        # block, one column evaluates that chain alone, and a read longer
-        # than a block is evaluated a block at a time and not kept.
-        sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
-        plan = plan_scenario(sc, t_end="0.9Ts")
-        times = np.linspace(0.0, plan.t_stop, 600)
-        width = len(plan.g.non_sources)
-        monkeypatch.setattr("dbmc.bounds.ENVELOPE_BLOCK", 200 * width)
-        curves = compute_bound_curves(
-            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
-            sc.params, times, BOUND_KINDS,
-        )
-        uppers = [curves[kind][1] for kind in ("chain", "proportional", "uniform")]
-        widths = []
-        evaluate = bounds._deepest_first_envelopes
-
-        def counted(hops, width, lp):
-            widths.append((width, lp.size))
-            return evaluate(hops, width, lp)
-
-        monkeypatch.setattr(bounds, "_deepest_first_envelopes", counted)
-        reads = [np.s_[0:128], np.s_[0:128], np.s_[5:9, 2], np.s_[128:256], np.s_[0:128],
-                 np.s_[100:120]]
-        evaluated = [(width, 200), None, None, (width, 200), (width, 200), None]
-        for key, want in zip(reads, evaluated):
-            for upper in uppers:
-                upper[key]
-            assert widths == ([want] if want else []), key
-            widths.clear()
-        uppers[0][:, 4]
-        assert widths == [(1, 600)]
-        widths.clear()
-        np.asarray(uppers[1])
-        assert widths == [(width, 200)] * 3
-        widths.clear()
-        uppers[2][300:400]
-        assert widths == [(width, 200)]
+        assert np.all(np.isfinite(eager)) and len(ts) > curves["chain"][1].env.step
+        wants = {kind: tuple(map(np.asarray, bands)) for kind, bands in curves.items()}
+        for kind in ("chain", "proportional", "uniform"):
+            upper = curves[kind][1]
+            _assert_same_bits(wants[kind][1], eager + upper.shift)
+            _assert_same_bits(upper - eager, wants[kind][1] - eager)
+        step, spans = harness.CHECK_BLOCK // len(e0s), []
+        for span, read in band_blocks(len(ts), len(e0s)):
+            spans.append((span.start, span.stop))
+            for kind, bands in curves.items():
+                for band, want in zip(bands, wants[kind]):
+                    _assert_same_bits(read(band), want[span])
+        assert spans == [(a, min(a + step, len(ts))) for a in range(0, len(ts), step)]
 
     def test_each_reader_evaluates_each_row_once(self, monkeypatch):
         # On 399 non-sources one envelope block is 82 rows, fewer than a
-        # block of CSV rows; check_brackets and bounds_csv still evaluate
-        # every time row once for all three bands, and focus_csv one chain.
+        # block of CSV rows; every reader still evaluates every time row
+        # once for all three bands.
         g, sol, sol_minus, model, x0, chi0, traj = _wide_run()
         traj = Trajectory(traj.p, traj.times[:300], traj.errors[:300])
         curves = compute_bound_curves(
@@ -1004,13 +957,12 @@ class TestBoundCurveMemory:
 
         monkeypatch.setattr(bounds, "_deepest_first_envelopes", counted)
         for read in (lambda: check_brackets(g, traj, curves),
-                     lambda: bounds_csv(g, traj.times, curves)):
+                     lambda: bounds_csv(g, traj.times, curves),
+                     lambda: focus_csv(g, traj, curves, g.non_sources[-1], "uniform")):
             read()
             assert {w for w, _ in widths} == {len(g.non_sources)}
             assert sum(n for _, n in widths) == len(traj.times)
             widths.clear()
-        focus_csv(g, traj, curves, g.non_sources[-1], "uniform")
-        assert widths == [(1, len(traj.times))]
 
     def test_times_past_the_deadline_raise_before_any_read(self):
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
