@@ -2,8 +2,9 @@
 """Tabulate the guaranteed stop time of the 13-node benchmark against q.
 
 The free exponent q trades the geometric prefactor against the decay power;
-the table shows the resulting stop time with the 3% disturbance inputs and
-marks the grid minimum next to the refined optimum.
+the table shows the resulting stop time with the inputs of
+scenarios/case_study_3pct.ini and marks the grid minimum next to the
+refined optimum.
 """
 
 import pathlib
@@ -13,27 +14,19 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from dbmc import (  # noqa: E402
-    DisturbanceSpec,
-    PTGainParams,
-    build_model,
-    early_termination_time,
-    minus_graph,
-    optimal_q,
-    solve_shortest_paths,
-    standin13,
-)
+from dbmc import early_termination_time, load_scenario, optimal_q  # noqa: E402
+from dbmc.harness import plan_scenario  # noqa: E402
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def main() -> int:
-    params = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
-    g = standin13()
-    sol = solve_shortest_paths(g)
-    model = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.03), g, 0, 5.0)
-    sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
+    sc = load_scenario(str(ROOT / "scenarios" / "case_study_3pct.ini"))
+    plan = plan_scenario(sc)
+    params, sol, model = sc.params, plan.sol, plan.model
     args = (
         sol.path_gap, model.u_minus, model.u_plus,
-        sol.effective_diameter, sol_minus.effective_diameter, 12.0,
+        sol.effective_diameter, plan.sol_minus.effective_diameter, plan.chi0,
     )
 
     print(f"{'q':>6}  {'stop time':>10}")

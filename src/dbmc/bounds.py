@@ -6,6 +6,8 @@ the network-wide offset and the power-law envelope that the stop time
 inverts.  ``harness.compute_bound_curves`` is the one place that assembles
 them into the chain, proportional, uniform and envelope bands, and
 ``harness.band_blocks`` reads those bands a block of rows at a time.
+:class:`NominalEnvelopes` evaluates exactly the rows it is asked for, in
+one pass; splitting rows into blocks is left to ``band_blocks``.
 
 Chains are source-first node sequences as produced by ``graph.parent_chain``;
 a chain of ell + 1 nodes has depth ell.  Every evaluator accepts a scalar
@@ -22,8 +24,6 @@ import numpy as np
 from .dynamics import PTGainParams, log_integrating_factor
 from .errors import DomainError, InfeasibleError
 from .graph import ShortestPathSolution
-
-ENVELOPE_BLOCK = 1 << 15  # values per block of time rows NominalEnvelopes evaluates
 
 
 def chain_initial_errors(
@@ -48,7 +48,7 @@ def nominal_envelopes(e0_chains: Sequence[Sequence[float]], params: PTGainParams
 
     Returns one read-only column per chain: shape ``np.shape(t) +
     (len(e0_chains),)``.  This is every row of :class:`NominalEnvelopes`,
-    the one evaluator.
+    the one evaluator, evaluated in one pass.
     """
     env = NominalEnvelopes(e0_chains, params, t)
     return env.rows(0, env.shape[0]).reshape(np.shape(t) + (env.shape[1],))
@@ -73,7 +73,7 @@ class NominalEnvelopes:
 
     The one read is :meth:`rows`.  Nothing is stored per time row but L, and
     nothing is kept between reads: the caller decides which rows are
-    evaluated, and how often.
+    evaluated, how many at a time, and how often.
     """
 
     def __init__(self, e0_chains: Sequence[Sequence[float]], params: PTGainParams, t) -> None:
@@ -83,25 +83,15 @@ class NominalEnvelopes:
         self.hops = _hops([e0_chains[c] for c in order])
         self.back = np.argsort(order)
         self.shape = (self.lp.size, len(e0_chains))
-        self.step = max(1, ENVELOPE_BLOCK // max(len(e0_chains), 1))
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi - 1 of every chain, in chain order, as a read-only
-        (hi - lo, chains) array evaluated ``step`` rows (about
-        ``ENVELOPE_BLOCK`` values) at a time."""
-        if hi - lo <= self.step:
-            out = self._evaluate(lo, hi)
-        else:
-            out = np.empty((hi - lo, self.shape[1]))
-            for a in range(lo, hi, self.step):
-                out[a - lo:a - lo + self.step] = self._evaluate(a, min(a + self.step, hi))
+        """Rows lo..hi - 1 of every chain, in chain order, as one read-only
+        (hi - lo, chains) array; the caller sizes the read."""
+        out = _deepest_first_envelopes(self.hops, self.shape[1], self.lp[lo:hi])[:, self.back]
         # setflags, not flags.writeable = False: numpy 2.4 leaks a few bytes
         # on each of those, and per block that pins freed heap in RSS
         out.setflags(write=False)
         return out
-
-    def _evaluate(self, lo: int, hi: int) -> np.ndarray:
-        return _deepest_first_envelopes(self.hops, self.shape[1], self.lp[lo:hi])[:, self.back]
 
 
 def _hops(chains: list) -> list[tuple[np.ndarray, float, float]]:

@@ -233,28 +233,22 @@ def plan_scenario(
     )
 
 
-class ShiftedBand(np.lib.mixins.NDArrayOperatorsMixin):
+class ShiftedBand:
     """The read-only band ``env + shift``: a (times x nodes) envelope plus a
     constant per node, formed only where it is read.
 
     ``env`` is the shared :class:`bounds.NominalEnvelopes`; several bands may
     share one.  :func:`band_blocks` reads a band a block of rows at a time.
-    Numpy functions, operators (``upper - err``, ``np.isnan(upper)``) and
-    ``band[key]`` see the whole band through ``__array__``, which evaluates
-    every row of ``env`` again on each use.
+    ``np.asarray(band)``, ``band[key]`` and numpy functions and operators
+    with an array (``upper - err``, ``np.isnan(upper)``) see the whole band
+    through ``__array__``, which fills one (times x nodes) array through
+    :func:`band_blocks`, evaluating every row of ``env`` again on each use.
     """
 
     def __init__(self, env, shift: np.ndarray) -> None:
         self.env = env
         self.shift = shift
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.env.shape
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.env.shape)
+        self.shape = env.shape
 
     def __getitem__(self, key) -> np.ndarray:
         return np.asarray(self)[key]
@@ -262,13 +256,10 @@ class ShiftedBand(np.lib.mixins.NDArrayOperatorsMixin):
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("a shifted band is formed on every read and cannot be a view")
-        return np.asarray(self.env.rows(0, self.shape[0]) + self.shift, dtype=dtype)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if any(isinstance(o, ShiftedBand) for o in kwargs.get("out", ())):
-            return NotImplemented
-        inputs = tuple(np.asarray(x) if isinstance(x, ShiftedBand) else x for x in inputs)
-        return getattr(ufunc, method)(*inputs, **kwargs)
+        out = np.empty(self.shape)
+        for span, read in band_blocks(*self.shape):
+            out[span] = read(self)
+        return np.asarray(out, dtype=dtype)
 
 
 def band_blocks(rows: int, width: int):
@@ -321,10 +312,11 @@ def compute_bound_curves(
     evaluates the envelope only for the rows it is asked for.  Read the
     bands with :func:`band_blocks`, which evaluates each block of rows once
     for all three; no (times x nodes) array is made unless a whole band is
-    read.  A time outside [0, deadline) raises DomainError here, before any
-    read.  The curves constant in time or across nodes (every lower band
-    and the envelope kind's upper) are read-only ``np.broadcast_to`` views
-    of one value, one row or one column.  No band can be written into.
+    read, and a whole read is filled block by block the same way.  A time
+    outside [0, deadline) raises DomainError here, before any read.  The
+    curves constant in time or across nodes (every lower band and the
+    envelope kind's upper) are read-only ``np.broadcast_to`` views of one
+    value, one row or one column.  No band can be written into.
     """
     ns = g.non_sources
     shape = (len(times), len(ns))
@@ -374,7 +366,6 @@ def check_brackets(
     g: WeightedDigraph,
     traj: Trajectory,
     curves: dict[str, tuple],
-    tol: float = BRACKET_TOL,
 ) -> None:
     """Every emitted curve must bracket the simulated errors pointwise.
 
@@ -391,7 +382,8 @@ def check_brackets(
         err = traj.errors[rows, cols]
         for kind, (lower, upper) in curves.items():
             if kind not in failed and not (
-                np.all(err >= read(lower) - tol) and np.all(err <= read(upper) + tol)
+                np.all(err >= read(lower) - BRACKET_TOL)
+                and np.all(err <= read(upper) + BRACKET_TOL)
             ):
                 failed.add(kind)
     for kind, (lower, upper) in curves.items():

@@ -3,7 +3,8 @@
 The brute-force solver enumerates every simple path with plain DFS, so it
 shares no code with the production Dijkstra path and serves as its oracle.
 The ``*_csv_loop`` writers format every value on its own, one ``%.17g`` call
-per cell, and serve as the oracle for the CSV writers in ``dbmc.harness``.
+per cell, and serve as the oracle for the CSV writers in ``dbmc.harness``;
+``assert_same_text`` compares a writer's text with theirs.
 ``build_model_per_kind`` is the earlier disturbance builder, one branch per
 kind, and serves as the oracle for ``dbmc.disturbance.build_model``.
 ``simulate_scatter`` (a scatter-min right-hand side over every edge) and
@@ -196,6 +197,23 @@ def focus_csv_loop(g: WeightedDigraph, traj, curves: dict, focus: int, kind: str
             f"{_fmt(t)},{_fmt(err[k])},{_fmt(lower[k, col])},{_fmt(upper[k, col])}\n"
         )
     return buf.getvalue()
+
+
+def assert_same_text(got: str, want: str, what="text") -> None:
+    """Assert ``got == want`` and name the first difference cheaply.
+
+    Line counts are compared first, then the first differing line is
+    reported with its index, and only then the whole strings, so a mismatch
+    in a multi-megabyte file fails at once and not through a full diff.
+    """
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    if len(got_lines) != len(want_lines):
+        raise AssertionError(f"{what}: {len(got_lines)} lines, want {len(want_lines)}")
+    for k, (a, b) in enumerate(zip(got_lines, want_lines)):
+        if a != b:
+            raise AssertionError(f"{what}: line {k} is {a!r}, want {b!r}")
+    if got != want:
+        raise AssertionError(f"{what}: texts differ with equal lines")
 
 
 @dataclass

@@ -10,7 +10,13 @@ from dbmc.cli import main
 from dbmc.dynamics import simulate
 from dbmc.harness import compute_bound_curves, plan_scenario
 
-from helpers import bounds_csv_loop, errors_csv_loop, focus_csv_loop, trajectory_csv_loop
+from helpers import (
+    assert_same_text,
+    bounds_csv_loop,
+    errors_csv_loop,
+    focus_csv_loop,
+    trajectory_csv_loop,
+)
 
 TS_FLAGS = [
     "ts", "--zeta", "1", "--u-minus", "0.03", "--u-plus", "0.03",
@@ -416,5 +422,5 @@ def test_written_csv_files_equal_the_per_value_loops(tmp_path, capsys):
         out = tmp_path / verb
         assert sorted(p.name for p in out.glob("*.csv")) == sorted(files), verb
         for name, text in files.items():
-            assert (out / name).read_bytes() == text.encode("utf-8"), (verb, name)
+            assert_same_text((out / name).read_bytes().decode("utf-8"), text, (verb, name))
         assert not list(out.glob("*.tmp")), verb

@@ -48,6 +48,7 @@ from dbmc.scenario import parse_t_end_rule
 from dbmc.termination import DIAG_TIE_TOL, current_parents
 
 from helpers import (
+    assert_same_text,
     bound_curves_per_node,
     bounds_csv_loop,
     constant_initial,
@@ -385,13 +386,17 @@ def _zero_disturbance_scenario() -> str:
 
 
 def _assert_writers_match_loops(g, traj, curves, focus):
-    assert "".join(trajectory_csv(traj)) == trajectory_csv_loop(traj)
-    assert "".join(errors_csv(traj)) == errors_csv_loop(traj)
-    assert "".join(bounds_csv(g, traj.times, curves)) == bounds_csv_loop(g, traj.times, curves)
+    assert_same_text("".join(trajectory_csv(traj)), trajectory_csv_loop(traj))
+    assert_same_text("".join(errors_csv(traj)), errors_csv_loop(traj))
+    assert_same_text(
+        "".join(bounds_csv(g, traj.times, curves)), bounds_csv_loop(g, traj.times, curves)
+    )
     for kind in curves:
-        assert "".join(focus_csv(g, traj, curves, focus, kind)) == focus_csv_loop(
-            g, traj, curves, focus, kind
-        ), kind
+        assert_same_text(
+            "".join(focus_csv(g, traj, curves, focus, kind)),
+            focus_csv_loop(g, traj, curves, focus, kind),
+            kind,
+        )
 
 
 class TestWritersMatchPerValueLoops:
@@ -812,8 +817,9 @@ class TestFastPathsMatchOracles:
         curves = compute_bound_curves(
             g, sol, sol_minus, model, x0, 3.0, chi0, params, traj.times, BOUND_KINDS
         )
-        for lower, upper in curves.values():
-            assert not np.isnan(lower).any() and not np.isnan(upper).any()
+        for _, read in band_blocks(len(traj.times), len(g.non_sources)):
+            for lower, upper in curves.values():
+                assert not np.isnan(read(lower)).any() and not np.isnan(read(upper)).any()
         check_brackets(g, traj, curves)
         assert not any(tmp_path.iterdir())
 
@@ -876,7 +882,7 @@ class TestBoundCurveMemory:
         env = NominalEnvelopes(e0s, ORACLE_PARAMS, ts)
         band = harness.ShiftedBand(env, shift)
         want = nominal_envelopes(e0s, ORACLE_PARAMS, ts) + shift
-        assert band.shape == want.shape and band.size == want.size
+        assert band.shape == want.shape
         for key in [np.s_[2:5], np.s_[:, 1], np.s_[3, 2], np.s_[..., 0], np.s_[[0, 5]],
                     np.s_[[1, 2], [3, 0]], np.s_[:]]:
             got = band[key]
@@ -902,6 +908,24 @@ class TestBoundCurveMemory:
         peak, array = _bands_and_check_peak()
         assert peak < 0.4 * array, peak / array
 
+    def test_a_whole_read_of_a_band_peaks_below_one_and_a_third_arrays(self):
+        # np.asarray fills one (times x nodes) array through band_blocks, so
+        # beside it the read holds one block of the envelope at most.
+        g, sol, sol_minus, model, x0, chi0, traj = _wide_run()
+        ((_, upper),) = compute_bound_curves(
+            g, sol, sol_minus, model, x0, 3.0, chi0, ORACLE_PARAMS, traj.times, ("uniform",)
+        ).values()
+        array = len(traj.times) * len(g.non_sources) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            whole = np.asarray(upper)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert whole.shape == upper.shape and whole.nbytes == array
+        assert peak < 1.3 * array, peak / array
+
     @pytest.mark.parametrize("rows", [1, 7, 128, None])
     def test_band_blocks_read_the_cells_of_the_eager_envelope_plus_shift(
         self, monkeypatch, rows
@@ -924,7 +948,7 @@ class TestBoundCurveMemory:
         curves = compute_bound_curves(
             g, sol, sol_minus, model, x0, 3.0, chi0, params, ts, BOUND_KINDS
         )
-        assert np.all(np.isfinite(eager)) and len(ts) > curves["chain"][1].env.step
+        assert np.all(np.isfinite(eager)) and len(ts) > harness.CHECK_BLOCK // len(e0s)
         wants = {kind: tuple(map(np.asarray, bands)) for kind, bands in curves.items()}
         for kind in ("chain", "proportional", "uniform"):
             upper = curves[kind][1]
@@ -947,7 +971,7 @@ class TestBoundCurveMemory:
         curves = compute_bound_curves(
             g, sol, sol_minus, model, x0, 3.0, chi0, ORACLE_PARAMS, traj.times, BOUND_KINDS
         )
-        assert curves["chain"][1].env.step < BLOCK
+        assert harness.CHECK_BLOCK // len(g.non_sources) < BLOCK
         widths = []
         evaluate = bounds._deepest_first_envelopes
 
