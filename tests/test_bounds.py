@@ -26,7 +26,7 @@ from dbmc import (
     solve_shortest_paths,
     worst_case_offset,
 )
-from dbmc.bounds import nominal_envelopes, proportional_offsets
+from dbmc.bounds import NominalEnvelopes, nominal_envelopes, proportional_offsets
 from dbmc.harness import compute_bound_curves
 
 from helpers import constant_initial, random_weighted_graph
@@ -120,6 +120,28 @@ class TestNominalEnvelope:
         assert np.all(np.isfinite(got))
         assert np.array_equal(got.view(np.uint64), columns.view(np.uint64))
         assert np.array_equal(at_scalar.view(np.uint64), columns[-1].view(np.uint64))
+
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["1-row", "7-rows", "one-block"])
+    def test_blocks_of_time_rows_keep_every_bit(self, rows):
+        """A reader may fill the table a block of time rows at a time; a cell
+        depends only on its own time, so every block size gives the same
+        bits, in the log-space cells of a deep chain near the deadline too."""
+        g = line_graph(200)
+        sol = solve_shortest_paths(g)
+        x0 = constant_initial(g, 220.0)
+        e0s = [chain_initial_errors(sol, x0, parent_chain(sol, i)) for i in g.non_sources]
+        ts = np.concatenate((np.linspace(0.0, 4.9, 40), [4.95, 4.99]))
+        columns = np.column_stack([nominal_envelopes([e0], PARAMS, ts)[:, 0] for e0 in e0s])
+        env = NominalEnvelopes(e0s, PARAMS, ts)
+        step = rows or len(ts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.vstack(
+                [env.rows(lo, min(lo + step, len(ts))) for lo in range(0, len(ts), step)]
+            )
+        assert got.shape == (len(ts), len(e0s))
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got.view(np.uint64), columns.view(np.uint64))
 
     def test_overflowing_chain_leaves_its_neighbours_bits(self):
         """Only cells with a non-finite term are redone in log space: a chain
