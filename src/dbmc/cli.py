@@ -12,6 +12,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .harness import (
     trajectory_csv,
     write_atomic,
 )
-from .scenario import load_scenario
+from .scenario import Scenario, load_scenario, parse_t_end_rule
 
 log = logging.getLogger("dbmc")
 
@@ -139,9 +140,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _scenario(args) -> Scenario:
+    """The scenario file with the values of ``--seed``, ``--q`` and
+    ``--t-end`` written in, before any check runs on them."""
     sc = load_scenario(args.scenario)
-    plan = plan_scenario(sc, seed=args.seed, q=args.q, t_end=args.t_end)
+    t_end_rule = None if args.t_end is None else parse_t_end_rule(args.t_end)
+    flags = {"seed": args.seed, "q": args.q, "t_end_rule": t_end_rule}
+    return replace(sc, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _cmd_simulate(args) -> int:
+    sc = _scenario(args)
+    plan = plan_scenario(sc)
     traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
     out = make_out_dir(args.out, sc)
     write_atomic(out / "trajectory.csv", trajectory_csv(traj))
@@ -153,12 +163,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.points < 2:
         raise SpecError(f"--points must be at least 2, got {args.points}")
-    sc = load_scenario(args.scenario)
-    plan = plan_scenario(sc, seed=args.seed, q=args.q, t_end=args.t_end)
+    sc = _scenario(args)
+    plan = plan_scenario(sc)
     times = np.linspace(0.0, plan.t_stop, args.points)
     kinds = plan.auto_kinds
     curves = compute_bound_curves(
-        plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+        plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
         sc.params, times, kinds,
     )
     out = make_out_dir(args.out, sc)
@@ -188,8 +198,7 @@ def _cmd_ts(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    sc = load_scenario(args.scenario)
-    result = run_scenario(sc, args.out, seed=args.seed, q=args.q, t_end=args.t_end)
+    result = run_scenario(_scenario(args), args.out)
     s = result.summary
     ts_txt = "n/a" if s["t_s_guaranteed"] is None else f"{s['t_s_guaranteed']:.6g}"
     print(
@@ -203,7 +212,12 @@ def _cmd_run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a bad command line, but 2 is the exit code of
+        # a failed identification; --help exits 0
+        return 1 if exc.code else 0
     handlers = {
         "solve": _cmd_solve,
         "gen": _cmd_gen,

@@ -56,7 +56,7 @@ from .graph import (
     parent_chain,
     solve_shortest_paths,
 )
-from .scenario import BOUND_KINDS, Scenario, parse_t_end_rule
+from .scenario import BOUND_KINDS, Scenario
 from .termination import TerminationReport, build_report
 
 log = logging.getLogger("dbmc")
@@ -137,15 +137,13 @@ def resolve_chi0(
 
 @dataclass
 class Plan:
-    """A scenario resolved up to its stop time, with the overrides applied."""
+    """A scenario resolved up to its stop time."""
 
     g: WeightedDigraph
     sol: ShortestPathSolution
     sol_minus: ShortestPathSolution
     model: DisturbanceModel
     x0: np.ndarray
-    seed: int
-    q: float
     chi0: float
     ts_status: str  # ok | not_applicable | infeasible
     ts_value: float | None
@@ -155,31 +153,23 @@ class Plan:
     kinds: tuple[str, ...]  # the kinds [run] bounds selects
 
 
-def plan_scenario(
-    sc: Scenario,
-    *,
-    seed: int | None = None,
-    q: float | None = None,
-    t_end: str | None = None,
-) -> Plan:
+def plan_scenario(sc: Scenario) -> Plan:
     """Graph, solutions, model, x0, chi0, guaranteed stop time, t_end and kinds.
 
-    ``seed``, ``q`` and ``t_end`` override the corresponding scenario fields
-    (``t_end`` accepts the same syntax as the scenario key).  Raises
-    SpecError when q is not finite and above 1 or when ``t_end = auto`` but no
-    guaranteed stop time exists or when ``[run] bounds`` lists a kind the
-    disturbance does not support, and PreconditionError when x0 fails
+    Every setting comes from ``sc``: to plan another seed, q or stop time,
+    pass ``dataclasses.replace(sc, ...)``.  Raises SpecError when q is not
+    finite and above 1 or when ``t_end = auto`` but no guaranteed stop time
+    exists or when ``[run] bounds`` lists a kind the disturbance does not
+    support, and PreconditionError when x0 fails
     :func:`dynamics.check_initial_state` or the stop time fails
     :func:`dynamics.check_t_end`, so every verb enforces the preconditions
     ``simulate`` does.
     """
-    q_eff = sc.q if q is None else q
-    if not 1.0 < q_eff < math.inf:
-        raise SpecError(f"q must be finite and exceed 1, got {q_eff!r}")
+    if not 1.0 < sc.q < math.inf:
+        raise SpecError(f"q must be finite and exceed 1, got {sc.q!r}")
     g = resolve_graph(sc.graph_spec)
     sol = solve_shortest_paths(g)
-    seed_eff = sc.seed if seed is None else seed
-    model = build_model(sc.disturbance, g, seed_eff, horizon=sc.params.deadline)
+    model = build_model(sc.disturbance, g, sc.seed, horizon=sc.params.deadline)
     x0 = initial_state_vector(g, sc)
 
     sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
@@ -195,13 +185,13 @@ def plan_scenario(
             ts_value = early_termination_time(
                 sol.path_gap, model.u_minus, model.u_plus,
                 sol.effective_diameter, sol_minus.effective_diameter,
-                chi0, q_eff, sc.params,
+                chi0, sc.q, sc.params,
             )
         except InfeasibleError as exc:
             ts_status = "infeasible"
             ts_detail = str(exc)
 
-    rule = parse_t_end_rule(t_end) if t_end is not None else sc.t_end_rule
+    rule = sc.t_end_rule
     if rule[0] == "explicit":
         t_stop = rule[1]
     elif rule[0] == "fraction":
@@ -228,7 +218,7 @@ def plan_scenario(
         )
 
     return Plan(
-        g, sol, sol_minus, model, x0, seed_eff, q_eff, chi0,
+        g, sol, sol_minus, model, x0, chi0,
         ts_status, ts_value, ts_detail, t_stop, auto_kinds, kinds,
     )
 
@@ -515,20 +505,14 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def run_scenario(
-    sc: Scenario,
-    out_dir: str | os.PathLike | None = None,
-    *,
-    seed: int | None = None,
-    q: float | None = None,
-    t_end: str | None = None,
-) -> RunResult:
+def run_scenario(sc: Scenario, out_dir: str | os.PathLike | None = None) -> RunResult:
     """Execute one scenario end to end; see the module docstring for artifacts.
 
-    ``seed``, ``q`` and ``t_end`` override the corresponding scenario fields
-    (``t_end`` accepts the same syntax as the scenario key).
+    Every setting comes from ``sc``, resolved by :func:`plan_scenario`;
+    ``out_dir`` (else ``[run] out``, else ``out``) is created only once
+    every check has passed.
     """
-    plan = plan_scenario(sc, seed=seed, q=q, t_end=t_end)
+    plan = plan_scenario(sc)
     g, sol, model, x0, t_stop = plan.g, plan.sol, plan.model, plan.x0, plan.t_stop
     focus = sc.focus_node
     if focus is None:
@@ -539,7 +523,7 @@ def run_scenario(
 
     kinds = plan.kinds
     curves = compute_bound_curves(
-        g, sol, plan.sol_minus, model, x0, plan.q, plan.chi0, sc.params, traj.times, kinds
+        g, sol, plan.sol_minus, model, x0, sc.q, plan.chi0, sc.params, traj.times, kinds
     )
     check_brackets(g, traj, curves)
 
@@ -559,8 +543,8 @@ def run_scenario(
         "u_minus": model.u_minus,
         "u_plus": model.u_plus,
         "chi0": plan.chi0,
-        "q": plan.q,
-        "seed": plan.seed,
+        "q": sc.q,
+        "seed": sc.seed,
         "termination_status": plan.ts_status,
         "termination_detail": plan.ts_detail,
         "t_s_guaranteed": plan.ts_value,

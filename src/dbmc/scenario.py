@@ -3,13 +3,19 @@
 Sections and keys (see README for the full reference):
 
     [graph]        kind = file|line|hop-random|grid|standin13, plus kind args
-    [disturbance]  kind, amplitude, omega, phase, knot_spacing,
-                   alpha_lower, alpha_upper, carrier,
-                   uniform_lower, uniform_upper, seed
-    [gain]         gamma, h, deadline
+    [disturbance]  the fields of DisturbanceSpec, plus seed
+    [gain]         the fields of PTGainParams: gamma, h, deadline
     [initial]      value = <constant for non-sources>  or  states = x1 x2 ...
     [run]          t_end = auto | <seconds> | <fraction>Ts, q, chi0,
                    bounds = auto|none|<kind list>, focus_node, out
+
+Each key is read once.  A ``[disturbance]`` or ``[gain]`` key takes the
+default declared on its dataclass field; the other defaults are declared
+where ``parse_scenario`` reads them.  A key or a section that nothing reads
+is refused, so a misspelled key or a section named with the wrong case
+raises SpecError instead of being skipped.  Section names are case-sensitive
+and key names are not.  ``[DEFAULT]`` is refused, because configparser would
+copy its keys into every section.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 from .disturbance import DisturbanceSpec
 from .dynamics import PTGainParams
@@ -35,39 +41,11 @@ class Scenario:
     initial_value: float | None
     initial_states: tuple[float, ...] | None
     t_end_rule: tuple
-    q: float = 3.0
-    chi0: float | None = None
-    bound_kinds: tuple[str, ...] = ("auto",)
-    focus_node: int | None = None
-    out_dir: str | None = None
-
-
-def _get(cp, section, key, fallback=None):
-    return cp.get(section, key, fallback=fallback)
-
-
-def _get_float(cp, section, key, fallback=None, required=False):
-    raw = _get(cp, section, key)
-    if raw is None:
-        if required:
-            raise SpecError(f"[{section}] {key}: required")
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise SpecError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-
-def _get_int(cp, section, key, fallback=None, required=False):
-    raw = _get(cp, section, key)
-    if raw is None:
-        if required:
-            raise SpecError(f"[{section}] {key}: required")
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
+    q: float
+    chi0: float | None
+    bound_kinds: tuple[str, ...]
+    focus_node: int | None
+    out_dir: str | None
 
 
 def parse_t_end_rule(raw: str) -> tuple:
@@ -92,66 +70,94 @@ def parse_t_end_rule(raw: str) -> tuple:
     return ("explicit", value)
 
 
-def _graph_spec(cp, base_dir: str) -> dict:
-    kind = _get(cp, "graph", "kind")
-    if kind is None:
-        raise SpecError("[graph] kind: required")
+def _fields(read, section: str, cls) -> dict:
+    """Every field of the dataclass ``cls`` read from ``section`` with the
+    field's own default; a field whose default is text is read as text, any
+    other as a number."""
+    return {
+        f.name: read(section, f.name, str if isinstance(f.default, str) else float, f.default)
+        for f in fields(cls)
+    }
+
+
+def _graph_spec(read, base_dir: str) -> dict:
+    kind = read("graph", "kind")
     spec: dict = {"kind": kind}
     if kind == "file":
-        path = _get(cp, "graph", "path")
-        if path is None:
-            raise SpecError("[graph] path: required for kind = file")
+        path = read("graph", "path")
         spec["path"] = os.path.join(base_dir, path) if not os.path.isabs(path) else path
     elif kind == "line":
-        spec["n"] = _get_int(cp, "graph", "n", required=True)
+        spec["n"] = read("graph", "n", int)
     elif kind == "hop-random":
-        spec["n"] = _get_int(cp, "graph", "n", required=True)
-        spec["extra_edge_prob"] = _get_float(cp, "graph", "extra_edge_prob", 0.2)
-        spec["seed"] = _get_int(cp, "graph", "seed", 0)
+        spec["n"] = read("graph", "n", int)
+        spec["extra_edge_prob"] = read("graph", "extra_edge_prob", float, 0.2)
+        spec["seed"] = read("graph", "seed", int, 0)
     elif kind == "grid":
-        spec["rows"] = _get_int(cp, "graph", "rows", required=True)
-        spec["cols"] = _get_int(cp, "graph", "cols", required=True)
-    elif kind == "standin13":
-        pass
-    else:
+        spec["rows"] = read("graph", "rows", int)
+        spec["cols"] = read("graph", "cols", int)
+    elif kind != "standin13":
         raise SpecError(f"[graph] kind: unknown kind {kind!r}")
     return spec
 
 
 def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """The scenario ``text`` holds; a relative graph path resolves from
+    ``base_dir``.
+
+    Every key is read and converted before any value is checked, so a key
+    that nothing reads is refused before it can cause another error; only
+    an unknown graph kind, whose keys are unknown too, is refused first.
+    Raises ParseError on malformed text and SpecError on a missing,
+    malformed or unknown key or section.
+    """
+    # no interpolation: a "%" in a value is that character, not a reference
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ParseError(f"scenario: {exc}") from None
+    if cp.defaults():
+        raise SpecError("[DEFAULT]: unknown section")
+    for section in cp.sections():
+        if section not in ("graph", "disturbance", "gain", "initial", "run"):
+            raise SpecError(f"[{section}]: unknown section")
     for section in ("graph", "gain"):
         if not cp.has_section(section):
             raise SpecError(f"scenario is missing the [{section}] section")
+    seen: set[tuple[str, str]] = set()
 
-    graph_spec = _graph_spec(cp, base_dir)
+    def read(section: str, key: str, convert=str, default=MISSING):
+        """The value of ``key`` converted, else ``default``; MISSING means required."""
+        seen.add((section, key))
+        raw = cp.get(section, key, fallback=None)
+        if raw is None:
+            if default is MISSING:
+                raise SpecError(f"[{section}] {key}: required")
+            return default
+        try:
+            return convert(raw)
+        except ValueError:
+            expected = "a number" if convert is float else "an integer"
+            raise SpecError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
-    dist = DisturbanceSpec(
-        kind=_get(cp, "disturbance", "kind", "zero"),
-        amplitude=_get_float(cp, "disturbance", "amplitude", 0.0),
-        omega=_get_float(cp, "disturbance", "omega", DisturbanceSpec.omega),
-        phase=_get_float(cp, "disturbance", "phase", None),
-        knot_spacing=_get_float(cp, "disturbance", "knot_spacing", None),
-        alpha_lower=_get_float(cp, "disturbance", "alpha_lower", 0.0),
-        alpha_upper=_get_float(cp, "disturbance", "alpha_upper", 0.0),
-        carrier=_get(cp, "disturbance", "carrier", "sinusoid"),
-        uniform_lower=_get_float(cp, "disturbance", "uniform_lower", None),
-        uniform_upper=_get_float(cp, "disturbance", "uniform_upper", None),
-    )
-    seed = _get_int(cp, "disturbance", "seed", 0)
+    graph_spec = _graph_spec(read, base_dir)
+    dist = DisturbanceSpec(**_fields(read, "disturbance", DisturbanceSpec))
+    seed = read("disturbance", "seed", int, 0)
+    gain = _fields(read, "gain", PTGainParams)
+    initial_value = read("initial", "value", float, None)
+    raw_states = read("initial", "states", default=None)
+    raw_t_end = read("run", "t_end", default="auto")
+    bounds_raw = read("run", "bounds", default="auto").split()
+    q = read("run", "q", float, 3.0)
+    chi0 = read("run", "chi0", float, None)
+    focus_node = read("run", "focus_node", int, None)
+    out_dir = read("run", "out", default=None)
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in seen:
+                raise SpecError(f"[{section}] {key}: unknown key")
 
-    params = PTGainParams(
-        gamma=_get_float(cp, "gain", "gamma", required=True),
-        h=_get_float(cp, "gain", "h", required=True),
-        deadline=_get_float(cp, "gain", "deadline", required=True),
-    )
-
-    initial_value = _get_float(cp, "initial", "value", None)
-    raw_states = _get(cp, "initial", "states", None)
+    params = PTGainParams(**gain)
     initial_states: tuple[float, ...] | None = None
     if raw_states is not None:
         try:
@@ -161,31 +167,17 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     if (initial_value is None) == (initial_states is None):
         raise SpecError("[initial] set exactly one of 'value' or 'states'")
 
-    t_end_rule = parse_t_end_rule(_get(cp, "run", "t_end", "auto"))
-    bounds_raw = _get(cp, "run", "bounds", "auto").split()
-    if bounds_raw in (["auto"], ["none"]):
-        bound_kinds = tuple(bounds_raw)
-    else:
+    t_end_rule = parse_t_end_rule(raw_t_end)
+    if bounds_raw not in (["auto"], ["none"]):
         for name in bounds_raw:
             if name not in BOUND_KINDS:
                 raise SpecError(f"[run] bounds: unknown kind {name!r}")
             if bounds_raw.count(name) > 1:
                 raise SpecError(f"[run] bounds: kind {name!r} is listed twice")
-        bound_kinds = tuple(bounds_raw)
 
     return Scenario(
-        graph_spec=graph_spec,
-        disturbance=dist,
-        seed=seed,
-        params=params,
-        initial_value=initial_value,
-        initial_states=initial_states,
-        t_end_rule=t_end_rule,
-        q=_get_float(cp, "run", "q", 3.0),
-        chi0=_get_float(cp, "run", "chi0", None),
-        bound_kinds=bound_kinds,
-        focus_node=_get_int(cp, "run", "focus_node", None),
-        out_dir=_get(cp, "run", "out", None),
+        graph_spec, dist, seed, params, initial_value, initial_states, t_end_rule,
+        q, chi0, tuple(bounds_raw), focus_node, out_dir,
     )
 
 

@@ -117,6 +117,99 @@ def test_run_verb_t_end_override(tmp_path, capsys):
     assert code == 2  # stopping immediately misidentifies interior nodes
 
 
+def test_seed_flag_changes_the_disturbance(tmp_path, capsys):
+    for seed in ("1", "2"):
+        flags = ["run", "--scenario", "scenarios/case_study_3pct.ini", "--t-end", "0.3Ts",
+                 "--seed", seed, "--out", str(tmp_path / seed)]
+        assert main(flags) == 0
+    capsys.readouterr()
+    assert (tmp_path / "1" / "trajectory.csv").read_bytes() != (
+        tmp_path / "2" / "trajectory.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["run", "simulate", "bounds"])
+def test_override_flags_equal_the_values_written_into_the_file(tmp_path, capsys, verb):
+    """--seed, --q and --t-end write the same bytes as a copy of the
+    scenario file that holds those three values."""
+    text = Path("scenarios/case_study_3pct.ini").read_text()
+    for old, new in (("seed = 1", "seed = 4"), ("q = 3", "q = 2.5"),
+                     ("t_end = auto", "t_end = 0.3Ts")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(text)
+    flagged = ["--scenario", "scenarios/case_study_3pct.ini",
+               "--seed", "4", "--q", "2.5", "--t-end", "0.3Ts"]
+    assert main([verb, *flagged, "--out", str(tmp_path / "flags")]) == 0
+    assert main([verb, "--scenario", str(scenario), "--out", str(tmp_path / "file")]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "flags").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "file").iterdir())
+    assert names
+    for name in names:
+        got = (tmp_path / "flags" / name).read_bytes()
+        assert got == (tmp_path / "file" / name).read_bytes(), name
+    if verb == "run":
+        summary = json.loads((tmp_path / "flags" / "summary.json").read_text())
+        assert (summary["seed"], summary["q"], summary["t_end"]) == (4, 2.5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "scenarios/case_study_3pct.ini", "--seed", "abc"],
+        ["frobnicate"],
+        ["ts", "--zeta", "1"],
+    ],
+    ids=["bad-seed", "unknown-verb", "missing-ts-flags"],
+)
+def test_a_bad_command_line_exits_one(capsys, argv):
+    # 2 is kept for a run whose identification failed
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "usage: dbmc" in captured.err
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: dbmc" in capsys.readouterr().out
+
+
+# Each typo names its section and key; every one of them was skipped
+# without a message before the reader refused unread keys and sections.
+TYPOS = [
+    ("amplitude = 0.4", "amplitud = 0.4", "[disturbance] amplitud: unknown key"),
+    ("[disturbance]", "[Disturbance]", "[Disturbance]: unknown section"),
+    ("[graph]", "[DEFAULT]\nseed = 2\n[graph]", "[DEFAULT]: unknown section"),
+    ("kind = standin13", "kind = standin13\nn = 13", "[graph] n: unknown key"),
+    ("h = 12", "h = 12\nhh = 12", "[gain] hh: unknown key"),
+    ("value = 12", "value = 12\nstate = 12", "[initial] state: unknown key"),
+    ("bounds = auto", "bounds = auto\nbound = uniform", "[run] bound: unknown key"),
+    ("focus_node = 8", "focus_nod = 3", "[run] focus_nod: unknown key"),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new, message", TYPOS,
+    ids=["amplitud", "Disturbance", "DEFAULT", "n-under-standin13", "hh", "state", "bound",
+         "focus_nod"],
+)
+@pytest.mark.parametrize("verb", ["run", "simulate", "bounds"])
+def test_unknown_keys_and_sections_exit_one(tmp_path, capsys, verb, old, new, message):
+    text = Path("scenarios/case_study_40pct.ini").read_text()
+    assert text.count(old) == 1
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(text.replace(old, new))
+    out_dir = tmp_path / "out"
+    assert main([verb, "--scenario", str(scenario), "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_simulate_verb(tmp_path, capsys):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(SCENARIO.replace("t_end = auto", "t_end = 0.2Ts"))
@@ -402,7 +495,7 @@ def test_written_csv_files_equal_the_per_value_loops(tmp_path, capsys):
 
     def curves_at(times, kinds):
         return compute_bound_curves(
-            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
             sc.params, times, kinds,
         )
 

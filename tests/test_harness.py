@@ -1,7 +1,9 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +213,64 @@ class TestScenarioParsing:
         with pytest.raises(SpecError, match="'uniform' is listed twice"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("n = 5", "n = 5\nrows = 3", "[graph] rows: unknown key"),
+            ("amplitude = 0.03", "amplitud = 0.03", "[disturbance] amplitud: unknown key"),
+            ("deadline = 5", "deadline = 5\ndeadlin = 4", "[gain] deadlin: unknown key"),
+            ("value = 12", "value = 12\nvalues = 12", "[initial] values: unknown key"),
+            ("q = 3", "q = 3\nt_ends = auto", "[run] t_ends: unknown key"),
+            ("[run]", "[Run]", "[Run]: unknown section"),
+            ("[run]", "[plot]\ncolor = red\n[run]", "[plot]: unknown section"),
+            ("[graph]", "[DEFAULT]\nseed = 3\n[graph]", "[DEFAULT]: unknown section"),
+            ("gamma = 2", "gama = 2", "[gain] gamma: required"),
+            ("n = 5", "n = 5.5", "[graph] n: expected an integer, got '5.5'"),
+            ("q = 3", "q = three", "[run] q: expected a number, got 'three'"),
+        ],
+        ids=["graph", "disturbance", "gain", "initial", "run", "Run", "plot", "DEFAULT",
+             "required", "integer", "number"],
+    )
+    def test_every_key_and_section_is_read_or_refused(self, old, new, message):
+        assert BASE_SCENARIO.count(old) == 1
+        with pytest.raises(SpecError) as exc:
+            parse_scenario(BASE_SCENARIO.replace(old, new))
+        assert str(exc.value) == message
+
+    def test_an_unknown_key_is_refused_before_the_values_are_checked(self):
+        text = BASE_SCENARIO.replace("value = 12", "valu = 12")
+        with pytest.raises(SpecError, match=r"^\[initial\] valu: unknown key$"):
+            parse_scenario(text)
+
+    def test_a_percent_sign_is_an_ordinary_character(self):
+        sc = parse_scenario(BASE_SCENARIO + "out = runs/100%\n")
+        assert sc.out_dir == "runs/100%"
+
+    def test_key_names_are_case_insensitive(self):
+        text = BASE_SCENARIO.replace("amplitude = 0.03", "Amplitude = 0.04")
+        assert parse_scenario(text).disturbance.amplitude == 0.04
+
+    def test_every_key_takes_the_default_of_its_field(self):
+        sc = parse_scenario(BASE_SCENARIO.replace("amplitude = 0.03", ""))
+        assert sc.disturbance == DisturbanceSpec(kind="sinusoid")
+        sc = parse_scenario(
+            "[graph]\nkind = standin13\n[gain]\ngamma = 2\nh = 12\ndeadline = 5\n"
+            "[initial]\nvalue = 12\n"
+        )
+        assert (sc.disturbance, sc.seed) == (DisturbanceSpec(), 0)
+        assert (sc.t_end_rule, sc.q, sc.chi0, sc.bound_kinds, sc.focus_node, sc.out_dir) == (
+            ("auto",), 3.0, None, ("auto",), None, None
+        )
+
+    def test_readme_example_parses_as_written(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        sc = parse_scenario(blocks[0])
+        assert sc.graph_spec == {"kind": "standin13"}
+        assert (sc.disturbance.kind, sc.disturbance.amplitude, sc.seed) == ("sinusoid", 0.03, 1)
+        assert (sc.q, sc.chi0, sc.focus_node) == (3.0, 12.0, 8)
+
     def test_file_graph_path_resolves_relative(self, tmp_path):
         graph = tmp_path / "net.txt"
         graph.write_text("nodes 2\nsources 1\n2 1 1.0\n")
@@ -257,20 +317,12 @@ class TestRunScenario:
                 tmp_path / "b" / name
             ).read_bytes(), name
 
-    def test_seed_override_changes_disturbance(self, tmp_path):
-        sc = parse_scenario(BASE_SCENARIO)
-        run_scenario(sc, tmp_path / "a", seed=1)
-        run_scenario(sc, tmp_path / "b", seed=2)
-        assert (tmp_path / "a" / "trajectory.csv").read_bytes() != (
-            tmp_path / "b" / "trajectory.csv"
-        ).read_bytes()
-
     @pytest.mark.parametrize("bounds, kept", [("none", []), ("chain", ["bounds.csv"])])
     def test_rerun_removes_band_files_it_does_not_write(self, tmp_path, bounds, kept):
         run_scenario(parse_scenario(BASE_SCENARIO), tmp_path)
         assert (tmp_path / "bounds.csv").exists() and (tmp_path / "focus.csv").exists()
         text = BASE_SCENARIO.replace("bounds = auto", f"bounds = {bounds}")
-        result = run_scenario(parse_scenario(text), tmp_path, seed=5)
+        result = run_scenario(replace(parse_scenario(text), seed=5), tmp_path)
         assert result.summary["bound_kinds"] == ([] if bounds == "none" else [bounds])
         assert [n for n in ("bounds.csv", "focus.csv") if (tmp_path / n).exists()] == kept
         if kept:
@@ -412,7 +464,7 @@ class TestWritersMatchPerValueLoops:
         plan = plan_scenario(sc)
         traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
         curves = compute_bound_curves(
-            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
             sc.params, traj.times, plan.kinds,
         )
         assert len(curves) == 4
@@ -764,7 +816,7 @@ class TestFastPathsMatchOracles:
         sc = load_scenario(Path("scenarios") / f"{scenario}.ini")
         plan = plan_scenario(sc)
         _assert_matches_oracles(
-            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
             sc.params, plan.t_stop, plan.auto_kinds,
         )
 
@@ -825,10 +877,11 @@ class TestFastPathsMatchOracles:
 
     def test_constant_lower_bands_are_read_only(self):
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
-        plan = plan_scenario(sc, t_end="0.1Ts")
+        sc = replace(sc, t_end_rule=parse_t_end_rule("0.1Ts"))
+        plan = plan_scenario(sc)
         times = np.linspace(0.0, plan.t_stop, 5)
         curves = compute_bound_curves(
-            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
             sc.params, times, BOUND_KINDS,
         )
         assert list(curves) == list(BOUND_KINDS)
@@ -850,9 +903,10 @@ class TestBoundCurveMemory:
         # envelope plus a constant per node; each still has the bits of the
         # kind computed on its own.
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
-        plan = plan_scenario(sc, t_end="0.1Ts")
+        sc = replace(sc, t_end_rule=parse_t_end_rule("0.1Ts"))
+        plan = plan_scenario(sc)
         times = np.linspace(0.0, plan.t_stop, 5)
-        args = (plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+        args = (plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
                 sc.params, times)
         curves = compute_bound_curves(*args, kinds)
         shifted = [curves[k][1] for k in ("chain", "proportional", "uniform") if k in kinds]
@@ -990,8 +1044,9 @@ class TestBoundCurveMemory:
 
     def test_times_past_the_deadline_raise_before_any_read(self):
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
-        plan = plan_scenario(sc, t_end="0.5Ts")
-        args = (plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, plan.q, plan.chi0,
+        sc = replace(sc, t_end_rule=parse_t_end_rule("0.5Ts"))
+        plan = plan_scenario(sc)
+        args = (plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
                 sc.params)
         for times in (np.linspace(0.0, sc.params.deadline, 5), np.array([0.0, 6.0])):
             for kind in ("chain", "proportional", "uniform"):
