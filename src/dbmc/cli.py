@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import early_termination_time, optimal_q
 from .dynamics import PTGainParams, simulate
 from .errors import DbmcError, InfeasibleError, SpecError
-from .generate import generate_graph
+from .generate import EXTRA_EDGE_PROB, GRAPH_SEED, generate_graph
 from .graph import dump_graph, load_graph, solve_shortest_paths
 from .harness import (
     bounds_csv,
@@ -67,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a benchmark graph")
     p.add_argument("kind", choices=["line", "hop-random", "grid", "standin13"])
     p.add_argument("--n", type=int, default=13)
-    p.add_argument("--extra-edge-prob", type=float, default=0.2)
+    p.add_argument("--extra-edge-prob", type=float, default=EXTRA_EDGE_PROB)
     p.add_argument("--rows", type=int, default=3)
     p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=GRAPH_SEED)
     p.add_argument("--out", default=None, help="write here instead of stdout")
 
     p = sub.add_parser("simulate", help="integrate a scenario; write trajectory CSVs")

@@ -95,7 +95,8 @@ class DisturbanceModel:
         lo, hi = self.proportional_fractions
         if lo == hi:
             return c
-        return np.where(c >= 0.0, hi, lo) * c
+        # a two-entry table read: the bits of np.where(c >= 0.0, hi, lo) * c, faster
+        return np.array((lo, hi)).take(c >= 0.0) * c
 
     def take(self, order: Sequence[int] | np.ndarray) -> DisturbanceModel:
         """The model restricted to the edges ``order`` indexes, in that order.

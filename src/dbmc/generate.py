@@ -13,6 +13,10 @@ import numpy as np
 from .errors import SpecError
 from .graph import WeightedDigraph
 
+# hop-random defaults, for the scenario reader, `dbmc gen` and generate_graph
+EXTRA_EDGE_PROB = 0.2
+GRAPH_SEED = 0
+
 
 def line_graph(n: int) -> WeightedDigraph:
     """Chain n -> n-1 -> ... -> 1 with unit weights."""
@@ -91,8 +95,8 @@ def generate_graph(spec: Mapping) -> WeightedDigraph:
         if kind == "hop-random":
             return hop_random_graph(
                 int(spec["n"]),
-                float(spec.get("extra_edge_prob", 0.2)),
-                int(spec.get("seed", 0)),
+                float(spec.get("extra_edge_prob", EXTRA_EDGE_PROB)),
+                int(spec.get("seed", GRAPH_SEED)),
             )
         if kind == "grid":
             return grid_graph(int(spec["rows"]), int(spec["cols"]))

@@ -5,11 +5,21 @@ Artifacts written per run (all files atomically, write-then-rename):
     graph.txt         edge list actually used
     trajectory.csv    t,x_1,...,x_n at every stored step (17 significant digits)
     errors.csv        t,e_1,...,e_n (same rows; per-node error curves)
-    bounds.csv        t,node,lower,upper,kind for every enabled bound kind
+    bands.csv         t,env_<i>...,envelope: the nominal envelope of each
+                      non-source and the envelope kind's band, per stored step
+    bands.json        per enabled bound kind, each node's upper shift and
+                      constant lower (null is -inf); the envelope kind is
+                      +-the envelope column
     focus.csv         t,error,lower,upper for the focus node (single-node overlay)
     termination.json  stop-time report: t_s, overall, per-node parents/verdict/path
     path.json         traced route of the focus node plus the full edge list
     summary.json      scalar diagnostics: gap, diameters, bounds, stop-time status
+
+``bands.csv`` and ``bands.json`` hold every band of the run in a few
+columns: a chain, proportional or uniform upper is ``env_<i> + shift`` (one
+float add) and its lower a constant.  ``scripts/expand_bands.py`` rebuilds
+from them, byte for byte, the run's ``bounds.csv``: every band at every
+stored step, in the format ``dbmc bounds`` writes with :func:`bounds_csv`.
 
 Every CSV cell is ``%.17g``.  The CSV writers return the file as a list of
 chunks of at most ``BLOCK`` rows, each assembled with one ``"".join``.
@@ -257,9 +267,11 @@ def band_blocks(rows: int, width: int):
     about ``CHECK_BLOCK`` values, yielding ``(span, read)`` per block.
 
     ``span`` is the block's slice of rows, and ``read(band)`` is those rows
-    of ``band`` as an array.  Every :class:`ShiftedBand` over one envelope
-    shares one evaluation of the block, made at the first such read, so a
-    reader that reads no shifted band evaluates nothing.
+    of ``band`` as an array.  ``band`` may also be a
+    :class:`bounds.NominalEnvelopes`, read as its own rows.  Every read of
+    one envelope, and of every :class:`ShiftedBand` over it, shares one
+    evaluation of the block, made at the first such read, so a reader that
+    reads no envelope evaluates nothing.
     """
     step = max(1, CHECK_BLOCK // width)
     for a in range(0, rows, step):
@@ -267,11 +279,12 @@ def band_blocks(rows: int, width: int):
         envs: dict = {}
 
         def read(band, span=span, envs=envs) -> np.ndarray:
-            if not isinstance(band, ShiftedBand):
+            env = band.env if isinstance(band, ShiftedBand) else band
+            if not isinstance(env, NominalEnvelopes):
                 return band[span]
-            if band.env not in envs:
-                envs[band.env] = band.env.rows(span.start, span.stop)
-            return envs[band.env] + band.shift
+            if env not in envs:
+                envs[env] = env.rows(span.start, span.stop)
+            return envs[env] if env is band else envs[env] + band.shift
 
         yield span, read
 
@@ -476,6 +489,57 @@ def bounds_csv(
     return ["t,node,lower,upper,kind\n"] + [c for kind in kinds for c in chunks[kind]]
 
 
+def bands_csv(
+    g: WeightedDigraph,
+    times: np.ndarray,
+    curves: dict[str, tuple],
+) -> list[str]:
+    """``t``, then ``env_<i>`` per non-source i when a chain, proportional or
+    uniform kind is enabled, then ``envelope`` when that kind is, one row
+    per time.
+
+    ``env_<i>`` is node i's nominal envelope, read from the shared
+    :class:`bounds.NominalEnvelopes` itself: adding a zero shift would print
+    a -0.0 as 0.  ``envelope`` is the envelope kind's band.  The rows are
+    read and formatted block by block of :func:`band_blocks`, so no
+    (times x nodes) array is made.  The shifted bands of ``curves`` share
+    one envelope, as those of :func:`compute_bound_curves` do.
+    """
+    env = next((u.env for _, u in curves.values() if isinstance(u, ShiftedBand)), None)
+    names = [f"env_{i}" for i in g.non_sources] if env is not None else []
+    if "envelope" in curves:
+        names.append("envelope")
+    chunks = [",".join(["t"] + names) + "\n"]
+    for span, read in band_blocks(len(times), len(names)):
+        cols = [read(env)] if env is not None else []
+        if "envelope" in curves:
+            cols.append(read(curves["envelope"][1])[:, :1])
+        chunks += _series_csv("", times[span], np.hstack(cols))[1:]
+    return chunks
+
+
+def bands_json(g: WeightedDigraph, curves: dict[str, tuple]) -> str:
+    """The constants that complete :func:`bands_csv` into ``curves``, as
+    strict JSON.
+
+    ``nodes`` lists the non-sources.  A chain, proportional or uniform kind
+    is ``{"lower": [...], "upper_shift": [...]}``, one value per node: its
+    upper is ``env_<i> + upper_shift`` and its lower is constant in time.
+    The chain kind's lower is -inf, written ``null``.  The envelope kind is
+    ``{"lower": "-envelope", "upper": "envelope"}``.
+    """
+    doc: dict = {"nodes": list(g.non_sources)}
+    for kind, (lower, upper) in curves.items():
+        if kind == "envelope":
+            doc[kind] = {"lower": "-envelope", "upper": "envelope"}
+        else:
+            doc[kind] = {
+                "lower": None if kind == "chain" else lower[0].tolist(),
+                "upper_shift": upper.shift.tolist(),
+            }
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def focus_csv(
     g: WeightedDigraph,
     traj: Trajectory,
@@ -559,10 +623,13 @@ def run_scenario(sc: Scenario, out_dir: str | os.PathLike | None = None) -> RunR
     write_atomic(out / "trajectory.csv", trajectory_csv(traj))
     write_atomic(out / "errors.csv", errors_csv(traj))
     # a band file this run does not write is removed, so none is left stale
+    (out / "bounds.csv").unlink(missing_ok=True)
     if curves:
-        write_atomic(out / "bounds.csv", bounds_csv(g, traj.times, curves))
+        write_atomic(out / "bands.csv", bands_csv(g, traj.times, curves))
+        write_atomic(out / "bands.json", bands_json(g, curves))
     else:
-        (out / "bounds.csv").unlink(missing_ok=True)
+        (out / "bands.csv").unlink(missing_ok=True)
+        (out / "bands.json").unlink(missing_ok=True)
     if focus_kind is not None:
         write_atomic(out / "focus.csv", focus_csv(g, traj, curves, focus, focus_kind))
     else:

@@ -10,12 +10,13 @@ Sections and keys (see README for the full reference):
                    bounds = auto|none|<kind list>, focus_node, out
 
 Each key is read once.  A ``[disturbance]`` or ``[gain]`` key takes the
-default declared on its dataclass field; the other defaults are declared
-where ``parse_scenario`` reads them.  A key or a section that nothing reads
-is refused, so a misspelled key or a section named with the wrong case
-raises SpecError instead of being skipped.  Section names are case-sensitive
-and key names are not.  ``[DEFAULT]`` is refused, because configparser would
-copy its keys into every section.
+default declared on its dataclass field, and a hop-random ``[graph]`` key
+the default ``generate`` declares, which ``dbmc gen`` shares; the other
+defaults are declared where ``parse_scenario`` reads them.  A key or a
+section that nothing reads is refused, so a misspelled key or a section
+named with the wrong case raises SpecError instead of being skipped.
+Section names are case-sensitive and key names are not.  ``[DEFAULT]`` is
+refused, because configparser would copy its keys into every section.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import MISSING, dataclass, fields
 from .disturbance import DisturbanceSpec
 from .dynamics import PTGainParams
 from .errors import ParseError, SpecError
+from .generate import EXTRA_EDGE_PROB, GRAPH_SEED
 
 BOUND_KINDS = ("chain", "proportional", "uniform", "envelope")
 
@@ -90,8 +92,8 @@ def _graph_spec(read, base_dir: str) -> dict:
         spec["n"] = read("graph", "n", int)
     elif kind == "hop-random":
         spec["n"] = read("graph", "n", int)
-        spec["extra_edge_prob"] = read("graph", "extra_edge_prob", float, 0.2)
-        spec["seed"] = read("graph", "seed", int, 0)
+        spec["extra_edge_prob"] = read("graph", "extra_edge_prob", float, EXTRA_EDGE_PROB)
+        spec["seed"] = read("graph", "seed", int, GRAPH_SEED)
     elif kind == "grid":
         spec["rows"] = read("graph", "rows", int)
         spec["cols"] = read("graph", "cols", int)

@@ -5,6 +5,8 @@ shares no code with the production Dijkstra path and serves as its oracle.
 The ``*_csv_loop`` writers format every value on its own, one ``%.17g`` call
 per cell, and serve as the oracle for the CSV writers in ``dbmc.harness``;
 ``assert_same_text`` compares a writer's text with theirs.
+``expand_bands`` loads ``scripts/expand_bands.py``, which rebuilds a run's
+``bounds.csv`` from its ``bands.csv`` and ``bands.json``.
 ``build_model_per_kind`` is the earlier disturbance builder, one branch per
 kind, and serves as the oracle for ``dbmc.disturbance.build_model``.
 ``simulate_scatter`` (a scatter-min right-hand side over every edge) and
@@ -19,9 +21,11 @@ overflows.  ``current_parents_loop`` (a Python loop per node over
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -184,6 +188,36 @@ def bounds_csv_loop(g: WeightedDigraph, times: np.ndarray, curves: dict) -> str:
             for col, i in enumerate(ns):
                 buf.write(f"{ts},{i},{_fmt(lower[k, col])},{_fmt(upper[k, col])},{kind}\n")
     return buf.getvalue()
+
+
+def bands_csv_loop(g: WeightedDigraph, times: np.ndarray, curves: dict) -> str:
+    shifted = [upper for kind, (_, upper) in curves.items() if kind != "envelope"]
+    names = ["t"]
+    if shifted:
+        env = shifted[0].env.rows(0, len(times))
+        names += [f"env_{i}" for i in g.non_sources]
+    if "envelope" in curves:
+        band = np.asarray(curves["envelope"][1])[:, 0]
+        names.append("envelope")
+    buf = io.StringIO()
+    buf.write(",".join(names) + "\n")
+    for k, t in enumerate(times):
+        cells = [_fmt(t)]
+        if shifted:
+            cells += [_fmt(v) for v in env[k]]
+        if "envelope" in curves:
+            cells.append(_fmt(band[k]))
+        buf.write(",".join(cells) + "\n")
+    return buf.getvalue()
+
+
+def expand_bands():
+    """The module ``scripts/expand_bands.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "expand_bands.py"
+    spec = importlib.util.spec_from_file_location("expand_bands", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def focus_csv_loop(g: WeightedDigraph, traj, curves: dict, focus: int, kind: str) -> str:

@@ -5,14 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dbmc import load_scenario
+from dbmc import dump_graph, load_scenario, parse_scenario
 from dbmc.cli import main
 from dbmc.dynamics import simulate
-from dbmc.harness import compute_bound_curves, plan_scenario
+from dbmc.harness import compute_bound_curves, plan_scenario, resolve_graph
 
 from helpers import (
     assert_same_text,
+    bands_csv_loop,
     bounds_csv_loop,
+    expand_bands,
     errors_csv_loop,
     focus_csv_loop,
     trajectory_csv_loop,
@@ -302,7 +304,7 @@ def test_run_on_a_line_deeper_than_170_hops_exits_zero(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", "--scenario", str(scenario), "--out", str(out_dir)]) == 0
     assert "overall=True" in capsys.readouterr().out
-    assert (out_dir / "bounds.csv").exists()
+    assert (out_dir / "bands.csv").exists() and (out_dir / "bands.json").exists()
 
 
 def test_error_paths_exit_one(tmp_path, capsys):
@@ -448,6 +450,13 @@ def test_ts_refuses_an_infinite_q(capsys):
     assert "t_s" not in captured.out
 
 
+def test_gen_and_a_scenario_share_the_hop_random_defaults(capsys):
+    assert main(["gen", "hop-random", "--n", "9"]) == 0
+    text = capsys.readouterr().out
+    sc = parse_scenario(SCENARIO.replace("kind = standin13", "kind = hop-random\nn = 9"))
+    assert dump_graph(resolve_graph(sc.graph_spec)) == text
+
+
 def test_gen_refuses_a_negative_seed(tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
     assert main(["gen", "hop-random", "--seed", "-2", "--out", str(graph_file)]) == 1
@@ -483,7 +492,8 @@ def test_q_whose_power_law_envelope_overflows_exits_one(tmp_path, capsys, verb):
 
 def test_written_csv_files_equal_the_per_value_loops(tmp_path, capsys):
     """Every CSV that run, simulate and bounds write on disk, through the
-    chunk path of write_atomic, is the text of the one-%.17g-per-cell loops."""
+    chunk path of write_atomic, is the text of the one-%.17g-per-cell loops,
+    and so is the bounds.csv that run's bands expand to."""
     path = "scenarios/case_study_40pct.ini"
     for verb in ("run", "simulate", "bounds"):
         assert main([verb, "--scenario", path, "--out", str(tmp_path / verb)]) == 0
@@ -505,7 +515,7 @@ def test_written_csv_files_equal_the_per_value_loops(tmp_path, capsys):
     expected = {
         "run": {
             **series,
-            "bounds.csv": bounds_csv_loop(plan.g, traj.times, curves),
+            "bands.csv": bands_csv_loop(plan.g, traj.times, curves),
             "focus.csv": focus_csv_loop(plan.g, traj, curves, sc.focus_node, "proportional"),
         },
         "simulate": series,
@@ -517,3 +527,8 @@ def test_written_csv_files_equal_the_per_value_loops(tmp_path, capsys):
         for name, text in files.items():
             assert_same_text((out / name).read_bytes().decode("utf-8"), text, (verb, name))
         assert not list(out.glob("*.tmp")), verb
+    assert_same_text(
+        "".join(expand_bands().expand(tmp_path / "run")),
+        bounds_csv_loop(plan.g, traj.times, curves),
+        ("run", "expanded bounds.csv"),
+    )

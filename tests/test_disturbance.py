@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,30 @@ def test_quadrature_sampler_matches_phase_shifted_sine(spec):
         else:
             ref = w * np.where(ref >= 0.0, spec.alpha_upper, spec.alpha_lower) * ref
         assert np.all(np.abs(m.sample_all(float(t)) - ref) <= tol)
+
+
+@pytest.mark.parametrize("carrier", ["sinusoid", "piecewise"])
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.4), (0.1, 0.3)])
+def test_sign_step_matches_np_where_bit_for_bit(carrier, lo, hi):
+    """A proportional sample takes each edge's fraction from a two-entry
+    table; it must have the bits of np.where(c >= 0.0, hi, lo) * c on the
+    carrier c, signed zeros included."""
+    g = random_weighted_graph(12, max_nodes=10)
+    spec = DisturbanceSpec(kind="proportional", alpha_lower=lo, alpha_upper=hi,
+                           carrier=carrier, knot_spacing=0.25)
+    m = build_model(spec, g, 3, HORIZON)
+    table = np.array(m.rows)
+    table[:, ::3] = 0.0
+    table[:, 1::3] = -0.0
+    m = replace(m, rows=tuple(table))
+    carrier_only = replace(m, proportional_fractions=(1.0, 1.0))
+    signs = set()
+    for t in sample_times(0.25):
+        c = carrier_only.sample_all(t)
+        want = np.where(c >= 0.0, hi, lo) * c
+        assert np.array_equal(m.sample_all(t).view(np.uint64), want.view(np.uint64))
+        signs.update(np.signbit(c[c == 0.0]).tolist())
+    assert signs == {False, True}  # both signed zeros reached the sign step
 
 
 def test_identical_seeds_give_bit_identical_streams():

@@ -1,8 +1,10 @@
 import functools
+import gc
 import json
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,6 +39,7 @@ from dbmc.harness import (
     BLOCK,
     BOUND_KINDS,
     band_blocks,
+    bands_csv,
     bounds_csv,
     check_brackets,
     compute_bound_curves,
@@ -56,6 +59,7 @@ from helpers import (
     constant_initial,
     current_parents_loop,
     errors_csv_loop,
+    expand_bands,
     focus_csv_loop,
     hop_random_graph_loop,
     nominal_envelope_exact,
@@ -291,15 +295,25 @@ class TestRunScenario:
             "graph.txt",
             "trajectory.csv",
             "errors.csv",
-            "bounds.csv",
+            "bands.csv",
+            "bands.json",
             "focus.csv",
             "termination.json",
             "path.json",
             "summary.json",
         ):
             assert (tmp_path / name).exists(), name
+        assert not (tmp_path / "bounds.csv").exists()
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,x_1,x_2,x_3,x_4,x_5"
+        bands_header = (tmp_path / "bands.csv").read_text().splitlines()[0]
+        assert bands_header == "t,env_2,env_3,env_4,env_5,envelope"
+        bands = json.loads((tmp_path / "bands.json").read_text())
+        assert set(bands) == {"nodes", *BOUND_KINDS}
+        assert bands["nodes"] == [2, 3, 4, 5]
+        assert bands["chain"]["lower"] is None
+        assert bands["envelope"] == {"lower": "-envelope", "upper": "envelope"}
+        assert expand_bands().main([str(tmp_path)]) == 0
         bounds_header = (tmp_path / "bounds.csv").read_text().splitlines()[0]
         assert bounds_header == "t,node,lower,upper,kind"
         report = json.loads((tmp_path / "termination.json").read_text())
@@ -310,22 +324,31 @@ class TestRunScenario:
 
     def test_deterministic_outputs_are_byte_identical(self, tmp_path):
         sc = parse_scenario(BASE_SCENARIO)
-        run_scenario(sc, tmp_path / "a")
-        run_scenario(sc, tmp_path / "b")
-        for name in ("trajectory.csv", "errors.csv", "bounds.csv", "termination.json"):
+        for side in ("a", "b"):
+            run_scenario(sc, tmp_path / side)
+            assert expand_bands().main([str(tmp_path / side)]) == 0
+        for name in (
+            "trajectory.csv", "errors.csv", "bands.csv", "bands.json", "bounds.csv",
+            "termination.json",
+        ):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name
 
-    @pytest.mark.parametrize("bounds, kept", [("none", []), ("chain", ["bounds.csv"])])
+    @pytest.mark.parametrize(
+        "bounds, kept", [("none", []), ("chain", ["bands.csv", "bands.json"])]
+    )
     def test_rerun_removes_band_files_it_does_not_write(self, tmp_path, bounds, kept):
+        names = ("bounds.csv", "bands.csv", "bands.json", "focus.csv")
         run_scenario(parse_scenario(BASE_SCENARIO), tmp_path)
-        assert (tmp_path / "bounds.csv").exists() and (tmp_path / "focus.csv").exists()
+        assert expand_bands().main([str(tmp_path)]) == 0  # a stale bounds.csv
+        assert all((tmp_path / n).exists() for n in names)
         text = BASE_SCENARIO.replace("bounds = auto", f"bounds = {bounds}")
         result = run_scenario(replace(parse_scenario(text), seed=5), tmp_path)
         assert result.summary["bound_kinds"] == ([] if bounds == "none" else [bounds])
-        assert [n for n in ("bounds.csv", "focus.csv") if (tmp_path / n).exists()] == kept
+        assert [n for n in names if (tmp_path / n).exists()] == kept
         if kept:
+            assert expand_bands().main([str(tmp_path)]) == 0
             rows = (tmp_path / "bounds.csv").read_text().splitlines()[1:]
             assert {row.rsplit(",", 1)[1] for row in rows} == {"chain"}
 
@@ -411,6 +434,7 @@ class TestRunScenario:
     def test_emitted_bounds_bracket_emitted_errors(self, tmp_path):
         sc = load_scenario("scenarios/case_study_40pct.ini")
         result = run_scenario(sc, tmp_path)
+        assert expand_bands().main([str(tmp_path)]) == 0
         errors = np.loadtxt(tmp_path / "errors.csv", delimiter=",", skiprows=1)
         times = errors[:, 0]
         t, node, lower, upper = np.loadtxt(
@@ -435,6 +459,66 @@ class TestRunScenario:
 def _zero_disturbance_scenario() -> str:
     text = Path("scenarios/case_study_3pct.ini").read_text()
     return text.replace("kind = sinusoid", "kind = zero").replace("t_end = auto", "t_end = 0.5Ts")
+
+
+def _bounds_csv_of(sc) -> str:
+    """The bounds.csv that ``bounds_csv`` writes for the run of ``sc``."""
+    plan = plan_scenario(sc)
+    traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
+    curves = compute_bound_curves(
+        plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
+        sc.params, traj.times, plan.kinds,
+    )
+    return "".join(bounds_csv(plan.g, traj.times, curves))
+
+
+class TestBandArtifact:
+    """``run`` writes its bands as bands.csv and bands.json, and
+    scripts/expand_bands.py rebuilds from them, byte for byte, the
+    bounds.csv that ``bounds_csv`` writes for the run's own curves."""
+
+    @pytest.mark.parametrize("scenario", ["case_study_3pct", "case_study_40pct", "zero"])
+    def test_expansion_equals_bounds_csv(self, tmp_path, capsys, scenario):
+        if scenario == "zero":  # the -0 lower bands of the writer test above
+            sc = parse_scenario(_zero_disturbance_scenario())
+        else:
+            sc = load_scenario(f"scenarios/{scenario}.ini")
+        run_scenario(sc, tmp_path)
+        assert expand_bands().main([str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path}/bounds.csv\n"
+        text = (tmp_path / "bounds.csv").read_text(encoding="utf-8")
+        assert_same_text(text, _bounds_csv_of(sc), scenario)
+        if scenario == "zero":
+            assert ",-0," in text
+
+    @pytest.mark.parametrize("bounds", ["envelope", "chain", "uniform proportional", "none"])
+    def test_each_kind_selection_round_trips(self, tmp_path, capsys, bounds):
+        sc = parse_scenario(BASE_SCENARIO.replace("bounds = auto", f"bounds = {bounds}"))
+        run_scenario(sc, tmp_path)
+        code = expand_bands().main([str(tmp_path)])
+        if bounds == "none":
+            assert code == 1
+            assert not any(tmp_path.glob("b*.*"))
+            assert capsys.readouterr().err.startswith("error:")
+            return
+        assert code == 0
+        header = (tmp_path / "bands.csv").read_text().splitlines()[0]
+        assert header.endswith(",envelope") == (bounds == "envelope")
+        assert header.startswith("t,env_2,") == (bounds != "envelope")
+        text = (tmp_path / "bounds.csv").read_text(encoding="utf-8")
+        assert_same_text(text, _bounds_csv_of(sc), bounds)
+        kinds = {row.rsplit(",", 1)[1] for row in text.splitlines()[1:]}
+        assert kinds == set(bounds.split())
+
+    @pytest.mark.parametrize("missing", ["bands.csv", "bands.json"])
+    def test_expander_exits_one_without_a_band_file(self, tmp_path, capsys, missing):
+        run_scenario(parse_scenario(BASE_SCENARIO), tmp_path)
+        (tmp_path / missing).unlink()
+        assert expand_bands().main([str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and missing in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "bounds.csv").exists()
 
 
 def _assert_writers_match_loops(g, traj, curves, focus):
@@ -1009,8 +1093,11 @@ class TestBoundCurveMemory:
             _assert_same_bits(wants[kind][1], eager + upper.shift)
             _assert_same_bits(upper - eager, wants[kind][1] - eager)
         step, spans = harness.CHECK_BLOCK // len(e0s), []
-        for span, read in band_blocks(len(ts), len(e0s)):
+        env = curves["chain"][1].env
+        # every read keeps its own block's rows after the walk has moved on
+        for span, read in list(band_blocks(len(ts), len(e0s))):
             spans.append((span.start, span.stop))
+            _assert_same_bits(read(env), eager[span])
             for kind, bands in curves.items():
                 for band, want in zip(bands, wants[kind]):
                     _assert_same_bits(read(band), want[span])
@@ -1036,11 +1123,32 @@ class TestBoundCurveMemory:
         monkeypatch.setattr(bounds, "_deepest_first_envelopes", counted)
         for read in (lambda: check_brackets(g, traj, curves),
                      lambda: bounds_csv(g, traj.times, curves),
+                     lambda: bands_csv(g, traj.times, curves),
                      lambda: focus_csv(g, traj, curves, g.non_sources[-1], "uniform")):
             read()
             assert {w for w, _ in widths} == {len(g.non_sources)}
             assert sum(n for _, n in widths) == len(traj.times)
             widths.clear()
+
+    def test_a_walk_frees_each_block_without_the_cycle_collector(self):
+        """A block's read holds no cycle, so the envelope rows it evaluated
+        are freed by reference counting as soon as the walk drops it."""
+        g, sol, sol_minus, model, x0, chi0, traj = _wide_run()
+        curves = compute_bound_curves(
+            g, sol, sol_minus, model, x0, 3.0, chi0, ORACLE_PARAMS, traj.times[:300],
+            ("chain", "uniform"),
+        )
+        refs = []
+        gc.disable()
+        try:
+            for _, read in band_blocks(300, len(g.non_sources)):
+                read(curves["uniform"][1])
+                refs.append(weakref.ref(read(curves["chain"][1].env)))
+            del read
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            gc.enable()
+        assert len(refs) > 1 and alive == 0
 
     def test_times_past_the_deadline_raise_before_any_read(self):
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
