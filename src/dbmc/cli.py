@@ -23,13 +23,12 @@ from .errors import DbmcError, InfeasibleError, SpecError
 from .generate import EXTRA_EDGE_PROB, GRAPH_SEED, generate_graph
 from .graph import dump_graph, load_graph, solve_shortest_paths
 from .harness import (
+    SeriesWriter,
     bounds_csv,
     compute_bound_curves,
-    errors_csv,
     make_out_dir,
     plan_scenario,
     run_scenario,
-    trajectory_csv,
     write_atomic,
 )
 from .scenario import Scenario, load_scenario, parse_t_end_rule
@@ -152,10 +151,11 @@ def _scenario(args) -> Scenario:
 def _cmd_simulate(args) -> int:
     sc = _scenario(args)
     plan = plan_scenario(sc)
-    traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
-    out = make_out_dir(args.out, sc)
-    write_atomic(out / "trajectory.csv", trajectory_csv(traj))
-    write_atomic(out / "errors.csv", errors_csv(traj))
+    with SeriesWriter() as series:
+        traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
+        out = make_out_dir(args.out, sc)
+        series.send(out, traj)
+        series.wait()
     print(f"wrote {out}/trajectory.csv and errors.csv ({len(traj.times) - 1} steps)")
     return 0
 

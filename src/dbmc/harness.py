@@ -22,13 +22,21 @@ from them, byte for byte, the run's ``bounds.csv``: every band at every
 stored step, in the format ``dbmc bounds`` writes with :func:`bounds_csv`.
 
 Every CSV cell is ``%.17g``.  The CSV writers return the file as a list of
-chunks of at most ``BLOCK`` rows, each assembled with one ``"".join``.
-Each distinct float column is formatted once per file: within a block,
-columns are cached by their bytes, so a band several bound kinds share
-costs one formatting, and a constant column is one string.
-``write_atomic`` writes the chunks to a temporary file and renames it over
-the target, so no second copy of a whole file is built, and a failed write
-leaves any earlier file as it was.
+chunks of at most ``BLOCK`` rows.  A series file (``trajectory.csv``,
+``errors.csv``, ``bands.csv``, ``focus.csv``) formats each block with one
+``%`` call on a row template (:func:`seriesio.series_chunks`).
+``bounds.csv``, whose kinds repeat columns, formats each distinct float
+column once per block instead: columns are cached by their bytes, so a band
+several bound kinds share costs one formatting, and a constant column is one
+string.  ``write_atomic`` writes the chunks to a temporary file and renames
+it over the target, so no second copy of a whole file is built, and a failed
+write leaves any earlier file as it was.
+
+``run_scenario`` and ``dbmc simulate`` leave ``trajectory.csv`` and
+``errors.csv`` to a :class:`SeriesWriter`: a child process, started right
+after the scenario is planned, that formats and writes them from the raw
+rows while the parent writes the other files.  The child writes each file
+with the same ``seriesio.write_atomic`` that ``write_atomic`` calls.
 
 Exit codes: 0 success, 2 identification failure, 1 any error.
 """
@@ -39,6 +47,8 @@ import json
 import logging
 import math
 import os
+import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,13 +77,14 @@ from .graph import (
     solve_shortest_paths,
 )
 from .scenario import BOUND_KINDS, Scenario
+from . import seriesio
+from .seriesio import BLOCK, series_chunks
 from .termination import TerminationReport, build_report
 
 log = logging.getLogger("dbmc")
 
 BRACKET_TOL = 1e-6
 CHECK_BLOCK = 1 << 15  # values per block of the bracket check (256 KiB of float64)
-BLOCK = 128  # rows of a CSV file joined into one string
 
 
 @dataclass
@@ -85,17 +96,12 @@ class RunResult:
 
 
 def write_atomic(path: Path, data: str | list[str]) -> None:
-    """Write ``data``, one string or a list of chunks, to ``path`` through a
-    temporary file renamed over it.  If writing fails, the temporary file is
-    removed and any earlier ``path`` is left as it was."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines([data] if isinstance(data, str) else data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """:func:`seriesio.write_atomic`, the one atomic write, which the writer
+    child shares.  It is wrapped here rather than imported because the
+    benchmark's tracer names each span by the module that defines the
+    function: imported, the harness's writes would be timed as
+    ``seriesio.write_atomic`` and ``harness.write_atomic_s`` would read 0."""
+    seriesio.write_atomic(path, data)
 
 
 def resolve_graph(spec: dict) -> WeightedDigraph:
@@ -442,25 +448,94 @@ def _join(fields: list) -> str:
     return "".join(parts.ravel().tolist())
 
 
+def _table(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The float64 rows ``t, v_1, ..., v_m``, C-contiguous, ``values`` of shape (T, m)."""
+    return np.column_stack((times, values)).astype(np.float64, copy=False)
+
+
 def _series_csv(header: str, times: np.ndarray, values: np.ndarray) -> list[str]:
     """``header`` then one row ``t,v_1,...,v_m`` per time, ``values`` of shape (T, m)."""
-    ends = np.array([","] * values.shape[1] + ["\n"], dtype=object)
-    return [header] + [
-        _join([_cells(np.column_stack((times[rows], values[rows])), {}), ends])
-        for rows in _blocks(len(times))
-    ]
+    table = _table(times, values)
+    return list(series_chunks(header, table.shape[1], table.ravel()))
+
+
+def _series_header(prefix: str, n: int) -> str:
+    return "t," + ",".join(f"{prefix}_{i}" for i in range(1, n + 1)) + "\n"
 
 
 def trajectory_csv(traj: Trajectory) -> list[str]:
-    n = traj.errors.shape[1]
-    header = "t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + "\n"
-    return _series_csv(header, traj.times, traj.states)
+    return _series_csv(_series_header("x", traj.errors.shape[1]), traj.times, traj.states)
 
 
 def errors_csv(traj: Trajectory) -> list[str]:
-    n = traj.errors.shape[1]
-    header = "t," + ",".join(f"e_{i}" for i in range(1, n + 1)) + "\n"
-    return _series_csv(header, traj.times, traj.errors)
+    return _series_csv(_series_header("e", traj.errors.shape[1]), traj.times, traj.errors)
+
+
+class SeriesWriter:
+    """The writer child of :mod:`seriesio`, which writes ``trajectory.csv``
+    and ``errors.csv`` while the parent goes on.
+
+    The child, ``python -I -S seriesio.py``, imports no numpy and starts in
+    about 10 ms, so it is started before the trajectory exists.
+    :meth:`send` streams it the raw rows block by block and ends the
+    request; the child reads all of it, then formats and writes.
+    :meth:`wait` returns once both files are written and raises OSError
+    with the child's message if it failed.  Leaving the ``with`` block by an
+    exception kills the child, waits for it and removes its temporary
+    files, so no process and no ``*.tmp`` outlives the run.
+    """
+
+    def __init__(self) -> None:
+        # imported here, so a process that writes no series file does not
+        # pay for it (about 0.4 MB resident and 5 ms at import)
+        import subprocess
+
+        self.paths: list[Path] = []
+        self.proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", seriesio.__file__],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+
+    def __enter__(self) -> SeriesWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.proc.returncode is None:
+            self.proc.kill()
+            self.proc.communicate()
+            for path in self.paths:
+                seriesio.discard_tmp(path)
+
+    def send(self, out: Path, traj: Trajectory) -> None:
+        """Request ``out/trajectory.csv`` and ``out/errors.csv`` of ``traj``."""
+        rows, n = traj.errors.shape
+        stream = self.proc.stdin
+        try:
+            for name, prefix, p in (("trajectory.csv", "x", traj.p), ("errors.csv", "e", None)):
+                path = out / name
+                self.paths.append(path)
+                head = {"path": os.fspath(path), "header": _series_header(prefix, n),
+                        "rows": rows, "width": n + 1}
+                stream.write(json.dumps(head).encode() + b"\n")
+                for span in _blocks(rows):
+                    values = traj.errors[span] if p is None else traj.errors[span] + p
+                    stream.write(_table(traj.times[span], values))
+            stream.write(b"\n")
+            stream.flush()
+        except BrokenPipeError:
+            self.wait()  # the child is gone: raise its message
+            raise
+
+    def wait(self) -> tuple[float, float]:
+        """The child's wall seconds and its seconds spent writing, once it
+        has written every file; OSError with its message if it failed."""
+        out, err = self.proc.communicate()
+        if self.proc.returncode:
+            why = err.decode(errors="replace").strip()
+            raise OSError(f"writing {', '.join(p.name for p in self.paths)} failed: "
+                          f"{why or f'the writer exited with status {self.proc.returncode}'}")
+        wall, writing = map(float, out.split())
+        return wall, writing
 
 
 def bounds_csv(
@@ -577,6 +652,13 @@ def run_scenario(sc: Scenario, out_dir: str | os.PathLike | None = None) -> RunR
     every check has passed.
     """
     plan = plan_scenario(sc)
+    with SeriesWriter() as series:
+        return _run_plan(sc, plan, series, out_dir)
+
+
+def _run_plan(
+    sc: Scenario, plan: Plan, series: SeriesWriter, out_dir: str | os.PathLike | None
+) -> RunResult:
     g, sol, model, x0, t_stop = plan.g, plan.sol, plan.model, plan.x0, plan.t_stop
     focus = sc.focus_node
     if focus is None:
@@ -619,9 +701,9 @@ def run_scenario(sc: Scenario, out_dir: str | os.PathLike | None = None) -> RunR
         "focus_node": focus,
     }
 
+    start = time.perf_counter()
+    series.send(out, traj)
     write_atomic(out / "graph.txt", dump_graph(g))
-    write_atomic(out / "trajectory.csv", trajectory_csv(traj))
-    write_atomic(out / "errors.csv", errors_csv(traj))
     # a band file this run does not write is removed, so none is left stale
     (out / "bounds.csv").unlink(missing_ok=True)
     if curves:
@@ -654,6 +736,13 @@ def run_scenario(sc: Scenario, out_dir: str | os.PathLike | None = None) -> RunR
     }
     write_atomic(out / "path.json", _json_dump(overlay))
     write_atomic(out / "summary.json", _json_dump(summary))
+    waiting = time.perf_counter()
+    child_wall, child_writing = series.wait()
+    log.info(
+        "writers: %.3f s in the parent, then %.3f s waiting; series child %.3f s "
+        "wall, %.3f s of it formatting and writing",
+        waiting - start, time.perf_counter() - waiting, child_wall, child_writing,
+    )
 
     exit_code = 0 if report.overall else 2
     if exit_code:

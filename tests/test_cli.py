@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -221,6 +222,23 @@ def test_simulate_verb(tmp_path, capsys):
     assert (out_dir / "errors.csv").exists()
     assert not (out_dir / "bounds.csv").exists()
     assert not (out_dir / "summary.json").exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "run"])
+def test_an_unwritable_series_file_exits_one(tmp_path, capsys, verb):
+    """The writer child's failure reaches the command line as one error line."""
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(SCENARIO.replace("t_end = auto", "t_end = 0.2Ts"))
+    out_dir = tmp_path / "out"
+    (out_dir / "trajectory.csv").mkdir(parents=True)
+    assert main([verb, "--scenario", str(scenario), "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: writing trajectory.csv, errors.csv failed: ")
+    assert "Is a directory" in captured.err and captured.err.count("\n") == 1
+    assert "artifacts in" not in captured.out and "wrote" not in captured.out
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(out_dir.glob("*.tmp"))
 
 
 def test_bounds_verb_grid(tmp_path, capsys):
@@ -491,8 +509,8 @@ def test_q_whose_power_law_envelope_overflows_exits_one(tmp_path, capsys, verb):
 
 
 def test_written_csv_files_equal_the_per_value_loops(tmp_path, capsys):
-    """Every CSV that run, simulate and bounds write on disk, through the
-    chunk path of write_atomic, is the text of the one-%.17g-per-cell loops,
+    """Every CSV that run, simulate and bounds write on disk, through
+    write_atomic or the writer child, is the text of the one-%.17g-per-cell loops,
     and so is the bounds.csv that run's bands expand to."""
     path = "scenarios/case_study_40pct.ini"
     for verb in ("run", "simulate", "bounds"):

@@ -2,7 +2,10 @@ import functools
 import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -32,12 +35,13 @@ from dbmc import (
     standin13,
     synthetic_positions,
 )
-from dbmc import bounds, harness
+from dbmc import bounds, harness, seriesio
 from dbmc.bounds import NominalEnvelopes, chain_initial_errors, nominal_envelopes
 from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
     BLOCK,
     BOUND_KINDS,
+    SeriesWriter,
     band_blocks,
     bands_csv,
     bounds_csv,
@@ -335,6 +339,22 @@ class TestRunScenario:
                 tmp_path / "b" / name
             ).read_bytes(), name
 
+    def test_writer_seconds_go_to_the_info_log_only(self, tmp_path, caplog):
+        sc = parse_scenario(BASE_SCENARIO)
+        with caplog.at_level("INFO", logger="dbmc"):
+            run_scenario(sc, tmp_path / "a")
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("writers:")]
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"writers: [\d.]+ s in the parent, then [\d.]+ s waiting; series child "
+            r"[\d.]+ s wall, [\d.]+ s of it formatting and writing",
+            lines[0],
+        )
+        run_scenario(sc, tmp_path / "b")
+        assert (tmp_path / "a" / "summary.json").read_bytes() == (
+            tmp_path / "b" / "summary.json"
+        ).read_bytes()
+
     @pytest.mark.parametrize(
         "bounds, kept", [("none", []), ("chain", ["bands.csv", "bands.json"])]
     )
@@ -619,9 +639,28 @@ def _writer_inputs(rows: int, seed: int = 0):
     return g, traj, curves
 
 
+NEG_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+ODD_VALUES = [np.nan, NEG_NAN, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308]
+
+
+def _odd_trajectory(rows: int) -> Trajectory:
+    """A trajectory of 4 nodes whose every column holds the cells a
+    formatter could get wrong: nan of either sign, +-inf, -0.0 and
+    subnormals, in a different row of each column."""
+    rng = np.random.default_rng(rows)
+    errors = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
+    for j in range(4):
+        errors[j::5, j] = np.resize(ODD_VALUES[j:] + ODD_VALUES[:j], errors[j::5, j].shape)
+    times = np.cumsum(rng.uniform(0.0, 1e-3, rows))
+    times[0] = -0.0
+    # -0.0 + -0.0 keeps the sign, so states print "-0" where errors do
+    return Trajectory(p=np.array([-0.0, 1.0, 5e-324, 2.5]), times=times, errors=errors)
+
+
 class TestColumnFormatterEdges:
-    """The column cache and the block assembler against the per-value loops,
-    where a block boundary or a shared column could go wrong."""
+    """The column cache, the block assembler and the series template, in this
+    process and in the writer child, against the per-value loops, where a
+    block boundary, a shared column or an odd cell could go wrong."""
 
     @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_row_counts_around_a_block(self, rows):
@@ -677,6 +716,112 @@ class TestColumnFormatterEdges:
         curves["proportional"] = (np.broadcast_to(row, (rows, 3)), fortran)
         curves["uniform"] = (curves["uniform"][0], curves["uniform"][1][:, ::-1])
         _assert_writers_match_loops(g, traj, curves, 4)
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_series_in_process_and_in_the_child(self, tmp_path, rows):
+        traj = _odd_trajectory(rows)
+        want = {"trajectory.csv": trajectory_csv_loop(traj), "errors.csv": errors_csv_loop(traj)}
+        assert_same_text("".join(trajectory_csv(traj)), want["trajectory.csv"])
+        assert_same_text("".join(errors_csv(traj)), want["errors.csv"])
+        with SeriesWriter() as series:
+            series.send(tmp_path, traj)
+            series.wait()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
+        for name, text in want.items():
+            assert_same_text((tmp_path / name).read_bytes().decode("utf-8"), text, name)
+        if rows > 1:  # one row holds only four of the odd cells
+            text = want["errors.csv"]
+            for cell in (",nan", ",inf", ",-inf", ",-0,", ",4.9406564584124654e-324", ",-2.2250738585072009e-308"):
+                assert cell in text, cell
+
+    def test_series_template_formats_whole_blocks(self):
+        values = np.arange(3 * (BLOCK + 1), dtype=float).tolist()
+        chunks = list(seriesio.series_chunks("a,b,c\n", 3, np.array(values)))
+        assert chunks[0] == "a,b,c\n"
+        assert [c.count("\n") for c in chunks[1:]] == [BLOCK, 1]
+        assert "".join(chunks[1:]) == "".join(
+            ",".join(f"{v:.17g}" for v in values[k : k + 3]) + "\n"
+            for k in range(0, len(values), 3)
+        )
+        assert list(seriesio.series_chunks("h\n", 2, np.empty(0))) == ["h\n"]
+
+
+def _assert_no_child_process() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSeriesWriterFailures:
+    """Whatever way a run ends, no writer child and no ``*.tmp`` outlive it."""
+
+    def test_success(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_scenario(parse_scenario(BASE_SCENARIO), out).exit_code == 0
+        _assert_no_child_process()
+        assert not list(out.glob("*.tmp"))
+        assert (out / "trajectory.csv").read_text().startswith("t,x_1,")
+
+    def test_bracket_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "BRACKET_TOL", -1e9)
+        with pytest.raises(DbmcError, match="fails to bracket"):
+            run_scenario(parse_scenario(BASE_SCENARIO), tmp_path / "out")
+        _assert_no_child_process()
+        assert not any(tmp_path.iterdir())
+
+    def test_bad_focus_node(self, tmp_path):
+        sc = parse_scenario(BASE_SCENARIO + "focus_node = 1\n")
+        with pytest.raises(SpecError, match="focus_node 1 must be a non-source"):
+            run_scenario(sc, tmp_path / "out")
+        _assert_no_child_process()
+        assert not any(tmp_path.iterdir())
+
+    def test_unwritable_target(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+        with pytest.raises(OSError, match=r"trajectory\.csv.*Is a directory"):
+            run_scenario(parse_scenario(BASE_SCENARIO), out)
+        _assert_no_child_process()
+        assert not list(out.glob("*.tmp"))
+        assert (out / "trajectory.csv").is_dir() and not (out / "errors.csv").exists()
+
+    def test_a_parent_failure_after_the_request_kills_the_child(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise DbmcError("bands.csv failed")
+
+        monkeypatch.setattr(harness, "bands_csv", broken)
+        out = tmp_path / "out"
+        with pytest.raises(DbmcError, match="bands.csv failed"):
+            run_scenario(parse_scenario(BASE_SCENARIO), out)
+        _assert_no_child_process()
+        assert not list(out.glob("*.tmp"))
+
+    def test_a_child_gone_before_the_request_is_reported(self, tmp_path):
+        with pytest.raises(OSError, match="the writer exited with status -9"):
+            with SeriesWriter() as series:
+                series.proc.kill()
+                series.proc.wait()
+                series.send(tmp_path, _odd_trajectory(BLOCK))
+        _assert_no_child_process()
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("cut", [0, 1, 40, -1])
+    def test_a_request_that_ends_early_writes_nothing(self, tmp_path, cut):
+        """Cut before the end marker, anywhere, the child writes no file."""
+        head = {"path": str(tmp_path / "s.csv"), "header": "t,v\n", "rows": 2, "width": 2}
+        request = (json.dumps(head) + "\n").encode() + np.arange(4.0).tobytes() + b"\n"
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", seriesio.__file__],
+            input=request[:cut], capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert b"ended early" in proc.stderr
+        assert not any(tmp_path.iterdir())
+        whole = subprocess.run(
+            [sys.executable, "-I", "-S", seriesio.__file__],
+            input=request, capture_output=True, timeout=60,
+        )
+        assert whole.returncode == 0, whole.stderr
+        assert (tmp_path / "s.csv").read_text() == "t,v\n0,1\n2,3\n"
 
 
 class TestWriteAtomic:
