@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import early_termination_time, optimal_q
-from .dynamics import PTGainParams, simulate
+from .dynamics import PTGainParams, simulate, step_grid
 from .errors import DbmcError, InfeasibleError, SpecError
 from .generate import EXTRA_EDGE_PROB, GRAPH_SEED, generate_graph
 from .graph import dump_graph, load_graph, solve_shortest_paths
@@ -152,9 +152,14 @@ def _cmd_simulate(args) -> int:
     sc = _scenario(args)
     plan = plan_scenario(sc)
     with SeriesWriter() as series:
-        traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
+        times = np.array(step_grid(sc.params, plan.t_stop)[0])
+        on_block = series.stream_trajectory(times, plan.sol.p)
+        traj = simulate(
+            plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol,
+            on_block=on_block,
+        )
         out = make_out_dir(args.out, sc)
-        series.send(out, traj)
+        series.commit(out)
         series.wait()
     print(f"wrote {out}/trajectory.csv and errors.csv ({len(traj.times) - 1} steps)")
     return 0

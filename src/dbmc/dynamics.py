@@ -35,6 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import ShortestPathSolution, WeightedDigraph, solve_shortest_paths
+from .seriesio import BLOCK
 
 # The one step policy: no step exceeds deadline / STEPS_PER_DEADLINE nor
 # REMAINING_FRACTION of the time left to the deadline, which keeps
@@ -161,7 +162,7 @@ def _rates(
     return rates
 
 
-def _step_grid(params: PTGainParams, t_end: float) -> tuple[list[float], list[float]]:
+def step_grid(params: PTGainParams, t_end: float) -> tuple[list[float], list[float]]:
     """Stored times on [0, t_end] (0 and t_end included) and the step sizes.
 
     A step is min(deadline / STEPS_PER_DEADLINE, REMAINING_FRACTION * time
@@ -193,6 +194,8 @@ def simulate(
     x0: Sequence[float],
     t_end: float,
     sol: ShortestPathSolution | None = None,
+    *,
+    on_block: Callable[[slice, np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Integrate the disturbed dynamics on [0, t_end] with classic RK4.
 
@@ -201,6 +204,12 @@ def simulate(
     are sampled once per RK4 stage, four times per step.
     Deterministic for fixed inputs; every accepted step is stored.  Row 0
     of ``errors`` is x0 - p; later rows hold 0.0 in the source columns.
+
+    The stored times are :func:`step_grid` of ``(params, t_end)``, which a
+    caller may build itself to know them before the integration.
+    ``on_block(span, rows)``, if given, receives each finished block
+    of ``BLOCK`` rows of ``errors`` (the last may be shorter), in order, as
+    soon as its last step is taken: ``rows`` is ``errors[span]``, final.
     """
     if sol is None:
         sol = solve_shortest_paths(g)
@@ -208,7 +217,7 @@ def simulate(
     check_initial_state(g, sol, x0)
     check_t_end(params, t_end, model.horizon)
 
-    times, steps = _step_grid(params, t_end)
+    times, steps = step_grid(params, t_end)
     lay = candidate_layout(g, model)
     rates = _rates(lay, model.take(lay.order), sol, params)
     ns = lay.non_sources
@@ -217,22 +226,28 @@ def simulate(
     # Only the m non-source errors are integrated.  ``z`` and the stage
     # input ``y`` carry one trailing 0 that every source head reads, and each
     # step is written into its row of ``errors`` (sources stay 0 after row 0).
+    # Steps run block by block of rows, so a block's end costs nothing per step.
     errors = np.zeros((len(times), g.node_count))
     errors[0] = x0 - p
     m = len(ns)
     z = np.append(errors[0, ns], 0.0)
     y = np.zeros(m + 1)
     z_own, y_own = z[:m], y[:m]
-    for k, (t, hs) in enumerate(zip(times, steps), start=1):
-        half = 0.5 * hs
-        k1 = rates(t, z, z_own)
-        np.add(z_own, half * k1, out=y_own)
-        k2 = rates(t + half, y, y_own)
-        np.add(z_own, half * k2, out=y_own)
-        k3 = rates(t + half, y, y_own)
-        np.add(z_own, hs * k3, out=y_own)
-        k4 = rates(t + hs, y, y_own)
-        z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
-        errors[k, ns] = z_own
+    for a in range(0, len(times), BLOCK):
+        b = min(a + BLOCK, len(times))
+        lo = max(a, 1)
+        for k, t, hs in zip(range(lo, b), times[lo - 1 : b - 1], steps[lo - 1 : b - 1]):
+            half = 0.5 * hs
+            k1 = rates(t, z, z_own)
+            np.add(z_own, half * k1, out=y_own)
+            k2 = rates(t + half, y, y_own)
+            np.add(z_own, half * k2, out=y_own)
+            k3 = rates(t + half, y, y_own)
+            np.add(z_own, hs * k3, out=y_own)
+            k4 = rates(t + hs, y, y_own)
+            z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+            errors[k, ns] = z_own
+        if on_block is not None:
+            on_block(slice(a, b), errors[a:b])
 
     return Trajectory(p=p, times=np.array(times), errors=errors)

@@ -24,7 +24,7 @@ stored step, in the format ``dbmc bounds`` writes with :func:`bounds_csv`.
 Every CSV cell is ``%.17g``.  The CSV writers return the file as a list of
 chunks of at most ``BLOCK`` rows.  A series file (``trajectory.csv``,
 ``errors.csv``, ``bands.csv``, ``focus.csv``) formats each block with one
-``%`` call on a row template (:func:`seriesio.series_chunks`).
+``%`` call on a row template (:class:`seriesio.SeriesText`).
 ``bounds.csv``, whose kinds repeat columns, formats each distinct float
 column once per block instead: columns are cached by their bytes, so a band
 several bound kinds share costs one formatting, and a constant column is one
@@ -32,11 +32,18 @@ string.  ``write_atomic`` writes the chunks to a temporary file and renames
 it over the target, so no second copy of a whole file is built, and a failed
 write leaves any earlier file as it was.
 
-``run_scenario`` and ``dbmc simulate`` leave ``trajectory.csv`` and
-``errors.csv`` to a :class:`SeriesWriter`: a child process, started right
-after the scenario is planned, that formats and writes them from the raw
-rows while the parent writes the other files.  The child writes each file
-with the same ``seriesio.write_atomic`` that ``write_atomic`` calls.
+``run_scenario`` and ``dbmc simulate`` leave ``trajectory.csv``,
+``errors.csv`` and ``bands.csv`` to a :class:`SeriesWriter`: a child
+process, started right after the scenario is planned, that formats the raw
+rows as they arrive.  The stored times are known before the integration
+(:func:`dynamics.step_grid`), so ``run`` computes its bands first;
+:func:`dynamics.simulate` then hands over each finished ``BLOCK`` of error
+rows, the parent sends that block's rows of every series file, ``bands.csv``
+included, and the child formats them while RK4 runs the next block.
+Once every check has passed, the output directory is made and named to the
+child, which writes its files with the same ``seriesio.write_atomic`` that
+``write_atomic`` calls while the parent writes the other files.
+``focus.csv`` is formatted in the parent, after the bracket check.
 
 Exit codes: 0 success, 2 identification failure, 1 any error.
 """
@@ -51,6 +58,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -64,7 +72,7 @@ from .bounds import (
     worst_case_offset,
 )
 from .disturbance import DisturbanceModel, build_model
-from .dynamics import Trajectory, check_initial_state, check_t_end, simulate
+from .dynamics import Trajectory, check_initial_state, check_t_end, simulate, step_grid
 from .errors import DbmcError, InfeasibleError, PreconditionError, SpecError
 from .generate import generate_graph, synthetic_positions
 from .graph import (
@@ -282,17 +290,22 @@ def band_blocks(rows: int, width: int):
     step = max(1, CHECK_BLOCK // width)
     for a in range(0, rows, step):
         span = slice(a, min(a + step, rows))
-        envs: dict = {}
+        yield span, _span_reader(span)
 
-        def read(band, span=span, envs=envs) -> np.ndarray:
-            env = band.env if isinstance(band, ShiftedBand) else band
-            if not isinstance(env, NominalEnvelopes):
-                return band[span]
-            if env not in envs:
-                envs[env] = env.rows(span.start, span.stop)
-            return envs[env] if env is band else envs[env] + band.shift
 
-        yield span, read
+def _span_reader(span: slice):
+    """The ``read`` of :func:`band_blocks` for the rows ``span``."""
+    envs: dict = {}
+
+    def read(band) -> np.ndarray:
+        env = band.env if isinstance(band, ShiftedBand) else band
+        if not isinstance(env, NominalEnvelopes):
+            return band[span]
+        if env not in envs:
+            envs[env] = env.rows(span.start, span.stop)
+        return envs[env] if env is band else envs[env] + band.shift
+
+    return read
 
 
 def compute_bound_curves(
@@ -456,7 +469,7 @@ def _table(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _series_csv(header: str, times: np.ndarray, values: np.ndarray) -> list[str]:
     """``header`` then one row ``t,v_1,...,v_m`` per time, ``values`` of shape (T, m)."""
     table = _table(times, values)
-    return list(series_chunks(header, table.shape[1], table.ravel()))
+    return series_chunks(header, table.shape[1], table.ravel())
 
 
 def _series_header(prefix: str, n: int) -> str:
@@ -471,18 +484,49 @@ def errors_csv(traj: Trajectory) -> list[str]:
     return _series_csv(_series_header("e", traj.errors.shape[1]), traj.times, traj.errors)
 
 
+PIPE_BYTES = 1 << 20  # the pipe to the writer child, where the OS lets it grow
+
+
+def _enlarge_pipe(fd: int) -> None:
+    """Grow the pipe of ``fd`` to ``PIPE_BYTES`` where the OS allows it
+    (Linux ``F_SETPIPE_SZ``); elsewhere, or if refused, keep its size."""
+    try:
+        import fcntl
+
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass
+
+
+def _unread(fd: int) -> int:
+    """The bytes written to the pipe of ``fd`` that its reader has not read
+    yet (``FIONREAD``); 0 where the OS cannot tell."""
+    try:
+        import fcntl
+        import termios
+
+        return int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
+    except (ImportError, AttributeError, OSError):
+        return 0
+
+
 class SeriesWriter:
-    """The writer child of :mod:`seriesio`, which writes ``trajectory.csv``
-    and ``errors.csv`` while the parent goes on.
+    """The writer child of :mod:`seriesio`, which formats series files from
+    raw rows while the parent goes on, and writes them once told where.
 
     The child, ``python -I -S seriesio.py``, imports no numpy and starts in
     about 10 ms, so it is started before the trajectory exists.
-    :meth:`send` streams it the raw rows block by block and ends the
-    request; the child reads all of it, then formats and writes.
-    :meth:`wait` returns once both files are written and raises OSError
-    with the child's message if it failed.  Leaving the ``with`` block by an
-    exception kills the child, waits for it and removes its temporary
-    files, so no process and no ``*.tmp`` outlives the run.
+    :meth:`declare` names a file, :meth:`rows` streams it float64 rows (or
+    their text), as many times as the rows come, and :meth:`commit` names
+    the output directory; the child formats each message on arrival and
+    writes nothing before the commit.  :meth:`wait` returns once every file is written and
+    raises OSError with the child's message if it failed, as does a message
+    the child is no longer there to read.  The parent's end of the pipe is
+    grown to ``PIPE_BYTES`` where the OS allows it, so the parent seldom
+    waits for the child to read; ``blocked`` counts the seconds spent
+    writing to the pipe.  Leaving the ``with`` block by an exception kills
+    the child, waits for it and removes its temporary files, so no process
+    and no ``*.tmp`` outlives the run.
     """
 
     def __init__(self) -> None:
@@ -490,11 +534,14 @@ class SeriesWriter:
         # pay for it (about 0.4 MB resident and 5 ms at import)
         import subprocess
 
+        self.widths: dict[str, int] = {}
         self.paths: list[Path] = []
+        self.blocked = 0.0
         self.proc = subprocess.Popen(
             [sys.executable, "-I", "-S", seriesio.__file__],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
+        _enlarge_pipe(self.proc.stdin.fileno())
 
     def __enter__(self) -> SeriesWriter:
         return self
@@ -506,36 +553,81 @@ class SeriesWriter:
             for path in self.paths:
                 seriesio.discard_tmp(path)
 
-    def send(self, out: Path, traj: Trajectory) -> None:
-        """Request ``out/trajectory.csv`` and ``out/errors.csv`` of ``traj``."""
-        rows, n = traj.errors.shape
+    def _send(self, head: dict, payload=None) -> None:
         stream = self.proc.stdin
+        start = time.perf_counter()
         try:
-            for name, prefix, p in (("trajectory.csv", "x", traj.p), ("errors.csv", "e", None)):
-                path = out / name
-                self.paths.append(path)
-                head = {"path": os.fspath(path), "header": _series_header(prefix, n),
-                        "rows": rows, "width": n + 1}
-                stream.write(json.dumps(head).encode() + b"\n")
-                for span in _blocks(rows):
-                    values = traj.errors[span] if p is None else traj.errors[span] + p
-                    stream.write(_table(traj.times[span], values))
-            stream.write(b"\n")
+            stream.write(json.dumps(head).encode() + b"\n")
+            if payload is not None:
+                stream.write(payload)
             stream.flush()
         except BrokenPipeError:
             self.wait()  # the child is gone: raise its message
             raise
+        finally:
+            self.blocked += time.perf_counter() - start
 
-    def wait(self) -> tuple[float, float]:
-        """The child's wall seconds and its seconds spent writing, once it
-        has written every file; OSError with its message if it failed."""
+    def declare(self, name: str, header: str, width: int) -> None:
+        """Declare the file ``name``: its header line and cells per row."""
+        self.widths[name] = width
+        self._send({"file": name, "header": header, "width": width})
+
+    def rows(self, name: str, table: np.ndarray, here: bool = False) -> None:
+        """Stream the rows of the 2-D float64 ``table`` to the file ``name``,
+        for the child to format, or with ``here`` formatted in this process
+        with the child's template and sent as text."""
+        if table.ndim != 2 or table.shape[1] != self.widths[name]:
+            raise ValueError(f"{name} has {self.widths[name]} cells per row, got {table.shape}")
+        table = np.ascontiguousarray(table, dtype=np.float64)
+        if here:
+            text = "".join(series_chunks("", table.shape[1], table.ravel())).encode()
+            self._send({"file": name, "text": len(text)}, text)
+        else:
+            self._send({"file": name, "rows": len(table)}, table)
+
+    def stream_trajectory(
+        self, times: np.ndarray, p, bands: tuple | None = None
+    ) -> Callable[[slice, np.ndarray], None]:
+        """Declare ``trajectory.csv`` and ``errors.csv`` of a run stored at
+        ``times`` with distances ``p``, and ``bands.csv`` if ``bands`` is
+        given, as :func:`band_rows` returns it; return the ``on_block`` of
+        :func:`dynamics.simulate` that streams each block of their rows, so
+        the child formats a block while the next one is integrated.  A block
+        that finds the child still reading the one before has its
+        ``bands.csv`` rows formatted here instead, so on a wide graph, where
+        formatting outweighs the integration, both processes format."""
+        p = np.asarray(p, dtype=float)
+        if bands is not None:
+            header, width, band_table = bands
+            self.declare("bands.csv", header, width)
+        for name, prefix in (("trajectory.csv", "x"), ("errors.csv", "e")):
+            self.declare(name, _series_header(prefix, len(p)), len(p) + 1)
+
+        def on_block(span: slice, errors: np.ndarray) -> None:
+            if bands is not None:
+                behind = _unread(self.proc.stdin.fileno()) > 0
+                self.rows("bands.csv", band_table(span), here=behind)
+            self.rows("trajectory.csv", _table(times[span], errors + p))
+            self.rows("errors.csv", _table(times[span], errors))
+
+        return on_block
+
+    def commit(self, out: Path) -> None:
+        """Have the child write every declared file into ``out``."""
+        self.paths = [out / name for name in self.widths]
+        self._send({"out": os.fspath(out)})
+
+    def wait(self) -> tuple[float, float, float]:
+        """The child's wall seconds, its seconds spent writing and its CPU
+        seconds, once it has written every file; OSError with its message
+        if it failed."""
         out, err = self.proc.communicate()
         if self.proc.returncode:
             why = err.decode(errors="replace").strip()
-            raise OSError(f"writing {', '.join(p.name for p in self.paths)} failed: "
+            raise OSError(f"writing {', '.join(self.widths)} failed: "
                           f"{why or f'the writer exited with status {self.proc.returncode}'}")
-        wall, writing = map(float, out.split())
-        return wall, writing
+        wall, writing, cpu = map(float, out.split())
+        return wall, writing, cpu
 
 
 def bounds_csv(
@@ -564,37 +656,40 @@ def bounds_csv(
     return ["t,node,lower,upper,kind\n"] + [c for kind in kinds for c in chunks[kind]]
 
 
-def bands_csv(
+def band_rows(
     g: WeightedDigraph,
     times: np.ndarray,
     curves: dict[str, tuple],
-) -> list[str]:
-    """``t``, then ``env_<i>`` per non-source i when a chain, proportional or
-    uniform kind is enabled, then ``envelope`` when that kind is, one row
-    per time.
+) -> tuple[str, int, Callable[[slice], np.ndarray]]:
+    """The header line and cells per row of ``bands.csv``, and the
+    function that evaluates its rows at the times ``span`` as a float64
+    table.
 
-    ``env_<i>`` is node i's nominal envelope, read from the shared
+    A row is ``t``, then ``env_<i>`` per non-source i when a chain,
+    proportional or uniform kind is enabled, then ``envelope`` when that
+    kind is.  ``env_<i>`` is node i's nominal envelope, read from the shared
     :class:`bounds.NominalEnvelopes` itself: adding a zero shift would print
-    a -0.0 as 0.  ``envelope`` is the envelope kind's band.  The rows are
-    read and formatted block by block of :func:`band_blocks`, so no
-    (times x nodes) array is made.  The shifted bands of ``curves`` share
-    one envelope, as those of :func:`compute_bound_curves` do.
+    a -0.0 as 0.  ``envelope`` is the envelope kind's band.  No (times x
+    nodes) array is made.  The shifted bands of ``curves`` share one
+    envelope, as those of :func:`compute_bound_curves` do.
     """
     env = next((u.env for _, u in curves.values() if isinstance(u, ShiftedBand)), None)
     names = [f"env_{i}" for i in g.non_sources] if env is not None else []
     if "envelope" in curves:
         names.append("envelope")
-    chunks = [",".join(["t"] + names) + "\n"]
-    for span, read in band_blocks(len(times), len(names)):
+
+    def table(span: slice) -> np.ndarray:
+        read = _span_reader(span)
         cols = [read(env)] if env is not None else []
         if "envelope" in curves:
             cols.append(read(curves["envelope"][1])[:, :1])
-        chunks += _series_csv("", times[span], np.hstack(cols))[1:]
-    return chunks
+        return _table(times[span], np.hstack(cols))
+
+    return ",".join(["t"] + names) + "\n", len(names) + 1, table
 
 
 def bands_json(g: WeightedDigraph, curves: dict[str, tuple]) -> str:
-    """The constants that complete :func:`bands_csv` into ``curves``, as
+    """The constants that complete ``bands.csv`` into ``curves``, as
     strict JSON.
 
     ``nodes`` lists the non-sources.  A chain, proportional or uniform kind
@@ -615,6 +710,14 @@ def bands_json(g: WeightedDigraph, curves: dict[str, tuple]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _column(band, col: int):
+    """Column ``col`` of a band as a (times x 1) band.  A :class:`ShiftedBand`
+    keeps only that chain of its envelope, whose cells keep their bits."""
+    if isinstance(band, ShiftedBand):
+        return ShiftedBand(band.env.chain(col), band.shift[col : col + 1])
+    return band[:, col : col + 1]
+
+
 def focus_csv(
     g: WeightedDigraph,
     traj: Trajectory,
@@ -622,13 +725,11 @@ def focus_csv(
     focus: int,
     kind: str,
 ) -> list[str]:
+    """``t,error,lower,upper`` of the node ``focus`` under the band ``kind``,
+    evaluating the focus node's chain only."""
     col = g.non_sources.index(focus)
-    lower, upper = curves[kind]
-    err = traj.error_of(focus)
-    values = np.concatenate([
-        np.column_stack((err[rows], read(lower)[:, col], read(upper)[:, col]))
-        for rows, read in band_blocks(len(traj.times), len(g.non_sources))
-    ])
+    lower, upper = (np.asarray(_column(band, col))[:, 0] for band in curves[kind])
+    values = np.column_stack((traj.error_of(focus), lower, upper))
     return _series_csv("t,error,lower,upper\n", traj.times, values)
 
 
@@ -665,12 +766,15 @@ def _run_plan(
         focus = max(g.non_sources, key=lambda i: sol.p[i - 1])
     elif focus in g.sources or not 1 <= focus <= g.node_count:
         raise SpecError(f"[run] focus_node {focus} must be a non-source node")
-    traj = simulate(g, model, sc.params, x0, t_stop, sol=sol)
+    times = np.array(step_grid(sc.params, t_stop)[0])
 
     kinds = plan.kinds
     curves = compute_bound_curves(
-        g, sol, plan.sol_minus, model, x0, sc.q, plan.chi0, sc.params, traj.times, kinds
+        g, sol, plan.sol_minus, model, x0, sc.q, plan.chi0, sc.params, times, kinds
     )
+    bands = band_rows(g, times, curves) if curves else None
+    on_block = series.stream_trajectory(times, sol.p, bands)
+    traj = simulate(g, model, sc.params, x0, t_stop, sol=sol, on_block=on_block)
     check_brackets(g, traj, curves)
 
     report = build_report(g, sol, model, traj.final_states, t_stop)
@@ -702,12 +806,11 @@ def _run_plan(
     }
 
     start = time.perf_counter()
-    series.send(out, traj)
+    series.commit(out)
     write_atomic(out / "graph.txt", dump_graph(g))
     # a band file this run does not write is removed, so none is left stale
     (out / "bounds.csv").unlink(missing_ok=True)
     if curves:
-        write_atomic(out / "bands.csv", bands_csv(g, traj.times, curves))
         write_atomic(out / "bands.json", bands_json(g, curves))
     else:
         (out / "bands.csv").unlink(missing_ok=True)
@@ -737,11 +840,13 @@ def _run_plan(
     write_atomic(out / "path.json", _json_dump(overlay))
     write_atomic(out / "summary.json", _json_dump(summary))
     waiting = time.perf_counter()
-    child_wall, child_writing = series.wait()
+    child_wall, child_writing, child_cpu = series.wait()
     log.info(
-        "writers: %.3f s in the parent, then %.3f s waiting; series child %.3f s "
-        "wall, %.3f s of it formatting and writing",
-        waiting - start, time.perf_counter() - waiting, child_wall, child_writing,
+        "writers: %.3f s in the parent, then %.3f s waiting, %.3f s of the run "
+        "writing to the pipe; series child %.3f s wall, %.3f s of it writing, "
+        "%.3f s CPU",
+        waiting - start, time.perf_counter() - waiting, series.blocked,
+        child_wall, child_writing, child_cpu,
     )
 
     exit_code = 0 if report.overall else 2

@@ -219,6 +219,27 @@ class TestSimulate:
         assert np.array_equal(a.errors, b.errors)
         assert np.array_equal(a.times, b.times)
 
+    @pytest.mark.parametrize("t_end", [0.0004, 0.127, 0.128, 0.3])  # 2, 128, 129 and 301 rows
+    def test_each_finished_block_of_rows_is_handed_over_in_order(self, t_end):
+        g = standin13()
+        m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.1), g, 4, 5.0)
+        x0 = constant_initial(g, 12.0)
+        plain = simulate(g, m, PARAMS, x0, t_end)
+        blocks = []
+        traj = simulate(
+            g, m, PARAMS, x0, t_end,
+            on_block=lambda span, rows: blocks.append((span, rows.copy())),
+        )
+        assert np.array_equal(traj.errors.view(np.uint64), plain.errors.view(np.uint64))
+        assert np.array_equal(traj.times, plain.times)
+        rows = len(plain.times)
+        assert [(s.start, s.stop) for s, _ in blocks] == [
+            (a, min(a + dynamics.BLOCK, rows)) for a in range(0, rows, dynamics.BLOCK)
+        ]
+        # each block is final when it is handed over
+        got = np.concatenate([b for _, b in blocks])
+        assert np.array_equal(got.view(np.uint64), plain.errors.view(np.uint64))
+
     def test_trajectory_accessors(self):
         g = load_graph(TWO_NODE)
         traj = simulate(g, zero_model(g), PARAMS, [0.0, 12.0], 1.0)

@@ -1,5 +1,6 @@
 import functools
 import gc
+import io
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from dbmc import (
     standin13,
     synthetic_positions,
 )
-from dbmc import bounds, harness, seriesio
+from dbmc import bounds, dynamics, harness, seriesio
 from dbmc.bounds import NominalEnvelopes, chain_initial_errors, nominal_envelopes
 from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
@@ -43,7 +44,7 @@ from dbmc.harness import (
     BOUND_KINDS,
     SeriesWriter,
     band_blocks,
-    bands_csv,
+    band_rows,
     bounds_csv,
     check_brackets,
     compute_bound_curves,
@@ -54,10 +55,12 @@ from dbmc.harness import (
     trajectory_csv,
 )
 from dbmc.scenario import parse_t_end_rule
+from dbmc.seriesio import series_chunks
 from dbmc.termination import DIAG_TIE_TOL, current_parents
 
 from helpers import (
     assert_same_text,
+    bands_csv_loop,
     bound_curves_per_node,
     bounds_csv_loop,
     constant_initial,
@@ -346,8 +349,9 @@ class TestRunScenario:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("writers:")]
         assert len(lines) == 1
         assert re.fullmatch(
-            r"writers: [\d.]+ s in the parent, then [\d.]+ s waiting; series child "
-            r"[\d.]+ s wall, [\d.]+ s of it formatting and writing",
+            r"writers: [\d.]+ s in the parent, then [\d.]+ s waiting, [\d.]+ s of the "
+            r"run writing to the pipe; series child [\d.]+ s wall, [\d.]+ s of it "
+            r"writing, [\d.]+ s CPU",
             lines[0],
         )
         run_scenario(sc, tmp_path / "b")
@@ -723,9 +727,7 @@ class TestColumnFormatterEdges:
         want = {"trajectory.csv": trajectory_csv_loop(traj), "errors.csv": errors_csv_loop(traj)}
         assert_same_text("".join(trajectory_csv(traj)), want["trajectory.csv"])
         assert_same_text("".join(errors_csv(traj)), want["errors.csv"])
-        with SeriesWriter() as series:
-            series.send(tmp_path, traj)
-            series.wait()
+        _write_series(tmp_path, traj, range(BLOCK, rows, BLOCK))
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
         for name, text in want.items():
             assert_same_text((tmp_path / name).read_bytes().decode("utf-8"), text, name)
@@ -733,6 +735,40 @@ class TestColumnFormatterEdges:
             text = want["errors.csv"]
             for cell in (",nan", ",inf", ",-inf", ",-0,", ",4.9406564584124654e-324", ",-2.2250738585072009e-308"):
                 assert cell in text, cell
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("messages", ["one", "two", "one-per-row"])
+    def test_rows_split_over_messages(self, tmp_path, rows, messages):
+        """A file's rows may come in any number of messages, an empty one
+        included, and the child's text is the per-value loops' all the same."""
+        traj = _odd_trajectory(rows)
+        cuts = {"one": [], "two": [rows // 2], "one-per-row": range(1, rows)}[messages]
+        _write_series(tmp_path, traj, cuts)
+        assert_same_text((tmp_path / "trajectory.csv").read_text(), trajectory_csv_loop(traj))
+        assert_same_text((tmp_path / "errors.csv").read_text(), errors_csv_loop(traj))
+
+    @pytest.mark.parametrize("kinds", [BOUND_KINDS, ("envelope",), ("uniform",)])
+    def test_band_rows_in_the_child_across_band_blocks(self, tmp_path, kinds):
+        """bands.csv evaluated and streamed to the child 47 rows per
+        message, so messages end inside a BLOCK of text, every other message
+        formatted in this process, is the per-value loop's text."""
+        sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
+        plan = plan_scenario(replace(sc, t_end_rule=parse_t_end_rule("0.1Ts")))
+        times = np.array(dynamics.step_grid(sc.params, plan.t_stop)[0])
+        curves = compute_bound_curves(
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
+            sc.params, times, kinds,
+        )
+        header, width, table = band_rows(plan.g, times, curves)
+        assert len(times) > 2 * 47 and len(times) % 47
+        with SeriesWriter() as series:
+            series.declare("bands.csv", header, width)
+            for a in range(0, len(times), 47):
+                series.rows("bands.csv", table(slice(a, a + 47)), here=a % 94 == 47)
+            series.commit(tmp_path)
+            series.wait()
+        text = (tmp_path / "bands.csv").read_text()
+        assert_same_text(text, bands_csv_loop(plan.g, times, curves))
 
     def test_series_template_formats_whole_blocks(self):
         values = np.arange(3 * (BLOCK + 1), dtype=float).tolist()
@@ -744,6 +780,18 @@ class TestColumnFormatterEdges:
             for k in range(0, len(values), 3)
         )
         assert list(seriesio.series_chunks("h\n", 2, np.empty(0))) == ["h\n"]
+
+
+def _write_series(out: Path, traj: Trajectory, cuts) -> None:
+    """Have a writer child write ``traj``'s trajectory.csv and errors.csv
+    into ``out``, streaming the rows in messages that end at ``cuts``."""
+    edges = [0, *cuts, len(traj.times)]
+    with SeriesWriter() as series:
+        on_block = series.stream_trajectory(traj.times, traj.p)
+        for a, b in zip(edges, edges[1:]):
+            on_block(slice(a, b), traj.errors[a:b])
+        series.commit(out)
+        series.wait()
 
 
 def _assert_no_child_process() -> None:
@@ -762,9 +810,12 @@ class TestSeriesWriterFailures:
         assert (out / "trajectory.csv").read_text().startswith("t,x_1,")
 
     def test_bracket_failure(self, tmp_path, monkeypatch):
+        """The check fails after every rows message was sent."""
+        sent = _count_rows(monkeypatch)
         monkeypatch.setattr(harness, "BRACKET_TOL", -1e9)
         with pytest.raises(DbmcError, match="fails to bracket"):
             run_scenario(parse_scenario(BASE_SCENARIO), tmp_path / "out")
+        assert {"bands.csv", "trajectory.csv", "errors.csv"} <= set(sent)
         _assert_no_child_process()
         assert not any(tmp_path.iterdir())
 
@@ -784,13 +835,33 @@ class TestSeriesWriterFailures:
         assert not list(out.glob("*.tmp"))
         assert (out / "trajectory.csv").is_dir() and not (out / "errors.csv").exists()
 
+    def test_a_child_killed_mid_stream_is_reported(self, tmp_path, monkeypatch):
+        sent = _count_rows(monkeypatch, kill_at=("errors.csv", 2))
+        with pytest.raises(OSError, match="errors.csv failed: the writer exited with status -9"):
+            run_scenario(parse_scenario(BASE_SCENARIO), tmp_path / "out")
+        assert sent.count("errors.csv") == 2
+        _assert_no_child_process()
+        assert not any(tmp_path.iterdir())
+
+    def test_a_parent_failure_before_the_commit_writes_nothing(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise DbmcError("the report failed")
+
+        sent = _count_rows(monkeypatch)
+        monkeypatch.setattr(harness, "build_report", broken)
+        with pytest.raises(DbmcError, match="the report failed"):
+            run_scenario(parse_scenario(BASE_SCENARIO), tmp_path / "out")
+        assert {"bands.csv", "trajectory.csv", "errors.csv"} <= set(sent)
+        _assert_no_child_process()
+        assert not any(tmp_path.iterdir())
+
     def test_a_parent_failure_after_the_request_kills_the_child(self, tmp_path, monkeypatch):
         def broken(*args):
-            raise DbmcError("bands.csv failed")
+            raise DbmcError("focus.csv failed")
 
-        monkeypatch.setattr(harness, "bands_csv", broken)
+        monkeypatch.setattr(harness, "focus_csv", broken)
         out = tmp_path / "out"
-        with pytest.raises(DbmcError, match="bands.csv failed"):
+        with pytest.raises(DbmcError, match="focus.csv failed"):
             run_scenario(parse_scenario(BASE_SCENARIO), out)
         _assert_no_child_process()
         assert not list(out.glob("*.tmp"))
@@ -800,15 +871,14 @@ class TestSeriesWriterFailures:
             with SeriesWriter() as series:
                 series.proc.kill()
                 series.proc.wait()
-                series.send(tmp_path, _odd_trajectory(BLOCK))
+                series.stream_trajectory(np.zeros(1), np.zeros(2))
         _assert_no_child_process()
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("cut", [0, 1, 40, -1])
     def test_a_request_that_ends_early_writes_nothing(self, tmp_path, cut):
-        """Cut before the end marker, anywhere, the child writes no file."""
-        head = {"path": str(tmp_path / "s.csv"), "header": "t,v\n", "rows": 2, "width": 2}
-        request = (json.dumps(head) + "\n").encode() + np.arange(4.0).tobytes() + b"\n"
+        """Cut before the commit's end, anywhere, the child writes no file."""
+        request, _ = _request(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-I", "-S", seriesio.__file__],
             input=request[:cut], capture_output=True, timeout=60,
@@ -821,7 +891,143 @@ class TestSeriesWriterFailures:
             input=request, capture_output=True, timeout=60,
         )
         assert whole.returncode == 0, whole.stderr
-        assert (tmp_path / "s.csv").read_text() == "t,v\n0,1\n2,3\n"
+        assert (tmp_path / "s.csv").read_text() == "t,v\n0,1\n2,3\n4,5\n6,7\n"
+        assert (tmp_path / "u.csv").read_text() == "u\n-0\n"
+
+    def test_a_request_cut_at_any_byte_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """Every proper prefix of a request, cut between messages, inside a
+        message line or inside rows, makes the child exit 1 and write no file."""
+        request, ends = _request(tmp_path)
+        assert ends[-1] == len(request) and len(ends) == 7
+        for cut in range(len(request)):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(request[:cut])))
+            assert seriesio.main() == 1, cut
+            assert "ended early" in capsys.readouterr().err, cut
+            assert not any(tmp_path.iterdir()), cut
+
+    @pytest.mark.parametrize(
+        "message, why",
+        [
+            ({"file": "v.csv", "rows": 1}, "rows of v.csv, which was not declared"),
+            ({"file": "s.csv", "header": "again\n", "width": 1}, "s.csv is declared twice"),
+            ({"rows": 1}, "malformed message"),
+        ],
+    )
+    def test_a_malformed_request_writes_nothing(self, tmp_path, message, why):
+        request, ends = _request(tmp_path)
+        bad = request[: ends[1]] + json.dumps(message).encode() + b"\n" + request[ends[1]:]
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", seriesio.__file__],
+            input=bad, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert why in proc.stderr.decode()
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("refusal", ["refused", "absent"])
+    def test_a_pipe_that_cannot_grow_gives_the_same_files(self, tmp_path, monkeypatch, refusal):
+        """Without the larger pipe the parent waits for the child more often,
+        and every file keeps its bytes."""
+        import fcntl
+
+        sc = load_scenario("scenarios/case_study_40pct.ini")
+        run_scenario(sc, tmp_path / "grown")
+        sizes = []
+        if refusal == "refused":
+            def refuse(fd, cmd, arg=0):
+                sizes.append(arg)
+                raise PermissionError(1, "Operation not permitted")
+
+            monkeypatch.setattr(fcntl, "fcntl", refuse)
+        else:
+            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+        run_scenario(sc, tmp_path / "default")
+        assert sizes == ([harness.PIPE_BYTES] if refusal == "refused" else [])
+        names = sorted(p.name for p in (tmp_path / "grown").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert "bands.csv" in names
+        for name in names:
+            assert (tmp_path / "grown" / name).read_bytes() == (
+                tmp_path / "default" / name
+            ).read_bytes(), name
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("unread", [0, 1])
+    def test_band_rows_formatted_here_give_the_same_files(self, tmp_path, monkeypatch, unread):
+        """A block that finds the child still reading (a pipe that never
+        reads empty) formats its band rows here; the files keep their bytes."""
+        sc = load_scenario("scenarios/case_study_40pct.ini")
+        run_scenario(sc, tmp_path / "child")
+        monkeypatch.setattr(harness, "_unread", lambda fd: unread)
+        texts = []
+        send = SeriesWriter._send
+
+        def counted(self, head, payload=None):
+            if "text" in head:
+                texts.append(head["file"])
+            send(self, head, payload)
+
+        monkeypatch.setattr(SeriesWriter, "_send", counted)
+        run_scenario(sc, tmp_path / "here")
+        rows = len((tmp_path / "child" / "bands.csv").read_text().splitlines()) - 1
+        assert texts == ["bands.csv"] * (unread * -(-rows // BLOCK))
+        names = sorted(p.name for p in (tmp_path / "child").iterdir())
+        for name in names:
+            assert (tmp_path / "child" / name).read_bytes() == (
+                tmp_path / "here" / name
+            ).read_bytes(), name
+        _assert_no_child_process()
+
+    def test_the_pipe_grows_where_the_os_allows(self):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_GETPIPE_SZ"):
+            pytest.skip("no F_GETPIPE_SZ")
+        r, w = os.pipe()
+        try:
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, harness.PIPE_BYTES)
+        except OSError:
+            pytest.skip("this OS refuses a pipe of PIPE_BYTES")
+        finally:
+            os.close(r)
+            os.close(w)
+        with SeriesWriter() as series:
+            size = fcntl.fcntl(series.proc.stdin.fileno(), fcntl.F_GETPIPE_SZ)
+        assert size == harness.PIPE_BYTES
+        _assert_no_child_process()
+
+
+def _count_rows(monkeypatch, kill_at=None) -> list[str]:
+    """Record the file of each ``SeriesWriter.rows`` call; with ``kill_at =
+    (name, k)``, kill the child just before the k-th rows of ``name``."""
+    sent: list[str] = []
+    rows = SeriesWriter.rows
+
+    def counted(self, name, table, here=False):
+        sent.append(name)
+        if kill_at is not None and (name, sent.count(name)) == kill_at:
+            self.proc.kill()
+            self.proc.wait()
+        rows(self, name, table, here)
+
+    monkeypatch.setattr(SeriesWriter, "rows", counted)
+    return sent
+
+
+def _request(out: Path) -> tuple[bytes, list[int]]:
+    """A whole request that writes ``out/s.csv`` (two rows messages and one
+    of text) and ``out/u.csv``, and the offset at which each of its
+    messages ends."""
+    parts = [
+        json.dumps({"file": "s.csv", "header": "t,v\n", "width": 2}).encode() + b"\n",
+        json.dumps({"file": "s.csv", "rows": 2}).encode() + b"\n" + np.arange(4.0).tobytes(),
+        json.dumps({"file": "u.csv", "header": "u\n", "width": 1}).encode() + b"\n",
+        json.dumps({"file": "u.csv", "rows": 1}).encode() + b"\n" + np.array([-0.0]).tobytes(),
+        json.dumps({"file": "s.csv", "rows": 1}).encode() + b"\n" + np.array([4.0, 5.0]).tobytes(),
+        json.dumps({"file": "s.csv", "text": 4}).encode() + b"\n6,7\n",
+        json.dumps({"out": os.fspath(out)}).encode() + b"\n",
+    ]
+    ends = np.cumsum([len(part) for part in parts]).tolist()
+    return b"".join(parts), ends
 
 
 class TestWriteAtomic:
@@ -1104,6 +1310,30 @@ class TestFastPathsMatchOracles:
         check_brackets(g, traj, curves)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("focus", [2, 101, 200])
+    def test_focus_columns_have_the_full_reads_bits(self, focus):
+        """focus.csv evaluates only the focus node's chain, and its lower and
+        upper columns have the bits of the whole bands' column, in the
+        log-space cells of a 199-hop chain near the deadline too."""
+        g = line_graph(200)
+        sol = solve_shortest_paths(g)
+        model = build_model(SINUSOID, g, 11, horizon=ORACLE_PARAMS.deadline)
+        sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
+        x0 = constant_initial(g, 220.0)
+        times = np.concatenate((np.linspace(0.0, 4.9, 40), [4.95, 4.99]))
+        curves = compute_bound_curves(
+            g, sol, sol_minus, model, x0, 3.0, 219.0, ORACLE_PARAMS, times, BOUND_KINDS
+        )
+        rng = np.random.default_rng(focus)
+        traj = Trajectory(np.array(sol.p), times, rng.standard_normal((len(times), 200)))
+        col = g.non_sources.index(focus)
+        for kind, bands in curves.items():
+            text = "".join(focus_csv(g, traj, curves, focus, kind))
+            assert_same_text(text, focus_csv_loop(g, traj, curves, focus, kind), kind)
+            cells = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
+            for got, band in zip(cells.T[2:], bands):
+                _assert_same_bits(got, np.asarray(band)[:, col])
+
     def test_constant_lower_bands_are_read_only(self):
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
         sc = replace(sc, t_end_rule=parse_t_end_rule("0.1Ts"))
@@ -1251,7 +1481,7 @@ class TestBoundCurveMemory:
     def test_each_reader_evaluates_each_row_once(self, monkeypatch):
         # On 399 non-sources one envelope block is 82 rows, fewer than a
         # block of CSV rows; every reader still evaluates every time row
-        # once for all three bands.
+        # once for all three bands, and focus_csv only the focus chain.
         g, sol, sol_minus, model, x0, chi0, traj = _wide_run()
         traj = Trajectory(traj.p, traj.times[:300], traj.errors[:300])
         curves = compute_bound_curves(
@@ -1266,12 +1496,19 @@ class TestBoundCurveMemory:
             return evaluate(hops, width, lp)
 
         monkeypatch.setattr(bounds, "_deepest_first_envelopes", counted)
-        for read in (lambda: check_brackets(g, traj, curves),
-                     lambda: bounds_csv(g, traj.times, curves),
-                     lambda: bands_csv(g, traj.times, curves),
-                     lambda: focus_csv(g, traj, curves, g.non_sources[-1], "uniform")):
+        wide = len(g.non_sources)
+        header, cells, table = band_rows(g, traj.times, curves)
+
+        def bands_text():  # as a run streams it, a BLOCK of rows at a time
+            spans = (slice(a, a + BLOCK) for a in range(0, len(traj.times), BLOCK))
+            return series_chunks(header, cells, np.concatenate([table(s) for s in spans]).ravel())
+
+        for read, width in ((lambda: check_brackets(g, traj, curves), wide),
+                            (lambda: bounds_csv(g, traj.times, curves), wide),
+                            (bands_text, wide),
+                            (lambda: focus_csv(g, traj, curves, g.non_sources[-1], "uniform"), 1)):
             read()
-            assert {w for w, _ in widths} == {len(g.non_sources)}
+            assert {w for w, _ in widths} == {width}
             assert sum(n for _, n in widths) == len(traj.times)
             widths.clear()
 
