@@ -38,8 +38,9 @@ process, started right after the scenario is planned, that formats the raw
 rows as they arrive.  The stored times are known before the integration
 (:func:`dynamics.step_grid`), so ``run`` computes its bands first;
 :func:`dynamics.simulate` then hands over each finished ``BLOCK`` of error
-rows, the parent sends that block's rows of every series file, ``bands.csv``
-included, and the child formats them while RK4 runs the next block.
+rows, the parent sends that block's raw rows of every series file,
+``bands.csv`` included, and the child formats them while RK4 runs the next
+block.
 Once every check has passed, the output directory is made and named to the
 child, which writes its files with the same ``seriesio.write_atomic`` that
 ``write_atomic`` calls while the parent writes the other files.
@@ -498,35 +499,25 @@ def _enlarge_pipe(fd: int) -> None:
         pass
 
 
-def _unread(fd: int) -> int:
-    """The bytes written to the pipe of ``fd`` that its reader has not read
-    yet (``FIONREAD``); 0 where the OS cannot tell."""
-    try:
-        import fcntl
-        import termios
-
-        return int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
-    except (ImportError, AttributeError, OSError):
-        return 0
-
-
 class SeriesWriter:
     """The writer child of :mod:`seriesio`, which formats series files from
     raw rows while the parent goes on, and writes them once told where.
 
     The child, ``python -I -S seriesio.py``, imports no numpy and starts in
     about 10 ms, so it is started before the trajectory exists.
-    :meth:`declare` names a file, :meth:`rows` streams it float64 rows (or
-    their text), as many times as the rows come, and :meth:`commit` names
-    the output directory; the child formats each message on arrival and
-    writes nothing before the commit.  :meth:`wait` returns once every file is written and
-    raises OSError with the child's message if it failed, as does a message
-    the child is no longer there to read.  The parent's end of the pipe is
-    grown to ``PIPE_BYTES`` where the OS allows it, so the parent seldom
-    waits for the child to read; ``blocked`` counts the seconds spent
-    writing to the pipe.  Leaving the ``with`` block by an exception kills
-    the child, waits for it and removes its temporary files, so no process
-    and no ``*.tmp`` outlives the run.
+    :meth:`declare` names a file, :meth:`rows` streams it raw float64 rows,
+    as many times as the rows come, and :meth:`commit` names the output
+    directory; the child formats each message on arrival and writes nothing
+    before the commit.  The parent formats none of the rows it streams.
+    :meth:`wait` returns once every file is written and raises OSError with
+    the child's message if it failed, as does a message the child is no
+    longer there to read.  The parent's end of the pipe is grown to
+    ``PIPE_BYTES`` where the OS allows it, so the parent seldom waits for
+    the child to read; where the child lags, a write blocks until it reads.
+    ``blocked`` counts the seconds spent writing to the pipe.  Leaving the
+    ``with`` block by an exception kills the child, waits for it and
+    removes its temporary files, so no process and no ``*.tmp`` outlives
+    the run.
     """
 
     def __init__(self) -> None:
@@ -572,18 +563,13 @@ class SeriesWriter:
         self.widths[name] = width
         self._send({"file": name, "header": header, "width": width})
 
-    def rows(self, name: str, table: np.ndarray, here: bool = False) -> None:
+    def rows(self, name: str, table: np.ndarray) -> None:
         """Stream the rows of the 2-D float64 ``table`` to the file ``name``,
-        for the child to format, or with ``here`` formatted in this process
-        with the child's template and sent as text."""
+        for the child to format."""
         if table.ndim != 2 or table.shape[1] != self.widths[name]:
             raise ValueError(f"{name} has {self.widths[name]} cells per row, got {table.shape}")
         table = np.ascontiguousarray(table, dtype=np.float64)
-        if here:
-            text = "".join(series_chunks("", table.shape[1], table.ravel())).encode()
-            self._send({"file": name, "text": len(text)}, text)
-        else:
-            self._send({"file": name, "rows": len(table)}, table)
+        self._send({"file": name, "rows": len(table)}, table)
 
     def stream_trajectory(
         self, times: np.ndarray, p, bands: tuple | None = None
@@ -591,11 +577,8 @@ class SeriesWriter:
         """Declare ``trajectory.csv`` and ``errors.csv`` of a run stored at
         ``times`` with distances ``p``, and ``bands.csv`` if ``bands`` is
         given, as :func:`band_rows` returns it; return the ``on_block`` of
-        :func:`dynamics.simulate` that streams each block of their rows, so
-        the child formats a block while the next one is integrated.  A block
-        that finds the child still reading the one before has its
-        ``bands.csv`` rows formatted here instead, so on a wide graph, where
-        formatting outweighs the integration, both processes format."""
+        :func:`dynamics.simulate` that streams each block of their raw rows,
+        so the child formats a block while the next one is integrated."""
         p = np.asarray(p, dtype=float)
         if bands is not None:
             header, width, band_table = bands
@@ -605,8 +588,7 @@ class SeriesWriter:
 
         def on_block(span: slice, errors: np.ndarray) -> None:
             if bands is not None:
-                behind = _unread(self.proc.stdin.fileno()) > 0
-                self.rows("bands.csv", band_table(span), here=behind)
+                self.rows("bands.csv", band_table(span))
             self.rows("trajectory.csv", _table(times[span], errors + p))
             self.rows("errors.csv", _table(times[span], errors))
 

@@ -13,14 +13,12 @@ messages from standard input, each one JSON line:
               and number of cells per row
     rows:     {"file", "rows"}, then rows * width native float64 values,
               row by row, for a file declared before
-    text:     {"file", "text"}, then that many bytes of rows the parent
-              formatted itself, with the same template
     commit:   {"out"}  the output directory; the last message
 
-A file's rows may arrive in any number of messages, interleaved with other
-files' messages; each message is formatted on arrival, so the child formats
-while its parent computes the next rows.  Nothing is written before the
-commit.  It then writes each file, in the order declared, to
+A file's rows arrive only raw, in any number of rows messages, interleaved
+with other files' messages; each message is formatted on arrival, so the
+child formats while its parent computes the next rows.  Nothing is written
+before the commit.  It then writes each file, in the order declared, to
 ``<out>/<file>`` with :func:`write_atomic`, through ``<path>.tmp`` renamed
 over ``<path>``, and prints on standard output its wall seconds, its seconds
 spent writing and its CPU seconds.  If the input ends before the commit, it
@@ -100,8 +98,6 @@ def _read_request(stream) -> tuple[str, dict[str, SeriesText]]:
                 files[name] = SeriesText(msg["header"], msg["width"])
             elif name not in files:
                 raise ValueError(f"rows of {name}, which was not declared")
-            elif "text" in msg:
-                files[name].chunks.append(_read_exact(stream, msg["text"]).decode())
             else:
                 values = array("d")
                 size = msg["rows"] * files[name].width * values.itemsize

@@ -750,8 +750,8 @@ class TestColumnFormatterEdges:
     @pytest.mark.parametrize("kinds", [BOUND_KINDS, ("envelope",), ("uniform",)])
     def test_band_rows_in_the_child_across_band_blocks(self, tmp_path, kinds):
         """bands.csv evaluated and streamed to the child 47 rows per
-        message, so messages end inside a BLOCK of text, every other message
-        formatted in this process, is the per-value loop's text."""
+        message, so messages end inside a BLOCK of text, is the per-value
+        loop's text."""
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
         plan = plan_scenario(replace(sc, t_end_rule=parse_t_end_rule("0.1Ts")))
         times = np.array(dynamics.step_grid(sc.params, plan.t_stop)[0])
@@ -764,7 +764,7 @@ class TestColumnFormatterEdges:
         with SeriesWriter() as series:
             series.declare("bands.csv", header, width)
             for a in range(0, len(times), 47):
-                series.rows("bands.csv", table(slice(a, a + 47)), here=a % 94 == 47)
+                series.rows("bands.csv", table(slice(a, a + 47)))
             series.commit(tmp_path)
             series.wait()
         text = (tmp_path / "bands.csv").read_text()
@@ -792,6 +792,33 @@ def _write_series(out: Path, traj: Trajectory, cuts) -> None:
             on_block(slice(a, b), traj.errors[a:b])
         series.commit(out)
         series.wait()
+
+
+# 120 nodes: each 128-row trajectory.csv message (121 float64 per row) is
+# 123 904 bytes, larger than a 64 KiB default pipe
+WIDE_SCENARIO = """
+[graph]
+kind = hop-random
+n = 120
+
+[disturbance]
+kind = sinusoid
+amplitude = 0.03
+seed = 1
+
+[gain]
+gamma = 2
+h = 12
+deadline = 5
+
+[initial]
+value = 12
+
+[run]
+t_end = 0.2Ts
+q = 3
+bounds = auto
+"""
 
 
 def _assert_no_child_process() -> None:
@@ -891,14 +918,14 @@ class TestSeriesWriterFailures:
             input=request, capture_output=True, timeout=60,
         )
         assert whole.returncode == 0, whole.stderr
-        assert (tmp_path / "s.csv").read_text() == "t,v\n0,1\n2,3\n4,5\n6,7\n"
+        assert (tmp_path / "s.csv").read_text() == "t,v\n0,1\n2,3\n4,5\n"
         assert (tmp_path / "u.csv").read_text() == "u\n-0\n"
 
     def test_a_request_cut_at_any_byte_writes_nothing(self, tmp_path, monkeypatch, capsys):
         """Every proper prefix of a request, cut between messages, inside a
         message line or inside rows, makes the child exit 1 and write no file."""
         request, ends = _request(tmp_path)
-        assert ends[-1] == len(request) and len(ends) == 7
+        assert ends[-1] == len(request) and len(ends) == 6
         for cut in range(len(request)):
             monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(request[:cut])))
             assert seriesio.main() == 1, cut
@@ -911,6 +938,7 @@ class TestSeriesWriterFailures:
             ({"file": "v.csv", "rows": 1}, "rows of v.csv, which was not declared"),
             ({"file": "s.csv", "header": "again\n", "width": 1}, "s.csv is declared twice"),
             ({"rows": 1}, "malformed message"),
+            ({"file": "s.csv", "text": 4}, "malformed message"),
         ],
     )
     def test_a_malformed_request_writes_nothing(self, tmp_path, message, why):
@@ -924,14 +952,24 @@ class TestSeriesWriterFailures:
         assert why in proc.stderr.decode()
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("refusal", ["refused", "absent"])
-    def test_a_pipe_that_cannot_grow_gives_the_same_files(self, tmp_path, monkeypatch, refusal):
+    @pytest.mark.parametrize(
+        "scenario, refusal",
+        [("case_study_40pct", "refused"), ("case_study_40pct", "absent"), ("wide", "refused")],
+    )
+    def test_a_pipe_that_cannot_grow_gives_the_same_files(
+        self, tmp_path, monkeypatch, scenario, refusal
+    ):
         """Without the larger pipe the parent waits for the child more often,
-        and every file keeps its bytes."""
+        and every file keeps its bytes.  On the 120-node graph every 128-row
+        message of trajectory.csv is larger than a 64 KiB pipe, and its
+        series files are the per-value loops' text."""
         import fcntl
 
-        sc = load_scenario("scenarios/case_study_40pct.ini")
-        run_scenario(sc, tmp_path / "grown")
+        if scenario == "wide":
+            sc = parse_scenario(WIDE_SCENARIO)
+        else:
+            sc = load_scenario(f"scenarios/{scenario}.ini")
+        assert run_scenario(sc, tmp_path / "grown").exit_code == 0
         sizes = []
         if refusal == "refused":
             def refuse(fd, cmd, arg=0):
@@ -951,32 +989,22 @@ class TestSeriesWriterFailures:
                 tmp_path / "default" / name
             ).read_bytes(), name
         _assert_no_child_process()
-
-    @pytest.mark.parametrize("unread", [0, 1])
-    def test_band_rows_formatted_here_give_the_same_files(self, tmp_path, monkeypatch, unread):
-        """A block that finds the child still reading (a pipe that never
-        reads empty) formats its band rows here; the files keep their bytes."""
-        sc = load_scenario("scenarios/case_study_40pct.ini")
-        run_scenario(sc, tmp_path / "child")
-        monkeypatch.setattr(harness, "_unread", lambda fd: unread)
-        texts = []
-        send = SeriesWriter._send
-
-        def counted(self, head, payload=None):
-            if "text" in head:
-                texts.append(head["file"])
-            send(self, head, payload)
-
-        monkeypatch.setattr(SeriesWriter, "_send", counted)
-        run_scenario(sc, tmp_path / "here")
-        rows = len((tmp_path / "child" / "bands.csv").read_text().splitlines()) - 1
-        assert texts == ["bands.csv"] * (unread * -(-rows // BLOCK))
-        names = sorted(p.name for p in (tmp_path / "child").iterdir())
-        for name in names:
-            assert (tmp_path / "child" / name).read_bytes() == (
-                tmp_path / "here" / name
-            ).read_bytes(), name
-        _assert_no_child_process()
+        if scenario == "wide":
+            plan = plan_scenario(sc)
+            assert BLOCK * (plan.g.node_count + 1) * 8 == 123_904 > 1 << 16
+            traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
+            assert len(traj.times) > 2 * BLOCK
+            curves = compute_bound_curves(
+                plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
+                sc.params, traj.times, plan.kinds,
+            )
+            want = {
+                "trajectory.csv": trajectory_csv_loop(traj),
+                "errors.csv": errors_csv_loop(traj),
+                "bands.csv": bands_csv_loop(plan.g, traj.times, curves),
+            }
+            for name, text in want.items():
+                assert_same_text((tmp_path / "default" / name).read_text(), text, name)
 
     def test_the_pipe_grows_where_the_os_allows(self):
         fcntl = pytest.importorskip("fcntl")
@@ -1002,28 +1030,26 @@ def _count_rows(monkeypatch, kill_at=None) -> list[str]:
     sent: list[str] = []
     rows = SeriesWriter.rows
 
-    def counted(self, name, table, here=False):
+    def counted(self, name, table):
         sent.append(name)
         if kill_at is not None and (name, sent.count(name)) == kill_at:
             self.proc.kill()
             self.proc.wait()
-        rows(self, name, table, here)
+        rows(self, name, table)
 
     monkeypatch.setattr(SeriesWriter, "rows", counted)
     return sent
 
 
 def _request(out: Path) -> tuple[bytes, list[int]]:
-    """A whole request that writes ``out/s.csv`` (two rows messages and one
-    of text) and ``out/u.csv``, and the offset at which each of its
-    messages ends."""
+    """A whole request that writes ``out/s.csv`` (two rows messages) and
+    ``out/u.csv``, and the offset at which each of its messages ends."""
     parts = [
         json.dumps({"file": "s.csv", "header": "t,v\n", "width": 2}).encode() + b"\n",
         json.dumps({"file": "s.csv", "rows": 2}).encode() + b"\n" + np.arange(4.0).tobytes(),
         json.dumps({"file": "u.csv", "header": "u\n", "width": 1}).encode() + b"\n",
         json.dumps({"file": "u.csv", "rows": 1}).encode() + b"\n" + np.array([-0.0]).tobytes(),
         json.dumps({"file": "s.csv", "rows": 1}).encode() + b"\n" + np.array([4.0, 5.0]).tobytes(),
-        json.dumps({"file": "s.csv", "text": 4}).encode() + b"\n6,7\n",
         json.dumps({"out": os.fspath(out)}).encode() + b"\n",
     ]
     ends = np.cumsum([len(part) for part in parts]).tolist()
