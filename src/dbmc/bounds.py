@@ -16,7 +16,6 @@ time or an array of times and broadcasts accordingly.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Sequence
 
@@ -72,9 +71,8 @@ class NominalEnvelopes:
     so every envelope is finite and every cell without such a term keeps the
     bits of the direct sum.
 
-    The one read is :meth:`rows`, and :meth:`chain` narrows the table to
-    one chain.  Nothing is stored per time row but L, and
-    nothing is kept between reads: the caller decides which rows are
+    The one read is :meth:`rows`.  Nothing is stored per time row but L,
+    and nothing is kept between reads: the caller decides which rows are
     evaluated, how many at a time, and how often.
     """
 
@@ -94,20 +92,6 @@ class NominalEnvelopes:
         # on each of those, and per block that pins freed heap in RSS
         out.setflags(write=False)
         return out
-
-    def chain(self, c: int) -> NominalEnvelopes:
-        """Chain ``c`` alone, over the same times.  A cell depends only on
-        its own chain's terms, so each keeps its bits."""
-        pos = self.back[c]
-        one = copy.copy(self)
-        one.hops = [
-            (coeff[pos : pos + 1], abs(float(coeff[pos])), fact)
-            for coeff, _, fact in self.hops
-            if pos < len(coeff)
-        ]
-        one.back = np.zeros(1, dtype=int)
-        one.shape = (self.shape[0], 1)
-        return one
 
 
 def _hops(chains: list) -> list[tuple[np.ndarray, float, float]]:

@@ -32,19 +32,19 @@ string.  ``write_atomic`` writes the chunks to a temporary file and renames
 it over the target, so no second copy of a whole file is built, and a failed
 write leaves any earlier file as it was.
 
-``run_scenario`` and ``dbmc simulate`` leave ``trajectory.csv``,
-``errors.csv`` and ``bands.csv`` to a :class:`SeriesWriter`: a child
-process, started right after the scenario is planned, that formats the raw
-rows as they arrive.  The stored times are known before the integration
-(:func:`dynamics.step_grid`), so ``run`` computes its bands first;
-:func:`dynamics.simulate` then hands over each finished ``BLOCK`` of error
-rows, the parent sends that block's raw rows of every series file,
-``bands.csv`` included, and the child formats them while RK4 runs the next
-block.
+``run_scenario`` and ``dbmc simulate`` leave every series file to a
+:class:`SeriesWriter`: a child process, started right after the scenario is
+planned, that formats the raw rows as they arrive.  The stored times are
+known before the integration (:func:`dynamics.step_grid`), so ``run``
+computes its bands first; :func:`dynamics.simulate` then hands over each
+finished ``BLOCK`` of error rows, the parent sends that block's raw rows of
+every series file, and the child formats them while RK4 runs the next
+block.  ``bands.csv`` rows are evaluated once per block, and the
+``focus.csv`` rows are built from them and the block's errors.
 Once every check has passed, the output directory is made and named to the
 child, which writes its files with the same ``seriesio.write_atomic`` that
-``write_atomic`` calls while the parent writes the other files.
-``focus.csv`` is formatted in the parent, after the bracket check.
+``write_atomic`` calls while the parent writes the JSON files and
+``graph.txt``; the parent formats no CSV during a run.
 
 Exit codes: 0 success, 2 identification failure, 1 any error.
 """
@@ -176,24 +176,30 @@ class Plan:
     t_stop: float
     auto_kinds: tuple[str, ...]  # every bound kind the disturbance supports
     kinds: tuple[str, ...]  # the kinds [run] bounds selects
+    focus: int  # [run] focus_node, else the deepest non-source
 
 
 def plan_scenario(sc: Scenario) -> Plan:
-    """Graph, solutions, model, x0, chi0, guaranteed stop time, t_end and kinds.
+    """Graph, solutions, model, x0, chi0, stop times, kinds and focus node.
 
     Every setting comes from ``sc``: to plan another seed, q or stop time,
     pass ``dataclasses.replace(sc, ...)``.  Raises SpecError when q is not
-    finite and above 1 or when ``t_end = auto`` but no guaranteed stop time
-    exists or when ``[run] bounds`` lists a kind the disturbance does not
-    support, and PreconditionError when x0 fails
-    :func:`dynamics.check_initial_state` or the stop time fails
-    :func:`dynamics.check_t_end`, so every verb enforces the preconditions
-    ``simulate`` does.
+    finite and above 1, when the focus node is a source or no node, when
+    ``t_end = auto`` but no guaranteed stop time exists or when ``[run]
+    bounds`` lists a kind the disturbance does not support, and
+    PreconditionError when x0 fails :func:`dynamics.check_initial_state` or
+    the stop time fails :func:`dynamics.check_t_end`, so every verb enforces
+    the preconditions ``run`` does.
     """
     if not 1.0 < sc.q < math.inf:
         raise SpecError(f"q must be finite and exceed 1, got {sc.q!r}")
     g = resolve_graph(sc.graph_spec)
     sol = solve_shortest_paths(g)
+    focus = sc.focus_node
+    if focus is None:
+        focus = max(g.non_sources, key=lambda i: sol.p[i - 1])
+    elif focus in g.sources or not 1 <= focus <= g.node_count:
+        raise SpecError(f"[run] focus_node {focus} must be a non-source node")
     model = build_model(sc.disturbance, g, sc.seed, horizon=sc.params.deadline)
     x0 = initial_state_vector(g, sc)
 
@@ -244,7 +250,7 @@ def plan_scenario(sc: Scenario) -> Plan:
 
     return Plan(
         g, sol, sol_minus, model, x0, chi0,
-        ts_status, ts_value, ts_detail, t_stop, auto_kinds, kinds,
+        ts_status, ts_value, ts_detail, t_stop, auto_kinds, kinds, focus,
     )
 
 
@@ -508,7 +514,8 @@ class SeriesWriter:
     :meth:`declare` names a file, :meth:`rows` streams it raw float64 rows,
     as many times as the rows come, and :meth:`commit` names the output
     directory; the child formats each message on arrival and writes nothing
-    before the commit.  The parent formats none of the rows it streams.
+    before the commit.  The parent formats none of the rows it streams, and
+    a run streams every CSV it writes (:meth:`stream_trajectory`).
     :meth:`wait` returns once every file is written and raises OSError with
     the child's message if it failed, as does a message the child is no
     longer there to read.  The parent's end of the pipe is grown to
@@ -572,23 +579,30 @@ class SeriesWriter:
         self._send({"file": name, "rows": len(table)}, table)
 
     def stream_trajectory(
-        self, times: np.ndarray, p, bands: tuple | None = None
+        self, times: np.ndarray, p, bands: tuple | None = None, focus: tuple | None = None
     ) -> Callable[[slice, np.ndarray], None]:
         """Declare ``trajectory.csv`` and ``errors.csv`` of a run stored at
-        ``times`` with distances ``p``, and ``bands.csv`` if ``bands`` is
-        given, as :func:`band_rows` returns it; return the ``on_block`` of
+        ``times`` with distances ``p``, ``bands.csv`` if ``bands`` is given,
+        as :func:`band_rows` returns it, and then ``focus.csv`` if ``focus``
+        is, as :func:`focus_csv` returns it; return the ``on_block`` of
         :func:`dynamics.simulate` that streams each block of their raw rows,
         so the child formats a block while the next one is integrated."""
         p = np.asarray(p, dtype=float)
         if bands is not None:
             header, width, band_table = bands
             self.declare("bands.csv", header, width)
+            if focus is not None:
+                header, width, focus_table = focus
+                self.declare("focus.csv", header, width)
         for name, prefix in (("trajectory.csv", "x"), ("errors.csv", "e")):
             self.declare(name, _series_header(prefix, len(p)), len(p) + 1)
 
         def on_block(span: slice, errors: np.ndarray) -> None:
             if bands is not None:
-                self.rows("bands.csv", band_table(span))
+                block = band_table(span)
+                self.rows("bands.csv", block)
+                if focus is not None:
+                    self.rows("focus.csv", focus_table(span, errors, block))
             self.rows("trajectory.csv", _table(times[span], errors + p))
             self.rows("errors.csv", _table(times[span], errors))
 
@@ -692,27 +706,30 @@ def bands_json(g: WeightedDigraph, curves: dict[str, tuple]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _column(band, col: int):
-    """Column ``col`` of a band as a (times x 1) band.  A :class:`ShiftedBand`
-    keeps only that chain of its envelope, whose cells keep their bits."""
-    if isinstance(band, ShiftedBand):
-        return ShiftedBand(band.env.chain(col), band.shift[col : col + 1])
-    return band[:, col : col + 1]
-
-
 def focus_csv(
     g: WeightedDigraph,
-    traj: Trajectory,
     curves: dict[str, tuple],
     focus: int,
-    kind: str,
-) -> list[str]:
-    """``t,error,lower,upper`` of the node ``focus`` under the band ``kind``,
-    evaluating the focus node's chain only."""
+) -> tuple[str, int, Callable[[slice, np.ndarray, np.ndarray], np.ndarray]] | None:
+    """As :func:`band_rows`, for ``focus.csv``: ``t,error,lower,upper`` of
+    the node ``focus`` under the proportional band, else the uniform one,
+    else None.  Its rows at the times ``span`` are built from their errors
+    and their ``bands.csv`` rows: ``upper`` is the node's ``env_<i>`` plus
+    its shift, the float add a :class:`ShiftedBand` makes, so it keeps the
+    band's bits and evaluates no envelope."""
+    kind = next((k for k in ("proportional", "uniform") if k in curves), None)
+    if kind is None:
+        return None
     col = g.non_sources.index(focus)
-    lower, upper = (np.asarray(_column(band, col))[:, 0] for band in curves[kind])
-    values = np.column_stack((traj.error_of(focus), lower, upper))
-    return _series_csv("t,error,lower,upper\n", traj.times, values)
+    lower, upper = curves[kind]
+
+    def table(span: slice, errors: np.ndarray, block: np.ndarray) -> np.ndarray:
+        return np.column_stack((
+            block[:, 0], errors[:, focus - 1], lower[span, col],
+            block[:, 1 + col] + upper.shift[col],
+        ))
+
+    return "t,error,lower,upper\n", 4, table
 
 
 def make_out_dir(out_dir: str | os.PathLike | None, sc: Scenario) -> Path:
@@ -743,11 +760,6 @@ def _run_plan(
     sc: Scenario, plan: Plan, series: SeriesWriter, out_dir: str | os.PathLike | None
 ) -> RunResult:
     g, sol, model, x0, t_stop = plan.g, plan.sol, plan.model, plan.x0, plan.t_stop
-    focus = sc.focus_node
-    if focus is None:
-        focus = max(g.non_sources, key=lambda i: sol.p[i - 1])
-    elif focus in g.sources or not 1 <= focus <= g.node_count:
-        raise SpecError(f"[run] focus_node {focus} must be a non-source node")
     times = np.array(step_grid(sc.params, t_stop)[0])
 
     kinds = plan.kinds
@@ -755,16 +767,13 @@ def _run_plan(
         g, sol, plan.sol_minus, model, x0, sc.q, plan.chi0, sc.params, times, kinds
     )
     bands = band_rows(g, times, curves) if curves else None
-    on_block = series.stream_trajectory(times, sol.p, bands)
+    focus_rows = focus_csv(g, curves, plan.focus)
+    on_block = series.stream_trajectory(times, sol.p, bands, focus_rows)
     traj = simulate(g, model, sc.params, x0, t_stop, sol=sol, on_block=on_block)
     check_brackets(g, traj, curves)
 
     report = build_report(g, sol, model, traj.final_states, t_stop)
     out = make_out_dir(out_dir, sc)
-
-    focus_kind = "proportional" if "proportional" in curves else (
-        "uniform" if "uniform" in curves else None
-    )
 
     summary = {
         "nodes": g.node_count,
@@ -784,7 +793,7 @@ def _run_plan(
         "steps": int(len(traj.times) - 1),
         "overall": report.overall,
         "bound_kinds": list(kinds),
-        "focus_node": focus,
+        "focus_node": plan.focus,
     }
 
     start = time.perf_counter()
@@ -797,23 +806,21 @@ def _run_plan(
     else:
         (out / "bands.csv").unlink(missing_ok=True)
         (out / "bands.json").unlink(missing_ok=True)
-    if focus_kind is not None:
-        write_atomic(out / "focus.csv", focus_csv(g, traj, curves, focus, focus_kind))
-    else:
+    if focus_rows is None:
         (out / "focus.csv").unlink(missing_ok=True)
     write_atomic(out / "termination.json", _json_dump(report.to_dict()))
 
     positions = synthetic_positions(sc.graph_spec, g)
-    path = report.paths.get(focus)
+    path = report.paths.get(plan.focus)
     overlay = {
-        "focus_node": focus,
+        "focus_node": plan.focus,
         "path": list(path) if path is not None else None,
         "path_edges": (
             [[path[k], path[k + 1]] for k in range(len(path) - 1)]
             if path is not None
             else None
         ),
-        "verdict": report.verdicts[focus],
+        "verdict": report.verdicts[plan.focus],
         "edges": [[i, j, w] for i, j, w in g.edges],
         "positions": (
             {str(i): list(xy) for i, xy in positions.items()} if positions else None

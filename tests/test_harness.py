@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from dbmc import (
     standin13,
     synthetic_positions,
 )
-from dbmc import bounds, dynamics, harness, seriesio
+from dbmc import bounds, cli, dynamics, harness, seriesio
 from dbmc.bounds import NominalEnvelopes, chain_initial_errors, nominal_envelopes
 from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
@@ -329,6 +330,20 @@ class TestRunScenario:
         assert summary["path_gap"] is None  # plain line: nothing competes
         assert summary["termination_status"] == "not_applicable"
 
+    def test_the_parent_writes_no_csv(self, tmp_path, monkeypatch):
+        written = []
+        write = harness.write_atomic
+
+        def recorded(path, data):
+            written.append(Path(path).name)
+            write(path, data)
+
+        monkeypatch.setattr(harness, "write_atomic", recorded)
+        run_scenario(parse_scenario(BASE_SCENARIO), tmp_path)
+        assert sorted(written) == ["bands.json", "graph.txt", "path.json", "summary.json",
+                                   "termination.json"]
+        assert (tmp_path / "focus.csv").exists()
+
     def test_deterministic_outputs_are_byte_identical(self, tmp_path):
         sc = parse_scenario(BASE_SCENARIO)
         for side in ("a", "b"):
@@ -398,15 +413,45 @@ class TestRunScenario:
         assert not result.report.overall
 
     @pytest.mark.parametrize("focus", [1, 0, 6])
-    def test_bad_focus_node_is_refused_before_simulating(self, tmp_path, monkeypatch, focus):
+    @pytest.mark.parametrize("verb", ["run", "simulate", "bounds"])
+    def test_bad_focus_node_is_refused_before_simulating(
+        self, tmp_path, monkeypatch, capsys, verb, focus
+    ):
         def no_simulate(*args, **kwargs):
             raise AssertionError("simulate ran before focus_node was checked")
 
         monkeypatch.setattr(harness, "simulate", no_simulate)
-        sc = parse_scenario(BASE_SCENARIO + f"focus_node = {focus}\n")
-        with pytest.raises(SpecError, match=f"focus_node {focus} must be a non-source"):
-            run_scenario(sc, tmp_path)
-        assert not any(tmp_path.iterdir())
+        monkeypatch.setattr(cli, "simulate", no_simulate)
+        scenario = tmp_path / "sc.ini"
+        scenario.write_text(BASE_SCENARIO + f"focus_node = {focus}\n")
+        out = tmp_path / "out"
+        assert cli.main([verb, "--scenario", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [run] focus_node {focus} must be a non-source node\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bounds, focus, kind",
+        [("proportional", None, "proportional"), ("uniform", 3, "uniform"),
+         ("auto", 4, "proportional")],
+    )
+    def test_focus_csv_follows_the_kind_the_run_picks(self, tmp_path, bounds, focus, kind):
+        text = BASE_SCENARIO.replace("bounds = auto", f"bounds = {bounds}")
+        if focus is not None:
+            text += f"focus_node = {focus}\n"
+        sc = parse_scenario(text)
+        run_scenario(sc, tmp_path)
+        plan = plan_scenario(sc)
+        assert plan.focus == (5 if focus is None else focus)  # else the deepest node
+        traj = simulate(plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol)
+        curves = compute_bound_curves(
+            plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
+            sc.params, traj.times, plan.kinds,
+        )
+        assert_same_text(
+            (tmp_path / "focus.csv").read_text(),
+            focus_csv_loop(plan.g, traj, curves, plan.focus, kind),
+        )
 
     def test_unsupported_bound_kind_is_refused_before_simulating(self, tmp_path, monkeypatch):
         def no_simulate(*args, **kwargs):
@@ -545,18 +590,23 @@ class TestBandArtifact:
         assert not (tmp_path / "bounds.csv").exists()
 
 
-def _assert_writers_match_loops(g, traj, curves, focus):
+def _assert_writers_match_loops(g, traj, curves):
     assert_same_text("".join(trajectory_csv(traj)), trajectory_csv_loop(traj))
     assert_same_text("".join(errors_csv(traj)), errors_csv_loop(traj))
     assert_same_text(
         "".join(bounds_csv(g, traj.times, curves)), bounds_csv_loop(g, traj.times, curves)
     )
-    for kind in curves:
-        assert_same_text(
-            "".join(focus_csv(g, traj, curves, focus, kind)),
-            focus_csv_loop(g, traj, curves, focus, kind),
-            kind,
-        )
+
+
+def _focus_text(g, traj, curves, focus) -> str:
+    """focus.csv as a run builds it: the rows of each ``BLOCK`` of times
+    from that block's errors and its ``bands.csv`` rows, formatted with the
+    series template."""
+    header, width, table = focus_csv(g, curves, focus)
+    _, _, band_table = band_rows(g, traj.times, curves)
+    spans = [slice(a, a + BLOCK) for a in range(0, len(traj.times), BLOCK)]
+    rows = np.concatenate([table(s, traj.errors[s], band_table(s)) for s in spans])
+    return "".join(series_chunks(header, width, rows.ravel()))
 
 
 class TestWritersMatchPerValueLoops:
@@ -576,7 +626,11 @@ class TestWritersMatchPerValueLoops:
             sc.params, traj.times, plan.kinds,
         )
         assert len(curves) == 4
-        _assert_writers_match_loops(plan.g, traj, curves, sc.focus_node)
+        _assert_writers_match_loops(plan.g, traj, curves)
+        assert_same_text(
+            _focus_text(plan.g, traj, curves, plan.focus),
+            focus_csv_loop(plan.g, traj, curves, plan.focus, "proportional"),
+        )
         if scenario == "zero":
             assert ",-0," in "".join(bounds_csv(plan.g, traj.times, curves))
 
@@ -616,8 +670,7 @@ class TestWritersMatchPerValueLoops:
         }
         errors = np.column_stack((np.zeros(rows), zeros[:, 0], neighbour[:, :2]))
         traj = Trajectory(p=np.array([0.0, 1.0, 2.0, 3.0]), times=times, errors=errors)
-        for focus in g.non_sources:
-            _assert_writers_match_loops(g, traj, curves, focus)
+        _assert_writers_match_loops(g, traj, curves)
         text = "".join(bounds_csv(g, times, curves))
         assert ",-0," in text and ",0," in text and ",-inf," in text
 
@@ -669,14 +722,13 @@ class TestColumnFormatterEdges:
     @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_row_counts_around_a_block(self, rows):
         g, traj, curves = _writer_inputs(rows)
-        _assert_writers_match_loops(g, traj, curves, 3)
+        _assert_writers_match_loops(g, traj, curves)
         assert len(bounds_csv(g, traj.times, curves)) == 1 + 4 * -(-rows // BLOCK)
 
     def test_writers_return_built_lists(self):
         g, traj, curves = _writer_inputs(3)
         for chunks in (
             trajectory_csv(traj), errors_csv(traj), bounds_csv(g, traj.times, curves),
-            focus_csv(g, traj, curves, 2, "uniform"),
         ):
             assert type(chunks) is list and all(type(c) is str for c in chunks)
 
@@ -688,7 +740,7 @@ class TestColumnFormatterEdges:
         near[row, 1] = np.nextafter(near[row, 1], np.inf)
         curves[kind] = (curves[kind][0], near)
         assert np.count_nonzero(near != curves["chain"][1]) == 1
-        _assert_writers_match_loops(g, traj, curves, 3)
+        _assert_writers_match_loops(g, traj, curves)
 
     def test_non_finite_and_signed_zero_cells(self):
         rows = BLOCK + 3
@@ -706,8 +758,7 @@ class TestColumnFormatterEdges:
         curves["uniform"] = (-zeros, np.where(zeros == 0.0, -np.inf, 0.0))
         errors = np.column_stack((np.full(rows, -0.0), mixed))
         traj = Trajectory(p=np.zeros(4), times=traj.times, errors=errors)
-        for focus in g.non_sources:
-            _assert_writers_match_loops(g, traj, curves, focus)
+        _assert_writers_match_loops(g, traj, curves)
         text = "".join(bounds_csv(g, traj.times, curves))
         for cell in (",nan,", ",inf,", ",-inf,", ",-0,", ",0,", ",4.9406564584124654e-324,"):
             assert cell in text, cell
@@ -719,7 +770,7 @@ class TestColumnFormatterEdges:
         fortran = np.asfortranarray(curves["chain"][1])
         curves["proportional"] = (np.broadcast_to(row, (rows, 3)), fortran)
         curves["uniform"] = (curves["uniform"][0], curves["uniform"][1][:, ::-1])
-        _assert_writers_match_loops(g, traj, curves, 4)
+        _assert_writers_match_loops(g, traj, curves)
 
     @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_series_in_process_and_in_the_child(self, tmp_path, rows):
@@ -751,7 +802,7 @@ class TestColumnFormatterEdges:
     def test_band_rows_in_the_child_across_band_blocks(self, tmp_path, kinds):
         """bands.csv evaluated and streamed to the child 47 rows per
         message, so messages end inside a BLOCK of text, is the per-value
-        loop's text."""
+        loop's text, and so is the focus.csv built from those rows."""
         sc = load_scenario(Path("scenarios") / "case_study_3pct.ini")
         plan = plan_scenario(replace(sc, t_end_rule=parse_t_end_rule("0.1Ts")))
         times = np.array(dynamics.step_grid(sc.params, plan.t_stop)[0])
@@ -759,16 +810,27 @@ class TestColumnFormatterEdges:
             plan.g, plan.sol, plan.sol_minus, plan.model, plan.x0, sc.q, plan.chi0,
             sc.params, times, kinds,
         )
-        header, width, table = band_rows(plan.g, times, curves)
+        errors = np.random.default_rng(3).standard_normal((len(times), plan.g.node_count))
+        traj = Trajectory(np.array(plan.sol.p), times, errors)
+        focus = focus_csv(plan.g, curves, plan.focus)
+        assert (focus is None) == (kinds == ("envelope",))
         assert len(times) > 2 * 47 and len(times) % 47
         with SeriesWriter() as series:
-            series.declare("bands.csv", header, width)
+            on_block = series.stream_trajectory(
+                times, plan.sol.p, band_rows(plan.g, times, curves), focus
+            )
             for a in range(0, len(times), 47):
-                series.rows("bands.csv", table(slice(a, a + 47)))
+                on_block(slice(a, a + 47), errors[a : a + 47])
             series.commit(tmp_path)
             series.wait()
         text = (tmp_path / "bands.csv").read_text()
         assert_same_text(text, bands_csv_loop(plan.g, times, curves))
+        if focus is not None:
+            kind = "proportional" if "proportional" in kinds else "uniform"
+            assert_same_text(
+                (tmp_path / "focus.csv").read_text(),
+                focus_csv_loop(plan.g, traj, curves, plan.focus, kind),
+            )
 
     def test_series_template_formats_whole_blocks(self):
         values = np.arange(3 * (BLOCK + 1), dtype=float).tolist()
@@ -884,12 +946,13 @@ class TestSeriesWriterFailures:
 
     def test_a_parent_failure_after_the_request_kills_the_child(self, tmp_path, monkeypatch):
         def broken(*args):
-            raise DbmcError("focus.csv failed")
+            raise DbmcError("bands.json failed")
 
-        monkeypatch.setattr(harness, "focus_csv", broken)
+        monkeypatch.setattr(harness, "bands_json", broken)
         out = tmp_path / "out"
-        with pytest.raises(DbmcError, match="focus.csv failed"):
+        with pytest.raises(DbmcError, match="bands.json failed"):
             run_scenario(parse_scenario(BASE_SCENARIO), out)
+        assert (out / "graph.txt").exists()  # it failed after the commit
         _assert_no_child_process()
         assert not list(out.glob("*.tmp"))
 
@@ -1002,6 +1065,7 @@ class TestSeriesWriterFailures:
                 "trajectory.csv": trajectory_csv_loop(traj),
                 "errors.csv": errors_csv_loop(traj),
                 "bands.csv": bands_csv_loop(plan.g, traj.times, curves),
+                "focus.csv": focus_csv_loop(plan.g, traj, curves, plan.focus, "proportional"),
             }
             for name, text in want.items():
                 assert_same_text((tmp_path / "default" / name).read_text(), text, name)
@@ -1338,26 +1402,31 @@ class TestFastPathsMatchOracles:
 
     @pytest.mark.parametrize("focus", [2, 101, 200])
     def test_focus_columns_have_the_full_reads_bits(self, focus):
-        """focus.csv evaluates only the focus node's chain, and its lower and
-        upper columns have the bits of the whole bands' column, in the
-        log-space cells of a 199-hop chain near the deadline too."""
+        """focus.csv, built from the bands.csv rows a block at a time, has
+        the text of the per-value loop under the proportional band, or the
+        uniform one without it, and its lower and upper columns the bits of
+        the whole band's column, in the log-space cells of a 199-hop chain
+        near the deadline (t = 4.95 and 4.99) too."""
         g = line_graph(200)
         sol = solve_shortest_paths(g)
         model = build_model(SINUSOID, g, 11, horizon=ORACLE_PARAMS.deadline)
         sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
         x0 = constant_initial(g, 220.0)
-        times = np.concatenate((np.linspace(0.0, 4.9, 40), [4.95, 4.99]))
-        curves = compute_bound_curves(
-            g, sol, sol_minus, model, x0, 3.0, 219.0, ORACLE_PARAMS, times, BOUND_KINDS
-        )
+        times = np.concatenate((np.linspace(0.0, 4.9, 3 * BLOCK), [4.95, 4.99]))
+        # L^199 overflows at t = 4.99, so the deepest chains' cells there are log-space ones
+        assert 199 * math.log(dynamics.log_integrating_factor(ORACLE_PARAMS, 4.99)) > 1000.0
         rng = np.random.default_rng(focus)
         traj = Trajectory(np.array(sol.p), times, rng.standard_normal((len(times), 200)))
         col = g.non_sources.index(focus)
-        for kind, bands in curves.items():
-            text = "".join(focus_csv(g, traj, curves, focus, kind))
+        for kinds, kind in ((BOUND_KINDS, "proportional"), (("chain", "uniform"), "uniform")):
+            curves = compute_bound_curves(
+                g, sol, sol_minus, model, x0, 3.0, 219.0, ORACLE_PARAMS, times, kinds
+            )
+            text = _focus_text(g, traj, curves, focus)
             assert_same_text(text, focus_csv_loop(g, traj, curves, focus, kind), kind)
             cells = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
-            for got, band in zip(cells.T[2:], bands):
+            _assert_same_bits(cells[:, 1], traj.error_of(focus))
+            for got, band in zip(cells.T[2:], curves[kind]):
                 _assert_same_bits(got, np.asarray(band)[:, col])
 
     def test_constant_lower_bands_are_read_only(self):
@@ -1504,39 +1573,28 @@ class TestBoundCurveMemory:
                     _assert_same_bits(read(band), want[span])
         assert spans == [(a, min(a + step, len(ts))) for a in range(0, len(ts), step)]
 
-    def test_each_reader_evaluates_each_row_once(self, monkeypatch):
-        # On 399 non-sources one envelope block is 82 rows, fewer than a
-        # block of CSV rows; every reader still evaluates every time row
-        # once for all three bands, and focus_csv only the focus chain.
-        g, sol, sol_minus, model, x0, chi0, traj = _wide_run()
-        traj = Trajectory(traj.p, traj.times[:300], traj.errors[:300])
-        curves = compute_bound_curves(
-            g, sol, sol_minus, model, x0, 3.0, chi0, ORACLE_PARAMS, traj.times, BOUND_KINDS
-        )
-        assert harness.CHECK_BLOCK // len(g.non_sources) < BLOCK
-        widths = []
+    def test_each_reader_evaluates_each_row_once(self, tmp_path, monkeypatch):
+        # A whole run has two readers of the envelope: the bands.csv rows,
+        # from which the focus.csv rows are built, and the bracket check.
+        # Each evaluates every stored time once, every chain at a time.
+        sc = load_scenario(Path("scenarios") / "case_study_40pct.ini")
+        evaluated = []
         evaluate = bounds._deepest_first_envelopes
 
         def counted(hops, width, lp):
-            widths.append((width, lp.size))
+            evaluated.append((width, lp))
             return evaluate(hops, width, lp)
 
         monkeypatch.setattr(bounds, "_deepest_first_envelopes", counted)
-        wide = len(g.non_sources)
-        header, cells, table = band_rows(g, traj.times, curves)
-
-        def bands_text():  # as a run streams it, a BLOCK of rows at a time
-            spans = (slice(a, a + BLOCK) for a in range(0, len(traj.times), BLOCK))
-            return series_chunks(header, cells, np.concatenate([table(s) for s in spans]).ravel())
-
-        for read, width in ((lambda: check_brackets(g, traj, curves), wide),
-                            (lambda: bounds_csv(g, traj.times, curves), wide),
-                            (bands_text, wide),
-                            (lambda: focus_csv(g, traj, curves, g.non_sources[-1], "uniform"), 1)):
-            read()
-            assert {w for w, _ in widths} == {width}
-            assert sum(n for _, n in widths) == len(traj.times)
-            widths.clear()
+        result = run_scenario(sc, tmp_path)
+        assert (tmp_path / "focus.csv").exists() and (tmp_path / "bands.csv").exists()
+        times = np.array(dynamics.step_grid(sc.params, result.summary["t_end"])[0])
+        wide = len(plan_scenario(sc).g.non_sources)
+        assert {width for width, _ in evaluated} == {wide}
+        counts = Counter(v for _, lp in evaluated for v in lp.tolist())
+        lps = dynamics.log_integrating_factor(sc.params, times).tolist()
+        assert len(set(lps)) == len(times)
+        assert counts == Counter(lps * 2)
 
     def test_a_walk_frees_each_block_without_the_cycle_collector(self):
         """A block's read holds no cycle, so the envelope rows it evaluated
