@@ -29,6 +29,7 @@ from .harness import (
     make_out_dir,
     plan_scenario,
     run_scenario,
+    series_files,
     write_atomic,
 )
 from .scenario import Scenario, load_scenario, parse_t_end_rule
@@ -153,10 +154,9 @@ def _cmd_simulate(args) -> int:
     plan = plan_scenario(sc)
     with SeriesWriter() as series:
         times = np.array(step_grid(sc.params, plan.t_stop)[0])
-        on_block = series.stream_trajectory(times, plan.sol.p)
         traj = simulate(
             plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol,
-            on_block=on_block,
+            on_block=series.stream(series_files(times, plan.sol.p)),
         )
         out = make_out_dir(args.out, sc)
         series.commit(out)

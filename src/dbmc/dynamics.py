@@ -89,9 +89,6 @@ class Trajectory:
     def states(self) -> np.ndarray:
         return self.errors + self.p
 
-    def error_of(self, node: int) -> np.ndarray:
-        return self.errors[:, node - 1]
-
     @property
     def final_states(self) -> np.ndarray:
         return self.errors[-1] + self.p

@@ -39,8 +39,10 @@ known before the integration (:func:`dynamics.step_grid`), so ``run``
 computes its bands first; :func:`dynamics.simulate` then hands over each
 finished ``BLOCK`` of error rows, the parent sends that block's raw rows of
 every series file, and the child formats them while RK4 runs the next
-block.  ``bands.csv`` rows are evaluated once per block, and the
-``focus.csv`` rows are built from them and the block's errors.
+block.  Every series file is one entry of :meth:`SeriesWriter.stream`,
+whose rows each block reads through that block's one shared reader:
+``focus.csv`` takes its band from that reader, not from the ``bands.csv``
+rows, and the envelope is evaluated once per block for both.
 Once every check has passed, the output directory is made and named to the
 child, which writes its files with the same ``seriesio.write_atomic`` that
 ``write_atomic`` calls while the parent writes the JSON files and
@@ -260,9 +262,9 @@ class ShiftedBand:
 
     ``env`` is the shared :class:`bounds.NominalEnvelopes`; several bands may
     share one.  :func:`band_blocks` reads a band a block of rows at a time.
-    ``np.asarray(band)``, ``band[key]`` and numpy functions and operators
-    with an array (``upper - err``, ``np.isnan(upper)``) see the whole band
-    through ``__array__``, which fills one (times x nodes) array through
+    ``np.asarray(band)`` and numpy functions and operators with an array
+    (``upper - err``, ``np.isnan(upper)``) see the whole band through
+    ``__array__``, which fills one (times x nodes) array through
     :func:`band_blocks`, evaluating every row of ``env`` again on each use.
     """
 
@@ -270,9 +272,6 @@ class ShiftedBand:
         self.env = env
         self.shift = shift
         self.shape = env.shape
-
-    def __getitem__(self, key) -> np.ndarray:
-        return np.asarray(self)[key]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
@@ -301,7 +300,8 @@ def band_blocks(rows: int, width: int):
 
 
 def _span_reader(span: slice):
-    """The ``read`` of :func:`band_blocks` for the rows ``span``."""
+    """The ``read`` of :func:`band_blocks`, and of each block
+    :meth:`SeriesWriter.stream` sends, for the rows ``span``."""
     envs: dict = {}
 
     def read(band) -> np.ndarray:
@@ -473,22 +473,37 @@ def _table(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.column_stack((times, values)).astype(np.float64, copy=False)
 
 
-def _series_csv(header: str, times: np.ndarray, values: np.ndarray) -> list[str]:
-    """``header`` then one row ``t,v_1,...,v_m`` per time, ``values`` of shape (T, m)."""
-    table = _table(times, values)
-    return series_chunks(header, table.shape[1], table.ravel())
+# (name, header line, cells per row, rows(span, errors, read)) of one series
+# CSV: rows gives the float64 rows at the times span; read is the block's reader
+SeriesFile = tuple[str, str, int, Callable[[slice, np.ndarray, Callable], np.ndarray]]
 
 
-def _series_header(prefix: str, n: int) -> str:
-    return "t," + ",".join(f"{prefix}_{i}" for i in range(1, n + 1)) + "\n"
+def series_files(times: np.ndarray, p) -> list[SeriesFile]:
+    """The ``trajectory.csv`` entry, rows ``t, errors + p``, and the
+    ``errors.csv`` entry, rows ``t, errors``, of a run stored at ``times``
+    with distances ``p``.  Neither reads a band."""
+    p = np.asarray(p, dtype=float)
+    nodes = range(1, len(p) + 1)
+    return [
+        ("trajectory.csv", "t," + ",".join(f"x_{i}" for i in nodes) + "\n", len(p) + 1,
+         lambda span, errors, read: _table(times[span], errors + p)),
+        ("errors.csv", "t," + ",".join(f"e_{i}" for i in nodes) + "\n", len(p) + 1,
+         lambda span, errors, read: _table(times[span], errors)),
+    ]
+
+
+def _series_text(traj: Trajectory, k: int) -> list[str]:
+    """Entry ``k`` of :func:`series_files` formatted in this process, all rows at once."""
+    _, header, width, rows = series_files(traj.times, traj.p)[k]
+    return series_chunks(header, width, rows(slice(None), traj.errors, None).ravel())
 
 
 def trajectory_csv(traj: Trajectory) -> list[str]:
-    return _series_csv(_series_header("x", traj.errors.shape[1]), traj.times, traj.states)
+    return _series_text(traj, 0)
 
 
 def errors_csv(traj: Trajectory) -> list[str]:
-    return _series_csv(_series_header("e", traj.errors.shape[1]), traj.times, traj.errors)
+    return _series_text(traj, 1)
 
 
 PIPE_BYTES = 1 << 20  # the pipe to the writer child, where the OS lets it grow
@@ -511,11 +526,12 @@ class SeriesWriter:
 
     The child, ``python -I -S seriesio.py``, imports no numpy and starts in
     about 10 ms, so it is started before the trajectory exists.
-    :meth:`declare` names a file, :meth:`rows` streams it raw float64 rows,
-    as many times as the rows come, and :meth:`commit` names the output
-    directory; the child formats each message on arrival and writes nothing
-    before the commit.  The parent formats none of the rows it streams, and
-    a run streams every CSV it writes (:meth:`stream_trajectory`).
+    :meth:`stream` declares the files, in order, and returns the
+    ``on_block`` that sends each block's raw float64 rows of every file
+    through :meth:`rows`; :meth:`commit` names the output directory.  The
+    child formats each message on arrival and writes nothing before the
+    commit.  The parent formats none of the rows it streams, and a run
+    streams every CSV it writes.
     :meth:`wait` returns once every file is written and raises OSError with
     the child's message if it failed, as does a message the child is no
     longer there to read.  The parent's end of the pipe is grown to
@@ -565,11 +581,6 @@ class SeriesWriter:
         finally:
             self.blocked += time.perf_counter() - start
 
-    def declare(self, name: str, header: str, width: int) -> None:
-        """Declare the file ``name``: its header line and cells per row."""
-        self.widths[name] = width
-        self._send({"file": name, "header": header, "width": width})
-
     def rows(self, name: str, table: np.ndarray) -> None:
         """Stream the rows of the 2-D float64 ``table`` to the file ``name``,
         for the child to format."""
@@ -578,33 +589,21 @@ class SeriesWriter:
         table = np.ascontiguousarray(table, dtype=np.float64)
         self._send({"file": name, "rows": len(table)}, table)
 
-    def stream_trajectory(
-        self, times: np.ndarray, p, bands: tuple | None = None, focus: tuple | None = None
-    ) -> Callable[[slice, np.ndarray], None]:
-        """Declare ``trajectory.csv`` and ``errors.csv`` of a run stored at
-        ``times`` with distances ``p``, ``bands.csv`` if ``bands`` is given,
-        as :func:`band_rows` returns it, and then ``focus.csv`` if ``focus``
-        is, as :func:`focus_csv` returns it; return the ``on_block`` of
-        :func:`dynamics.simulate` that streams each block of their raw rows,
-        so the child formats a block while the next one is integrated."""
-        p = np.asarray(p, dtype=float)
-        if bands is not None:
-            header, width, band_table = bands
-            self.declare("bands.csv", header, width)
-            if focus is not None:
-                header, width, focus_table = focus
-                self.declare("focus.csv", header, width)
-        for name, prefix in (("trajectory.csv", "x"), ("errors.csv", "e")):
-            self.declare(name, _series_header(prefix, len(p)), len(p) + 1)
+    def stream(self, files: list[SeriesFile]) -> Callable[[slice, np.ndarray], None]:
+        """Declare ``files`` to the child, in order, and return the
+        ``on_block`` of :func:`dynamics.simulate` that streams each block's
+        raw rows of every file, so the child formats a block while the next
+        one is integrated.  Each block has one reader of :func:`band_blocks`,
+        shared by every file's ``rows``, so an envelope is evaluated once
+        per block however many files read it."""
+        for name, header, width, _ in files:
+            self.widths[name] = width
+            self._send({"file": name, "header": header, "width": width})
 
         def on_block(span: slice, errors: np.ndarray) -> None:
-            if bands is not None:
-                block = band_table(span)
-                self.rows("bands.csv", block)
-                if focus is not None:
-                    self.rows("focus.csv", focus_table(span, errors, block))
-            self.rows("trajectory.csv", _table(times[span], errors + p))
-            self.rows("errors.csv", _table(times[span], errors))
+            read = _span_reader(span)
+            for name, _, _, rows in files:
+                self.rows(name, rows(span, errors, read))
 
         return on_block
 
@@ -656,10 +655,9 @@ def band_rows(
     g: WeightedDigraph,
     times: np.ndarray,
     curves: dict[str, tuple],
-) -> tuple[str, int, Callable[[slice], np.ndarray]]:
-    """The header line and cells per row of ``bands.csv``, and the
-    function that evaluates its rows at the times ``span`` as a float64
-    table.
+) -> SeriesFile | None:
+    """The ``bands.csv`` entry of :meth:`SeriesWriter.stream`, or None when
+    ``curves`` is empty.
 
     A row is ``t``, then ``env_<i>`` per non-source i when a chain,
     proportional or uniform kind is enabled, then ``envelope`` when that
@@ -669,19 +667,20 @@ def band_rows(
     nodes) array is made.  The shifted bands of ``curves`` share one
     envelope, as those of :func:`compute_bound_curves` do.
     """
+    if not curves:
+        return None
     env = next((u.env for _, u in curves.values() if isinstance(u, ShiftedBand)), None)
     names = [f"env_{i}" for i in g.non_sources] if env is not None else []
     if "envelope" in curves:
         names.append("envelope")
 
-    def table(span: slice) -> np.ndarray:
-        read = _span_reader(span)
+    def rows(span: slice, errors: np.ndarray, read) -> np.ndarray:
         cols = [read(env)] if env is not None else []
         if "envelope" in curves:
             cols.append(read(curves["envelope"][1])[:, :1])
         return _table(times[span], np.hstack(cols))
 
-    return ",".join(["t"] + names) + "\n", len(names) + 1, table
+    return "bands.csv", ",".join(["t"] + names) + "\n", len(names) + 1, rows
 
 
 def bands_json(g: WeightedDigraph, curves: dict[str, tuple]) -> str:
@@ -708,28 +707,28 @@ def bands_json(g: WeightedDigraph, curves: dict[str, tuple]) -> str:
 
 def focus_csv(
     g: WeightedDigraph,
+    times: np.ndarray,
     curves: dict[str, tuple],
     focus: int,
-) -> tuple[str, int, Callable[[slice, np.ndarray, np.ndarray], np.ndarray]] | None:
-    """As :func:`band_rows`, for ``focus.csv``: ``t,error,lower,upper`` of
-    the node ``focus`` under the proportional band, else the uniform one,
-    else None.  Its rows at the times ``span`` are built from their errors
-    and their ``bands.csv`` rows: ``upper`` is the node's ``env_<i>`` plus
-    its shift, the float add a :class:`ShiftedBand` makes, so it keeps the
-    band's bits and evaluates no envelope."""
+) -> SeriesFile | None:
+    """The ``focus.csv`` entry of :meth:`SeriesWriter.stream`: rows
+    ``t,error,lower,upper`` of the node ``focus`` under the proportional
+    band, else the uniform one; None without either.  The band's columns
+    are read through the block's shared reader, so ``upper`` is the
+    ``env + shift`` of the evaluation ``bands.csv`` reads too, with the
+    band's bits, and no envelope is evaluated for this file alone."""
     kind = next((k for k in ("proportional", "uniform") if k in curves), None)
     if kind is None:
         return None
     col = g.non_sources.index(focus)
     lower, upper = curves[kind]
 
-    def table(span: slice, errors: np.ndarray, block: np.ndarray) -> np.ndarray:
+    def rows(span: slice, errors: np.ndarray, read) -> np.ndarray:
         return np.column_stack((
-            block[:, 0], errors[:, focus - 1], lower[span, col],
-            block[:, 1 + col] + upper.shift[col],
+            times[span], errors[:, focus - 1], read(lower)[:, col], read(upper)[:, col],
         ))
 
-    return "t,error,lower,upper\n", 4, table
+    return "focus.csv", "t,error,lower,upper\n", 4, rows
 
 
 def make_out_dir(out_dir: str | os.PathLike | None, sc: Scenario) -> Path:
@@ -766,10 +765,9 @@ def _run_plan(
     curves = compute_bound_curves(
         g, sol, plan.sol_minus, model, x0, sc.q, plan.chi0, sc.params, times, kinds
     )
-    bands = band_rows(g, times, curves) if curves else None
-    focus_rows = focus_csv(g, curves, plan.focus)
-    on_block = series.stream_trajectory(times, sol.p, bands, focus_rows)
-    traj = simulate(g, model, sc.params, x0, t_stop, sol=sol, on_block=on_block)
+    bands = (band_rows(g, times, curves), focus_csv(g, times, curves, plan.focus))
+    files = [f for f in bands if f is not None] + series_files(times, sol.p)
+    traj = simulate(g, model, sc.params, x0, t_stop, sol=sol, on_block=series.stream(files))
     check_brackets(g, traj, curves)
 
     report = build_report(g, sol, model, traj.final_states, t_stop)
@@ -799,15 +797,14 @@ def _run_plan(
     start = time.perf_counter()
     series.commit(out)
     write_atomic(out / "graph.txt", dump_graph(g))
-    # a band file this run does not write is removed, so none is left stale
-    (out / "bounds.csv").unlink(missing_ok=True)
+    written = {name for name, *_ in files}
     if curves:
         write_atomic(out / "bands.json", bands_json(g, curves))
-    else:
-        (out / "bands.csv").unlink(missing_ok=True)
-        (out / "bands.json").unlink(missing_ok=True)
-    if focus_rows is None:
-        (out / "focus.csv").unlink(missing_ok=True)
+        written.add("bands.json")
+    # a band file this run does not write is removed, so none is left stale
+    for name in ("bounds.csv", "bands.csv", "bands.json", "focus.csv"):
+        if name not in written:
+            (out / name).unlink(missing_ok=True)
     write_atomic(out / "termination.json", _json_dump(report.to_dict()))
 
     positions = synthetic_positions(sc.graph_spec, g)

@@ -225,7 +225,7 @@ def focus_csv_loop(g: WeightedDigraph, traj, curves: dict, focus: int, kind: str
     lower, upper = (np.asarray(band) for band in curves[kind])
     buf = io.StringIO()
     buf.write("t,error,lower,upper\n")
-    err = traj.error_of(focus)
+    err = traj.errors[:, focus - 1]
     for k, t in enumerate(traj.times):
         buf.write(
             f"{_fmt(t)},{_fmt(err[k])},{_fmt(lower[k, col])},{_fmt(upper[k, col])}\n"

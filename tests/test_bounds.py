@@ -202,17 +202,17 @@ class TestChainUpperBound:
             self.g, DisturbanceSpec(kind="zero"), self.x0, ts, ("chain",)
         ).values()
         assert np.all(lower == -np.inf)
-        assert same_bits(upper[:, self.col], node_envelope(self.g, self.x0, 3, ts))
+        assert same_bits(np.asarray(upper)[:, self.col], node_envelope(self.g, self.x0, 3, ts))
 
     def test_caps_shift_by_their_sum(self):
         ((_, upper),) = bound_curves(self.g, self.spec, self.x0, 2.0, ("chain",)).values()
         base = node_envelope(self.g, self.x0, 3, 2.0)[0]
-        assert upper[0, self.col] == pytest.approx(base + 0.8)
+        assert np.asarray(upper)[0, self.col] == pytest.approx(base + 0.8)
 
     def test_limit_near_deadline_is_cap_sum(self):
         t = 5.0 * (1.0 - 1e-9)
         ((_, upper),) = bound_curves(self.g, self.spec, self.x0, t, ("chain",)).values()
-        assert upper[0, self.col] == pytest.approx(0.8, abs=1e-12)
+        assert np.asarray(upper)[0, self.col] == pytest.approx(0.8, abs=1e-12)
 
 
 class TestProportionalBounds:
@@ -230,7 +230,7 @@ class TestProportionalBounds:
             self.g, DisturbanceSpec(kind="zero"), self.x0, ts, ("proportional",)
         ).values()
         assert np.all(lower[:, self.col] == 0.0)
-        assert same_bits(upper[:, self.col], node_envelope(self.g, self.x0, 3, ts))
+        assert same_bits(np.asarray(upper)[:, self.col], node_envelope(self.g, self.x0, 3, ts))
 
     def test_lower_bound_scales_with_distance(self):
         spec = DisturbanceSpec(kind="sinusoid", amplitude=0.4)
@@ -264,7 +264,7 @@ class TestUniformBounds:
         ).values()
         col = g.non_sources.index(3)
         assert np.all(lower[:, col] == 0.0)
-        assert same_bits(upper[:, col], node_envelope(g, x0, 3, ts))
+        assert same_bits(np.asarray(upper)[:, col], node_envelope(g, x0, 3, ts))
 
     def test_line13_values(self):
         g = line_graph(13)
@@ -279,7 +279,7 @@ class TestUniformBounds:
         col = g.non_sources.index(13)
         assert lower[0, col] == pytest.approx(-0.36)
         env = node_envelope(g, x0, 13, 2.0)[0]
-        assert upper[0, col] == pytest.approx(12 * 0.03 + env)
+        assert np.asarray(upper)[0, col] == pytest.approx(12 * 0.03 + env)
 
 
 class TestPowerLawEnvelope:

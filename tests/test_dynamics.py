@@ -187,7 +187,7 @@ class TestSimulate:
             env = nominal_envelopes(
                 [chain_initial_errors(sol, x0, chain)], PARAMS, traj.times
             )[..., 0]
-            assert np.all(traj.error_of(i) <= env + 1e-6)
+            assert np.all(traj.errors[:, i - 1] <= env + 1e-6)
         # and the ceiling itself collapses approaching the deadline
         tail = nominal_envelopes(
             [chain_initial_errors(sol, x0, parent_chain(sol, 13))],
@@ -244,7 +244,7 @@ class TestSimulate:
         g = load_graph(TWO_NODE)
         traj = simulate(g, zero_model(g), PARAMS, [0.0, 12.0], 1.0)
         assert traj.states[:, 1][0] == 12.0
-        assert traj.error_of(2)[0] == 11.0
+        assert traj.errors[:, 1][0] == 11.0
         assert traj.final_states.shape == (2,)
 
 
