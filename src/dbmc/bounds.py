@@ -34,8 +34,9 @@ def chain_initial_errors(
     return np.array([x0[k - 1] - sol.p[k - 1] for k in chain])
 
 
-def nominal_envelopes(e0_chains: Sequence[Sequence[float]], params: PTGainParams, t):
-    """Error ceiling along each parent chain when edge weights are undisturbed.
+class NominalEnvelopes:
+    """Error ceiling along each parent chain when edge weights are undisturbed,
+    as a (times x chains) table evaluated only for the rows a reader asks for.
 
     With f(t) the integrating factor and L = ln f(t), the chain
     i_0, ..., i_ell (source first, initial errors e0) obeys
@@ -45,18 +46,6 @@ def nominal_envelopes(e0_chains: Sequence[Sequence[float]], params: PTGainParams
     At t = 0 only the k = ell term survives (0^0 = 1), so the envelope
     starts at e0[-1]; the numerator grows logarithmically in f while the
     denominator grows linearly, so the envelope vanishes at the deadline.
-
-    Returns one read-only column per chain: shape ``np.shape(t) +
-    (len(e0_chains),)``.  This is every row of :class:`NominalEnvelopes`,
-    the one evaluator, evaluated in one pass.
-    """
-    env = NominalEnvelopes(e0_chains, params, t)
-    return env.rows(0, env.shape[0]).reshape(np.shape(t) + (env.shape[1],))
-
-
-class NominalEnvelopes:
-    """The (times x chains) table of :func:`nominal_envelopes`, evaluated
-    only for the rows a reader asks for.
 
     Built once: L = ln f(t) at every time, so a time outside [0, deadline)
     raises DomainError here and not at a read; per hop count m, the m-th

@@ -86,10 +86,6 @@ class Trajectory:
     errors: np.ndarray
 
     @property
-    def states(self) -> np.ndarray:
-        return self.errors + self.p
-
-    @property
     def final_states(self) -> np.ndarray:
         return self.errors[-1] + self.p
 

@@ -21,16 +21,15 @@ float add) and its lower a constant.  ``scripts/expand_bands.py`` rebuilds
 from them, byte for byte, the run's ``bounds.csv``: every band at every
 stored step, in the format ``dbmc bounds`` writes with :func:`bounds_csv`.
 
-Every CSV cell is ``%.17g``.  The CSV writers return the file as a list of
-chunks of at most ``BLOCK`` rows.  A series file (``trajectory.csv``,
-``errors.csv``, ``bands.csv``, ``focus.csv``) formats each block with one
-``%`` call on a row template (:class:`seriesio.SeriesText`).
-``bounds.csv``, whose kinds repeat columns, formats each distinct float
-column once per block instead: columns are cached by their bytes, so a band
-several bound kinds share costs one formatting, and a constant column is one
-string.  ``write_atomic`` writes the chunks to a temporary file and renames
-it over the target, so no second copy of a whole file is built, and a failed
-write leaves any earlier file as it was.
+Every CSV cell is ``%.17g``, and every CSV is formatted ``BLOCK`` rows at a
+time with one ``%`` call on a row template (:class:`seriesio.SeriesText`).
+A series file (``trajectory.csv``, ``errors.csv``, ``bands.csv``,
+``focus.csv``) has a row of ``%.17g`` cells per stored time; ``bounds.csv``
+has, per kind and stored time, one line ``t,node,lower,upper,kind`` per
+non-source.  :func:`bounds_csv` returns it as a list of chunks of at most
+``BLOCK`` times, and ``write_atomic`` writes the chunks to a temporary file
+and renames it over the target, so no second copy of a whole file is built,
+and a failed write leaves any earlier file as it was.
 
 ``run_scenario`` and ``dbmc simulate`` leave every series file to a
 :class:`SeriesWriter`: a child process, started right after the scenario is
@@ -89,7 +88,7 @@ from .graph import (
 )
 from .scenario import BOUND_KINDS, Scenario
 from . import seriesio
-from .seriesio import BLOCK, series_chunks
+from .seriesio import BLOCK, SeriesText, series_chunks
 from .termination import TerminationReport, build_report
 
 log = logging.getLogger("dbmc")
@@ -426,48 +425,6 @@ def check_brackets(
             )
 
 
-def _cells(a: np.ndarray, seen: dict[bytes, np.ndarray]) -> np.ndarray:
-    """Object array of the ``%.17g`` strings of the 2-D float block ``a``.
-
-    ``seen`` maps the bytes of each column formatted so far to its strings.
-    Columns are keyed by their bytes, not compared as floats, because
-    -0.0 == 0.0 but prints as "-0"; a column seen before reuses its strings,
-    and a column holding one value is formatted as one string.
-    """
-    out = np.empty(a.shape, dtype=object)
-    for j in range(a.shape[1]):
-        col = np.ascontiguousarray(a[:, j], dtype=np.float64)
-        key = col.tobytes()
-        text = seen.get(key)
-        if text is None:
-            bits = col.view(np.uint64)
-            if len(bits) > 1 and np.all(bits == bits[0]):
-                text = np.full(len(col), f"{float(col[0]):.17g}", dtype=object)
-            else:
-                text = np.array([f"{v:.17g}" for v in col.tolist()], dtype=object)
-            seen[key] = text
-        out[:, j] = text
-    return out
-
-
-def _blocks(rows: int) -> list[slice]:
-    return [slice(a, a + BLOCK) for a in range(0, rows, BLOCK)]
-
-
-def _join(fields: list) -> str:
-    """One block of rows as one string.
-
-    The fields broadcast to (rows, width), and the text is, row by row and
-    column by column, ``field[r, j]`` of each field in order.  A string field
-    is the same at every position, a 1-D field the same in every row.
-    """
-    shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
-    parts = np.empty(shape + (len(fields),), dtype=object)
-    for k, f in enumerate(fields):
-        parts[..., k] = f
-    return "".join(parts.ravel().tolist())
-
-
 def _table(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The float64 rows ``t, v_1, ..., v_m``, C-contiguous, ``values`` of shape (T, m)."""
     return np.column_stack((times, values)).astype(np.float64, copy=False)
@@ -630,25 +587,23 @@ def bounds_csv(
     times: np.ndarray,
     curves: dict[str, tuple],
 ) -> list[str]:
-    """The file is kind by kind, but it is built block by block of rows:
-    each block of :func:`band_blocks` is read once for every kind, and
-    formatted ``BLOCK`` rows at a time, so that one cache of those rows'
-    strings serves every kind."""
-    nodes = np.array([f",{i}," for i in g.non_sources], dtype=object)
-    kinds = [kind for kind in BOUND_KINDS if kind in curves]
-    chunks: dict[str, list[str]] = {kind: [] for kind in kinds}
-    for span, read in band_blocks(len(times), len(nodes)):
-        bands = {kind: tuple(map(read, curves[kind])) for kind in kinds}
-        for rows in _blocks(span.stop - span.start):
-            seen: dict[bytes, np.ndarray] = {}
-            stamps = _cells(times[span][rows, None], seen)
-            for kind in kinds:
-                lower, upper = bands[kind]
-                chunks[kind].append(_join([
-                    stamps, nodes, _cells(lower[rows], seen), ",",
-                    _cells(upper[rows], seen), f",{kind}\n",
-                ]))
-    return ["t,node,lower,upper,kind\n"] + [c for kind in kinds for c in chunks[kind]]
+    """The text of ``bounds.csv``, as chunks: per kind in ``BOUND_KINDS``
+    order, per stored time, one line ``t,node,lower,upper,kind`` per
+    non-source.  Each kind prints its cells ``(t, lower, upper)`` with a row
+    template of one time's lines (:class:`seriesio.SeriesText`), and each
+    block of :func:`band_blocks` is read once for every kind."""
+    ns = g.non_sources
+    texts = {
+        kind: SeriesText("", "".join(f"%.17g,{i},%.17g,%.17g,{kind}\n" for i in ns))
+        for kind in BOUND_KINDS if kind in curves
+    }
+    for span, read in band_blocks(len(times), len(ns)):
+        cells = np.empty((span.stop - span.start, len(ns), 3))
+        cells[..., 0] = times[span, None]
+        for kind, text in texts.items():
+            cells[..., 1], cells[..., 2] = map(read, curves[kind])
+            text.add(cells.ravel())
+    return ["t,node,lower,upper,kind\n"] + [c for text in texts.values() for c in text.chunks[1:]]
 
 
 def band_rows(

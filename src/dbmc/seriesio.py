@@ -2,7 +2,9 @@
 
 A series file is a header line, then one row ``v_1,...,v_w`` per time, every
 cell ``%.17g``.  :class:`SeriesText` formats ``BLOCK`` rows with one ``%``
-call on one template string, so the per-cell work is C code.
+call on one template string, so the per-cell work is C code.  The row
+template is the caller's: ``harness.bounds_csv`` prints ``bounds.csv`` with
+one whose row is a stored time's lines, one per non-source.
 
 Run as a script, the module is the writer child of
 :class:`harness.SeriesWriter`.  It imports only the standard library, so it
@@ -38,16 +40,18 @@ BLOCK = 128  # rows of a CSV file formatted and joined into one string
 
 
 class SeriesText:
-    """The text of one series file, as a list of chunks built as rows arrive.
+    """The text of one file, as a list of chunks built as rows arrive.
 
-    ``chunks`` is the header, then the text of each ``BLOCK`` rows of each
-    :meth:`add`.  A row prints the same whichever call brings it, so the
-    text does not depend on how the rows are split between calls.
+    ``row`` is the template of one row, whose only ``%`` are its cells
+    ``%.17g`` (a series file's is :func:`series_row`).  ``chunks`` is the
+    header, then the text of each ``BLOCK`` rows of each :meth:`add`.  A row
+    prints the same whichever call brings it, so the text does not depend on
+    how the rows are split between calls.
     """
 
-    def __init__(self, header: str, width: int) -> None:
-        self.width = width
-        self.row = ",".join(["%.17g"] * width) + "\n"
+    def __init__(self, header: str, row: str) -> None:
+        self.width = row.count("%")
+        self.row = row
         self.chunks = [header]
 
     def add(self, values) -> None:
@@ -62,10 +66,15 @@ class SeriesText:
             self.chunks.append((self.row * (len(block) // self.width)) % tuple(block))
 
 
+def series_row(width: int) -> str:
+    """The row template of a series file: ``width`` cells ``%.17g``."""
+    return ",".join(["%.17g"] * width) + "\n"
+
+
 def series_chunks(header: str, width: int, values) -> list[str]:
     """``header``, then the text of each ``BLOCK`` rows of ``values``
     (see :meth:`SeriesText.add`)."""
-    text = SeriesText(header, width)
+    text = SeriesText(header, series_row(width))
     text.add(values)
     return text.chunks
 
@@ -95,7 +104,7 @@ def _read_request(stream) -> tuple[str, dict[str, SeriesText]]:
             if "header" in msg:
                 if name in files:
                     raise ValueError(f"{name} is declared twice")
-                files[name] = SeriesText(msg["header"], msg["width"])
+                files[name] = SeriesText(msg["header"], series_row(msg["width"]))
             elif name not in files:
                 raise ValueError(f"rows of {name}, which was not declared")
             else:

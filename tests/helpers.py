@@ -14,7 +14,8 @@ kind, and serves as the oracle for ``dbmc.disturbance.build_model``.
 earlier integration loop and bound evaluation, and serve as the oracles for
 ``dbmc.dynamics.simulate`` and ``dbmc.harness.compute_bound_curves``;
 ``nominal_envelope_exact`` sums in mpmath the cells where the float loop
-overflows.  ``current_parents_loop`` (a Python loop per node over
+overflows, and ``nominal_envelopes`` reads every row of
+``dbmc.bounds.NominalEnvelopes`` at once.  ``current_parents_loop`` (a Python loop per node over
 ``out_edges``) is the oracle for ``dbmc.termination.current_parents``.
 ``out_edges`` is every test's adjacency, a plain loop over ``g.edges``.
 """
@@ -31,7 +32,12 @@ import mpmath
 import numpy as np
 
 from dbmc import DisturbanceSpec, WeightedDigraph
-from dbmc.bounds import chain_initial_errors, power_law_envelope, worst_case_offset
+from dbmc.bounds import (
+    NominalEnvelopes,
+    chain_initial_errors,
+    power_law_envelope,
+    worst_case_offset,
+)
 from dbmc.dynamics import log_integrating_factor
 from dbmc.graph import parent_chain
 
@@ -158,7 +164,7 @@ def trajectory_csv_loop(traj) -> str:
     n = traj.errors.shape[1]
     buf = io.StringIO()
     buf.write("t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + "\n")
-    states = traj.states
+    states = traj.errors + traj.p
     for k in range(len(traj.times)):
         buf.write(_fmt(traj.times[k]) + "," + ",".join(_fmt(v) for v in states[k]) + "\n")
     return buf.getvalue()
@@ -374,6 +380,13 @@ def simulate_scatter(g, model, params, x0, t_end, sol, max_step=None):
         times.append(t)
         errors.append(e.copy())
     return np.array(times), np.array(errors)
+
+
+def nominal_envelopes(e0_chains, params, t):
+    """Every row of :class:`NominalEnvelopes` in one read, shaped
+    ``np.shape(t) + (chains,)``: the production cells, not an oracle."""
+    env = NominalEnvelopes(e0_chains, params, t)
+    return env.rows(0, env.shape[0]).reshape(np.shape(t) + (env.shape[1],))
 
 
 def nominal_envelope_loop(e0_chain, params, t):

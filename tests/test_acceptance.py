@@ -23,13 +23,13 @@ from dbmc import (
     solve_shortest_paths,
     standin13,
 )
-from dbmc.bounds import nominal_envelopes
 from dbmc.harness import BOUND_KINDS, compute_bound_curves, resolve_chi0
 
 from helpers import (
     brute_force_distances,
     brute_force_parents,
     constant_initial,
+    nominal_envelopes,
     random_weighted_graph,
 )
 

@@ -26,10 +26,10 @@ from dbmc import (
     solve_shortest_paths,
     worst_case_offset,
 )
-from dbmc.bounds import NominalEnvelopes, nominal_envelopes, proportional_offsets
+from dbmc.bounds import NominalEnvelopes, proportional_offsets
 from dbmc.harness import compute_bound_curves
 
-from helpers import constant_initial, random_weighted_graph
+from helpers import constant_initial, nominal_envelopes, random_weighted_graph
 
 PARAMS = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
 

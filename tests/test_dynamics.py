@@ -23,10 +23,15 @@ from dbmc import (
 )
 
 from dbmc import dynamics
-from dbmc.bounds import nominal_envelopes
 from dbmc.disturbance import candidate_layout
 
-from helpers import constant_initial, out_edges, random_weighted_graph, simulate_scatter
+from helpers import (
+    constant_initial,
+    nominal_envelopes,
+    out_edges,
+    random_weighted_graph,
+    simulate_scatter,
+)
 
 PARAMS = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
 TWO_NODE = "nodes 2\nsources 1\n2 1 1.0\n"
@@ -107,7 +112,7 @@ class TestSimulate:
         m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.4), g, 5, 5.0)
         traj = simulate(g, m, PARAMS, constant_initial(g, 12.0), 2.0)
         assert np.all(traj.errors[:, 0] == 0.0)
-        assert np.all(traj.states[:, 0] == 0.0)
+        assert np.all((traj.errors + traj.p)[:, 0] == 0.0)
 
     def test_stored_times_structure(self):
         g = load_graph(TWO_NODE)
@@ -243,7 +248,7 @@ class TestSimulate:
     def test_trajectory_accessors(self):
         g = load_graph(TWO_NODE)
         traj = simulate(g, zero_model(g), PARAMS, [0.0, 12.0], 1.0)
-        assert traj.states[:, 1][0] == 12.0
+        assert (traj.errors + traj.p)[:, 1][0] == 12.0
         assert traj.errors[:, 1][0] == 11.0
         assert traj.final_states.shape == (2,)
 

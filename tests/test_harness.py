@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from dbmc import (
     DbmcError,
@@ -38,7 +40,7 @@ from dbmc import (
     synthetic_positions,
 )
 from dbmc import bounds, cli, dynamics, harness, seriesio
-from dbmc.bounds import NominalEnvelopes, chain_initial_errors, nominal_envelopes
+from dbmc.bounds import NominalEnvelopes, chain_initial_errors
 from dbmc.dynamics import PTGainParams, Trajectory, simulate
 from dbmc.harness import (
     BLOCK,
@@ -72,6 +74,7 @@ from helpers import (
     focus_csv_loop,
     hop_random_graph_loop,
     nominal_envelope_exact,
+    nominal_envelopes,
     out_edges,
     random_weighted_graph,
     simulate_scatter,
@@ -620,8 +623,9 @@ def _focus_text(g, traj, curves, focus) -> str:
 
 
 class TestWritersMatchPerValueLoops:
-    """The writers format each distinct value once; their output must equal
-    the one-``%.17g``-per-cell loops in ``helpers`` character for character."""
+    """The writers format a block of rows with one ``%`` call; their output
+    must equal the one-``%.17g``-per-cell loops in ``helpers`` character for
+    character."""
 
     @pytest.mark.parametrize("scenario", ["case_study_3pct", "case_study_40pct", "zero"])
     def test_scenario_artifacts(self, scenario):
@@ -707,6 +711,13 @@ def _writer_inputs(rows: int, seed: int = 0):
 
 
 NEG_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+# bit patterns of float64 cells a formatter could get wrong: nan of either
+# sign and with a payload, +-inf, +-0, subnormals and the largest finite
+ODD_BITS = st.sampled_from([
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000000, 0x8000000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+])
 ODD_VALUES = [np.nan, NEG_NAN, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308]
 
 
@@ -725,9 +736,10 @@ def _odd_trajectory(rows: int) -> Trajectory:
 
 
 class TestColumnFormatterEdges:
-    """The column cache, the block assembler and the series template, in this
+    """The row templates of the series files and of bounds.csv, in this
     process and in the writer child, against the per-value loops, where a
-    block boundary, a shared column or an odd cell could go wrong."""
+    block boundary, a column shared between kinds or an odd cell could go
+    wrong."""
 
     @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_row_counts_around_a_block(self, rows):
@@ -851,6 +863,38 @@ class TestColumnFormatterEdges:
             for k in range(0, len(values), 3)
         )
         assert list(seriesio.series_chunks("h\n", 2, np.empty(0))) == ["h\n"]
+
+    # no shrinking: a failing draw of a few hundred rows takes minutes to
+    # shrink, and assert_same_text already names the first wrong line
+    @settings(max_examples=300, deadline=None, phases=(Phase.reuse, Phase.generate))
+    @given(
+        st.integers(1, BLOCK + 2).flatmap(
+            lambda rows: st.binary(min_size=56 * rows, max_size=56 * rows)
+        ),
+        st.lists(st.tuples(st.integers(0, 7 * (BLOCK + 2) - 1), ODD_BITS), max_size=20),
+    )
+    def test_random_bit_patterns(self, raw, odd):
+        """Any float64, drawn as a uint64 bit pattern (nan of either sign
+        and any payload, subnormals, +-0, +-inf), prints in bounds.csv and
+        through the series template as ``f"{v:.17g}"`` does on its own."""
+        bits = np.frombuffer(raw, dtype=np.uint64).copy()
+        for at, pattern in odd:  # the odd cells, far likelier than at random
+            bits[at % len(bits)] = pattern
+        cells = bits.view(np.float64).reshape(-1, 7)
+        rows = len(cells)
+        g = line_graph(4)  # non-sources 2, 3, 4
+        curves = {
+            "chain": (cells[:, 1:4], cells[:, 4:7]),
+            "uniform": (np.broadcast_to(cells[:, 4:5], (rows, 3)), cells[:, 1:4]),
+        }
+        assert_same_text(
+            "".join(bounds_csv(g, cells[:, 0], curves)), bounds_csv_loop(g, cells[:, 0], curves)
+        )
+        values = cells.ravel().tolist()
+        assert "".join(series_chunks("h\n", 7, cells.ravel())) == "h\n" + "".join(
+            ",".join(f"{v:.17g}" for v in values[k : k + 7]) + "\n"
+            for k in range(0, len(values), 7)
+        )
 
 
 def _write_series(out: Path, traj: Trajectory, cuts) -> None:
@@ -1332,7 +1376,7 @@ def _assert_matches_oracles(g, sol, sol_minus, model, x0, q, chi0, params, t_end
                 )
 
     for k in (0, len(times) // 2, len(times) - 1):
-        x, t = traj.states[k], float(times[k])
+        x, t = traj.errors[k] + traj.p, float(times[k])
         for tie_tol in (0.0, DIAG_TIE_TOL):
             got = current_parents(g, model, x, t, tie_tol)
             oracle = current_parents_loop(g, model, x, t, tie_tol)
