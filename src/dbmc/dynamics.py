@@ -22,6 +22,9 @@ z_j + w_ij + u_ij(t) come from the tail-grouped
 from __future__ import annotations
 
 import math
+import os
+import signal
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,6 +45,19 @@ from .seriesio import BLOCK
 # gain * step bounded as the gain blows up.
 STEPS_PER_DEADLINE = 5000.0
 REMAINING_FRACTION = 0.01
+
+# simulate splits each RHS call with a forked worker from this many candidate
+# edges on.  Below it the handoff can cost more than half the edge work saves.
+# On 1000-node graphs (2-vCPU host) the split took x0.92-1.07 the serial time
+# at 2 991 edges, x0.85-0.94 at 4 963 and about x0.75 at 12 984; a prototype
+# took x1.09 at 4 772 and x0.94 at 5 522.  The threshold is above every loss.
+SPLIT_EDGES = 5000
+# Loop turns a side waiting for the other spins on the shared sequence number
+# before it starts yielding its CPU and polling for the other side's exit.
+SPIN = 2000
+# Seconds a side waits for the handoff lock before it checks that the other
+# side still lives.
+POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -128,31 +144,221 @@ def check_t_end(params: PTGainParams, t_end: float, horizon: float) -> None:
         )
 
 
+def _segments(
+    lay: CandidateLayout, model: DisturbanceModel, p: np.ndarray, lo: int, hi: int
+) -> tuple[DisturbanceModel, np.ndarray, np.ndarray, np.ndarray]:
+    """(grouped, slots, offsets, starts) of the segments of non-sources lo..hi-1.
+
+    ``grouped`` is ``model`` taken in the order of those segments' edges.
+    The smallest candidate z_j + (p_j + w_ij - p_i) + u_ij(t) of each of
+    those non-sources is ``np.minimum.reduceat(z[slots] + offsets +
+    grouped.sample_all(t), starts)``, where ``z`` holds the m non-source
+    errors followed by one 0, the error every source keeps.  The offset
+    term vanishes on true-parent edges, so at the solution with zero
+    disturbance every minimum is exactly 0.  Each value is an elementwise
+    op or a per-segment minimum, so the minima of any split of 0..m into
+    ranges have the bits of the minima of the whole.
+    """
+    a = lay.starts[lo]
+    b = lay.starts[hi] if hi < len(lay.starts) else len(lay.order)
+    offsets = p[lay.heads[a:b]] + lay.weights[a:b] - p[lay.tails[a:b]]
+    return model.take(lay.order[a:b]), lay.slots[a:b], offsets, lay.starts[lo:hi] - a
+
+
 def _rates(
     lay: CandidateLayout,
-    grouped: DisturbanceModel,
+    model: DisturbanceModel,
     sol: ShortestPathSolution,
     params: PTGainParams,
+    worker: _Worker | None = None,
 ) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """rates(t, z, own): the time derivative of the m non-source errors.
 
-    ``grouped`` is the disturbance model taken in layout order,
-    ``model.take(lay.order)``.  ``z`` holds the m non-source errors followed
-    by one 0, the error every source keeps, and ``own`` is ``z[:m]``.
-    Candidate values are z_j + (p_j + w_ij - p_i) + u_ij(t) over ``lay``;
-    the offset term vanishes on true-parent edges, so at the solution with
-    zero disturbance the rates are exactly zero.
+    ``z`` holds the m non-source errors followed by one 0, the error every
+    source keeps, and ``own`` is ``z[:m]``; the rates are gain(t) times the
+    smallest candidate of each non-source (:func:`_segments`) minus
+    ``own``.  With a ``worker``, this process takes the non-sources before
+    ``worker.cut`` and the worker the rest, at the same time; the bits are
+    the same.
     """
     p = np.asarray(sol.p, dtype=float)
-    offsets = p[lay.heads] + lay.weights - p[lay.tails]
-    slots, starts = lay.slots, lay.starts
+    m = len(lay.non_sources)
+    cut = m if worker is None else worker.cut
+    grouped, slots, offsets, starts = _segments(lay, model, p, 0, cut)
     gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
 
-    def rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
-        best = np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts)
+    if worker is None:
+
+        def rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
+            best = np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts)
+            return (gamma + two_h2 / (deadline - t)) * (best - own)
+
+        return rates
+
+    best = np.empty(m)
+    head, tail = best[:cut], best[cut:]
+
+    def split_rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
+        worker.post(t, z)
+        np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts, out=head)
+        worker.collect(tail)
         return (gamma + two_h2 / (deadline - t)) * (best - own)
 
-    return rates
+    return split_rates
+
+
+def _may_split(lay: CandidateLayout) -> bool:
+    """Whether ``simulate`` may fork a :class:`_Worker` for this layout.
+
+    It needs at least ``SPLIT_EDGES`` candidate edges over two or more
+    non-sources, ``os.fork``, two CPUs this process may run on, and this
+    process to be its only OS thread (Linux ``/proc/self/task``): forking
+    a process that runs threads, such as a BLAS pool, can copy a lock that
+    a lost thread holds.
+    """
+    if len(lay.order) < SPLIT_EDGES or len(lay.starts) < 2 or not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return False
+    return cpus >= 2 and threads == 1
+
+
+class _Worker:
+    """A forked process that takes the non-sources from ``cut`` on, every stage.
+
+    The cut is the segment boundary nearest half the candidate edges.  The
+    two processes share one anonymous ``mmap``: two sequence numbers
+    (stages posted by the parent, stages done by the worker), the stage
+    time, the stage input ``z`` and the worker's minima.  A side publishes
+    its sequence number under a process-shared lock (the POSIX semaphore of
+    a fork-context ``multiprocessing.Lock``), and the reader, once it sees
+    the number change, takes and drops that lock before it reads the data,
+    so the handoff does not rely on x86 store order.  A waiting side spins
+    ``SPIN`` times on the number, then calls ``os.sched_yield`` and polls a
+    pipe that only the other side can write: EOF there means the other
+    side is gone.  The parent then raises IntegrationError, and the worker
+    exits.
+
+    The worker leaves only through ``os._exit``: it never returns into its
+    caller's frames, runs no atexit hook, flushes no inherited stdio buffer
+    and writes nothing.  Leaving the ``with`` block kills and reaps it.
+    """
+
+    def __init__(self, lay: CandidateLayout, model: DisturbanceModel, p: np.ndarray) -> None:
+        self._args = lay, model, p
+        n = len(lay.order)
+        self.cut = int(np.argmin(np.abs(lay.starts[1:] - 0.5 * n))) + 1
+        self._posted = 0
+
+    def __enter__(self) -> _Worker:
+        import mmap
+
+        # The C semaphore type under multiprocessing.Lock: importing the
+        # multiprocessing package itself adds 0.85 MB to the peak RSS.
+        from _multiprocessing import SemLock
+
+        lay, model, p = self._args
+        m = len(lay.non_sources)
+        self._mem = mmap.mmap(-1, 8 * (2 + 1 + (m + 1) + (m - self.cut)))
+        self._seq = np.frombuffer(self._mem, dtype=np.int64, count=2)
+        floats = np.frombuffer(self._mem, dtype=float, offset=16)
+        self._t, self._z, self._out = floats[:1], floats[1 : m + 2], floats[m + 2 :]
+        # A fork-context Lock: kind SEMAPHORE (1), value 1, max 1, its name
+        # unlinked at once.
+        self._lock = SemLock(1, 1, 1, f"/dbmc-{os.getpid()}-{id(self)}", True)
+        to_worker, to_parent = os.pipe(), os.pipe()
+        parent_ends = (to_worker[1], to_parent[0])
+        worker_ends = (to_parent[1], to_worker[0])
+        self._pid = os.fork()
+        if self._pid == 0:
+            code = 1
+            try:
+                self._keep(worker_ends, parent_ends)
+                self._serve(*_segments(lay, model, p, self.cut, m))
+                code = 0
+            finally:
+                os._exit(code)
+        self._keep(parent_ends, worker_ends)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for fd in self._ends:
+            os.close(fd)
+        os.kill(self._pid, signal.SIGKILL)
+        os.waitpid(self._pid, 0)
+
+    def _keep(self, ends: tuple[int, int], others: tuple[int, int]) -> None:
+        """Close the other side's pipe ends and keep ``ends``: the write end
+        the other side watches and the read end this side watches."""
+        import select
+
+        for fd in others:
+            os.close(fd)
+        self._ends = ends
+        self._peer = select.poll()
+        self._peer.register(ends[1], select.POLLIN)
+
+    def post(self, t: float, z: np.ndarray) -> None:
+        """Hand the worker stage time ``t`` and stage input ``z``."""
+        self._t[0] = t
+        np.copyto(self._z, z)
+        self._posted += 1
+        if not self._publish(0, self._posted):
+            raise IntegrationError("the worker of the split RHS is gone")
+
+    def collect(self, out: np.ndarray) -> None:
+        """Wait for the worker's minima of the last posted stage; copy them to ``out``."""
+        if not self._await(1, self._posted):
+            raise IntegrationError("the worker of the split RHS is gone")
+        np.copyto(out, self._out)
+
+    def _serve(
+        self, grouped: DisturbanceModel, slots: np.ndarray, offsets: np.ndarray,
+        starts: np.ndarray,
+    ) -> None:
+        """The worker's loop over the :func:`_segments` from ``cut`` on;
+        returns once the parent is gone."""
+        z, out, done = self._z, self._out, 0
+        while self._await(0, done + 1):
+            done += 1
+            t = float(self._t[0])
+            np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts, out=out)
+            if not self._publish(1, done):
+                return
+
+    def _gone(self) -> bool:
+        """Whether the other side has exited: EOF on the pipe only it writes."""
+        return bool(self._peer.poll(0))
+
+    def _acquire(self) -> bool:
+        while not self._lock.acquire(timeout=POLL_S):
+            if self._gone():
+                return False
+        return True
+
+    def _publish(self, word: int, value: int) -> bool:
+        if not self._acquire():
+            return False
+        self._seq[word] = value
+        self._lock.release()
+        return True
+
+    def _await(self, word: int, value: int) -> bool:
+        """Wait until sequence number ``word`` reads ``value``; False if the other side is gone."""
+        seq, spins = self._seq, 0
+        while seq[word] != value:
+            spins += 1
+            if spins > SPIN:
+                os.sched_yield()
+                if self._gone():
+                    return False
+        if not self._acquire():
+            return False
+        self._lock.release()
+        return True
 
 
 def step_grid(params: PTGainParams, t_end: float) -> tuple[list[float], list[float]]:
@@ -203,6 +409,19 @@ def simulate(
     ``on_block(span, rows)``, if given, receives each finished block
     of ``BLOCK`` rows of ``errors`` (the last may be shorter), in order, as
     soon as its last step is taken: ``rows`` is ``errors[span]``, final.
+
+    Which process gets a second CPU: when ``on_block`` is given, the
+    caller's consumer does (``dbmc run`` and ``dbmc simulate`` hand the
+    blocks to a writer child).  Otherwise, on a graph of at least
+    ``SPLIT_EDGES`` candidate edges, ``simulate`` forks one worker that
+    computes the minima of about half the candidate edges at every stage,
+    while this process computes the other half (:class:`_Worker`).  The
+    split needs two usable CPUs and a process that runs no other OS
+    thread; numpy's default OpenBLAS pool is one, so a caller enables the
+    split by setting ``OPENBLAS_NUM_THREADS=1`` before numpy is imported,
+    as ``bench/run.py`` does.  The split changes no bit of the result, no
+    sample count (this process still calls ``sample_all`` once per stage,
+    on its half) and no stored time.  The worker never outlives the call.
     """
     if sol is None:
         sol = solve_shortest_paths(g)
@@ -212,9 +431,9 @@ def simulate(
 
     times, steps = step_grid(params, t_end)
     lay = candidate_layout(g, model)
-    rates = _rates(lay, model.take(lay.order), sol, params)
     ns = lay.non_sources
     p = np.asarray(sol.p, dtype=float)
+    split = on_block is None and _may_split(lay)
 
     # Only the m non-source errors are integrated.  ``z`` and the stage
     # input ``y`` carry one trailing 0 that every source head reads, and each
@@ -226,21 +445,23 @@ def simulate(
     z = np.append(errors[0, ns], 0.0)
     y = np.zeros(m + 1)
     z_own, y_own = z[:m], y[:m]
-    for a in range(0, len(times), BLOCK):
-        b = min(a + BLOCK, len(times))
-        lo = max(a, 1)
-        for k, t, hs in zip(range(lo, b), times[lo - 1 : b - 1], steps[lo - 1 : b - 1]):
-            half = 0.5 * hs
-            k1 = rates(t, z, z_own)
-            np.add(z_own, half * k1, out=y_own)
-            k2 = rates(t + half, y, y_own)
-            np.add(z_own, half * k2, out=y_own)
-            k3 = rates(t + half, y, y_own)
-            np.add(z_own, hs * k3, out=y_own)
-            k4 = rates(t + hs, y, y_own)
-            z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
-            errors[k, ns] = z_own
-        if on_block is not None:
-            on_block(slice(a, b), errors[a:b])
+    with _Worker(lay, model, p) if split else nullcontext() as worker:
+        rates = _rates(lay, model, sol, params, worker)
+        for a in range(0, len(times), BLOCK):
+            b = min(a + BLOCK, len(times))
+            lo = max(a, 1)
+            for k, t, hs in zip(range(lo, b), times[lo - 1 : b - 1], steps[lo - 1 : b - 1]):
+                half = 0.5 * hs
+                k1 = rates(t, z, z_own)
+                np.add(z_own, half * k1, out=y_own)
+                k2 = rates(t + half, y, y_own)
+                np.add(z_own, half * k2, out=y_own)
+                k3 = rates(t + half, y, y_own)
+                np.add(z_own, hs * k3, out=y_own)
+                k4 = rates(t + hs, y, y_own)
+                z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+                errors[k, ns] = z_own
+            if on_block is not None:
+                on_block(slice(a, b), errors[a:b])
 
     return Trajectory(p=p, times=np.array(times), errors=errors)

@@ -1,4 +1,11 @@
+import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,7 +160,7 @@ class TestSimulate:
         sol = solve_shortest_paths(g)
         m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), g, 2, 5.0)
         lay = candidate_layout(g, m)
-        rates = dynamics._rates(lay, m.take(lay.order), sol, PARAMS)
+        rates = dynamics._rates(lay, m, sol, PARAMS)
         rng = np.random.default_rng(0)
         p = np.array(sol.p)
         adj = out_edges(g)
@@ -323,3 +330,275 @@ def test_simulate_samples_the_disturbance_four_times_per_step(monkeypatch, spec)
     monkeypatch.setattr(DisturbanceModel, "sample_all", counted)
     traj = simulate(g, m, PARAMS, constant_initial(g, 12.0), 1.5)
     assert len(calls) == 4 * (len(traj.times) - 1)
+
+
+# The split RHS runs only in a process with one OS thread.  Each test below
+# runs ``simulate`` in a child interpreter started with OPENBLAS_NUM_THREADS=1,
+# which keeps numpy's BLAS pool from starting a thread, so the thread check
+# holds without patching it.  The prelude records every pid ``os.fork``
+# returns to the parent in ``forks``.
+SPLIT_PRELUDE = """
+import json, os, signal, sys, threading, time
+import numpy as np
+from dbmc import (DisturbanceModel, DisturbanceSpec, IntegrationError, PTGainParams,
+                  WeightedDigraph, build_model, hop_random_graph, simulate,
+                  solve_shortest_paths)
+from dbmc import dynamics
+from dbmc.disturbance import candidate_layout
+
+PARAMS = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
+MAIN = os.getpid()
+forks = []
+_fork = os.fork
+
+def fork():
+    pid = _fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = fork
+
+def x0_of(g):
+    x0 = np.array(solve_shortest_paths(g).p) + 12.0
+    x0[[s - 1 for s in g.sources]] = 0.0
+    return x0
+
+def run(g, model, split, t_end=1.0, **kw):
+    dynamics.SPLIT_EDGES = 1 if split else 10**12
+    before = len(forks)
+    traj = simulate(g, model, PARAMS, x0_of(g), t_end, **kw)
+    return traj, len(forks) - before
+
+def parent_sample(at, action):
+    # patch sample_all to call action() before the parent's at-th sample;
+    # the worker's samples are left alone
+    original, calls = DisturbanceModel.sample_all, [0]
+
+    def sample_all(model, t):
+        if os.getpid() == MAIN:
+            calls[0] += 1
+            if calls[0] == at:
+                action()
+        return original(model, t)
+
+    DisturbanceModel.sample_all = sample_all
+
+def gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+G = hop_random_graph(40, 0.3, 1)
+SINUSOID = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), G, 1, 5.0)
+"""
+
+
+def _split_env() -> dict:
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def _split_child(code: str) -> dict:
+    """Run ``SPLIT_PRELUDE + code`` in a child; its stdout must be one JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SPLIT_PRELUDE + code],
+        capture_output=True, text=True, env=_split_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+# Each case is a graph and a disturbance, simulated split and serial in one
+# child; the child also reports where the cut fell.
+SPLIT_CASES = """
+def relabel(g, f):
+    return WeightedDigraph(g.node_count, frozenset(f(s) for s in g.sources),
+                           tuple((f(i), f(j), w) for i, j, w in g.edges))
+
+spec = DisturbanceSpec
+
+n = 60
+chain_to_source = WeightedDigraph(
+    n, frozenset({1}),
+    tuple((i, i - 1, 1.0) for i in range(2, n + 1)) + tuple((i, 1, float(i)) for i in range(3, n + 1)))
+tree = hop_random_graph(60, 0.0, 3)  # node 30 holds about half the edges
+hub = WeightedDigraph(60, tree.sources, tree.edges + tuple(
+    (30, j, 5.0) for j in range(1, 61) if j != 30 and all(e[:2] != (30, j) for e in tree.edges)))
+cases = {
+    "sinusoid": (G, spec(kind="sinusoid", amplitude=0.3)),
+    "piecewise": (G, spec(kind="piecewise", amplitude=0.3)),
+    "proportional": (G, spec(kind="proportional", alpha_lower=0.1, alpha_upper=0.4,
+                             carrier="sinusoid")),
+    "proportional-piecewise": (G, spec(kind="proportional", alpha_lower=0.0,
+                                       alpha_upper=0.4, carrier="piecewise")),
+    "zero": (G, spec(kind="zero")),
+    "two-sources": (WeightedDigraph(40, frozenset({1, 7}), G.edges), spec(kind="sinusoid", amplitude=0.3)),
+    "source-not-1": (relabel(G, lambda i: 41 - i), spec(kind="piecewise", amplitude=0.3)),
+    "unequal-halves": (hub, spec(kind="sinusoid", amplitude=0.3)),
+    "source-slot-at-cut": (chain_to_source, spec(kind="sinusoid", amplitude=0.3)),
+}
+out = {}
+for name, (g, s) in cases.items():
+    model = build_model(s, g, 2, 5.0)
+    split, split_forks = run(g, model, True)
+    serial, serial_forks = run(g, model, False)
+    lay = candidate_layout(g, model)
+    cut = dynamics._Worker(lay, model, np.zeros(g.node_count)).cut
+    m, starts = len(lay.starts), list(lay.starts) + [len(lay.order)]
+    out[name] = {
+        "same": split.errors.tobytes() == serial.errors.tobytes(),
+        "forks": [split_forks, serial_forks],
+        "sources": sorted(g.sources),
+        "edges": [int(starts[cut]), int(len(lay.order) - starts[cut])],
+        "reads_source": [bool(np.any(lay.slots[starts[k]:starts[k + 1]] == m))
+                         for k in (cut - 1, cut)],
+    }
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def split_cases():
+    return _split_child(SPLIT_CASES)
+
+
+class TestSplitRates:
+    """A forked worker takes the non-sources from a segment boundary near half
+    the candidate edges; every value is the same elementwise op or
+    per-segment minimum as in the serial RHS, so the bits are the same."""
+
+    @pytest.mark.parametrize("case", [
+        "sinusoid", "piecewise", "proportional", "proportional-piecewise", "zero",
+        "two-sources", "source-not-1", "unequal-halves", "source-slot-at-cut",
+    ])
+    def test_split_errors_have_the_serial_bits(self, split_cases, case):
+        got = split_cases[case]
+        assert got["forks"] == [1, 0]
+        assert got["same"]
+
+    def test_the_cases_reach_what_they_name(self, split_cases):
+        assert split_cases["two-sources"]["sources"] == [1, 7]
+        assert split_cases["source-not-1"]["sources"] == [40]
+        parent, worker = split_cases["unequal-halves"]["edges"]
+        assert max(parent, worker) > 2 * min(parent, worker)
+        assert split_cases["source-slot-at-cut"]["reads_source"] == [True, True]
+
+    def test_fork_only_when_every_condition_holds(self):
+        got = _split_child("""
+model = SINUSOID
+x0 = x0_of(G)
+edges = len(candidate_layout(G, model).order)
+def forks_in(threshold, **kw):
+    dynamics.SPLIT_EDGES = threshold
+    before = len(forks)
+    simulate(G, model, PARAMS, x0, 0.05, **kw)
+    return len(forks) - before
+out = {"at the threshold": forks_in(edges),
+       "below the threshold": forks_in(edges + 1),
+       "streaming": forks_in(1, on_block=lambda span, rows: None)}
+affinity = os.sched_getaffinity
+os.sched_getaffinity = lambda pid: {0}
+out["one CPU"] = forks_in(1)
+os.sched_getaffinity = affinity
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+out["second thread"] = forks_in(1)
+stop.set()
+thread.join()
+out["after the thread"] = forks_in(1)
+print(json.dumps(out))
+""")
+        assert got == {
+            "at the threshold": 1, "below the threshold": 0, "streaming": 0,
+            "one CPU": 0, "second thread": 0, "after the thread": 1,
+        }
+
+    def test_no_worker_outlives_simulate(self):
+        got = _split_child("""
+out = {"forks": run(G, SINUSOID, True)[1], "returned": gone(forks[-1])}
+def fail():
+    raise RuntimeError("stage 7")
+parent_sample(7, fail)
+try:
+    run(G, SINUSOID, True)
+except RuntimeError as exc:
+    out["raised"] = str(exc)
+out["raised, gone"] = gone(forks[-1])
+print(json.dumps(out))
+""")
+        assert got == {"forks": 1, "returned": True, "raised": "stage 7", "raised, gone": True}
+
+    @pytest.mark.parametrize("how", ["killed", "raises"])
+    def test_a_lost_worker_raises_instead_of_hanging(self, how):
+        """The worker leaves silently: the child's stderr stays empty."""
+        got = _split_child(f"""
+if {how!r} == "killed":
+    parent_sample(7, lambda: os.kill(forks[-1], signal.SIGKILL))
+else:
+    original = DisturbanceModel.sample_all
+    def sample_all(model, t):
+        if os.getpid() != MAIN:
+            raise RuntimeError("worker")
+        return original(model, t)
+    DisturbanceModel.sample_all = sample_all
+start = time.monotonic()
+try:
+    run(G, SINUSOID, True)
+    error = None
+except IntegrationError as exc:
+    error = str(exc)
+print(json.dumps({{"error": error, "seconds": time.monotonic() - start, "gone": gone(forks[-1])}}))
+""")
+        assert got["error"] is not None and "worker" in got["error"]
+        assert got["seconds"] < 10.0
+        assert got["gone"]
+
+    def test_a_killed_parent_leaves_no_worker(self):
+        """The orphaned worker exits by itself, through ``os._exit``: it neither
+        flushes the stdout buffer it inherited nor runs the atexit hook."""
+        code = """
+import atexit
+sys.stdout.write("buffered\\n")
+atexit.register(lambda: sys.stdout.write("atexit\\n"))
+def stop():
+    print(forks[-1], flush=True)
+    time.sleep(600)
+parent_sample(7, stop)
+run(G, SINUSOID, True)
+"""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SPLIT_PRELUDE + code],
+            stdout=subprocess.PIPE, text=True, env=_split_env(),
+        )
+        try:
+            assert proc.stdout.readline() == "buffered\n"
+            worker = int(proc.stdout.readline())
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        deadline = time.monotonic() + 10.0
+        try:
+            while _alive(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(worker)
+        finally:
+            if _alive(worker):
+                os.kill(worker, signal.SIGKILL)
+        assert proc.stdout.read() == ""  # EOF: the worker wrote nothing
+        proc.stdout.close()
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; an orphan's zombie counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
