@@ -4,10 +4,10 @@ This module holds the pieces of the bands: the nominal envelope of each
 parent chain, the constant shifts of the proportional and uniform bands,
 the network-wide offset and the power-law envelope that the stop time
 inverts.  ``harness.compute_bound_curves`` is the one place that assembles
-them into the chain, proportional, uniform and envelope bands, and
-``harness.band_blocks`` reads those bands a block of rows at a time.
-:class:`NominalEnvelopes` evaluates exactly the rows it is asked for, in
-one pass; splitting rows into blocks is left to ``band_blocks``.
+them into the chain, proportional, uniform and envelope bands, which the
+harness reads a block of rows at a time.  :class:`NominalEnvelopes`
+evaluates exactly the rows it is asked for, in one pass; splitting rows
+into blocks is left to the harness.
 
 Chains are source-first node sequences as produced by ``graph.parent_chain``;
 a chain of ell + 1 nodes has depth ell.  Every evaluator accepts a scalar

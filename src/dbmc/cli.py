@@ -26,6 +26,7 @@ from .harness import (
     SeriesWriter,
     bounds_csv,
     compute_bound_curves,
+    feed_blocks,
     make_out_dir,
     plan_scenario,
     run_scenario,
@@ -156,7 +157,7 @@ def _cmd_simulate(args) -> int:
         times = np.array(step_grid(sc.params, plan.t_stop)[0])
         traj = simulate(
             plan.g, plan.model, sc.params, plan.x0, plan.t_stop, sol=plan.sol,
-            on_block=series.stream(series_files(times, plan.sol.p)),
+            on_block=feed_blocks(series.stream(series_files(times, plan.sol.p))),
         )
         out = make_out_dir(args.out, sc)
         series.commit(out)

@@ -32,16 +32,15 @@ and renames it over the target, so no second copy of a whole file is built,
 and a failed write leaves any earlier file as it was.
 
 ``run_scenario`` and ``dbmc simulate`` leave every series file to a
-:class:`SeriesWriter`: a child process, started right after the scenario is
-planned, that formats the raw rows as they arrive.  The stored times are
-known before the integration (:func:`dynamics.step_grid`), so ``run``
-computes its bands first; :func:`dynamics.simulate` then hands over each
-finished ``BLOCK`` of error rows, the parent sends that block's raw rows of
-every series file, and the child formats them while RK4 runs the next
-block.  Every series file is one entry of :meth:`SeriesWriter.stream`,
-whose rows each block reads through that block's one shared reader:
-``focus.csv`` takes its band from that reader, not from the ``bands.csv``
-rows, and the envelope is evaluated once per block for both.
+:class:`SeriesWriter` child, started right after the scenario is planned.
+``run`` computes its bands first, at the stored times of
+:func:`dynamics.step_grid`.  :func:`dynamics.simulate` then hands over each
+finished ``BLOCK`` of error rows, and :func:`feed_blocks` gives that
+block's one shared reader to each consumer: the series files of
+:meth:`SeriesWriter.stream`, whose raw rows the child formats while RK4
+runs the next block, and ``run``'s :class:`BracketCheck`.  A run so
+evaluates the envelope once per stored time; :func:`band_blocks` walks the
+bands of standalone reads.
 Once every check has passed, the output directory is made and named to the
 child, which writes its files with the same ``seriesio.write_atomic`` that
 ``write_atomic`` calls while the parent writes the JSON files and
@@ -94,7 +93,7 @@ from .termination import TerminationReport, build_report
 log = logging.getLogger("dbmc")
 
 BRACKET_TOL = 1e-6
-CHECK_BLOCK = 1 << 15  # values per block of the bracket check (256 KiB of float64)
+CHECK_BLOCK = 1 << 15  # values per block of band_blocks (256 KiB of float64)
 
 
 @dataclass
@@ -282,16 +281,8 @@ class ShiftedBand:
 
 
 def band_blocks(rows: int, width: int):
-    """Walk ``rows`` time rows of bands ``width`` nodes wide in blocks of
-    about ``CHECK_BLOCK`` values, yielding ``(span, read)`` per block.
-
-    ``span`` is the block's slice of rows, and ``read(band)`` is those rows
-    of ``band`` as an array.  ``band`` may also be a
-    :class:`bounds.NominalEnvelopes`, read as its own rows.  Every read of
-    one envelope, and of every :class:`ShiftedBand` over it, shares one
-    evaluation of the block, made at the first such read, so a reader that
-    reads no envelope evaluates nothing.
-    """
+    """Per block of about ``CHECK_BLOCK`` values of ``rows`` time rows of
+    bands ``width`` nodes wide, its slice of rows and its :func:`_span_reader`."""
     step = max(1, CHECK_BLOCK // width)
     for a in range(0, rows, step):
         span = slice(a, min(a + step, rows))
@@ -299,8 +290,12 @@ def band_blocks(rows: int, width: int):
 
 
 def _span_reader(span: slice):
-    """The ``read`` of :func:`band_blocks`, and of each block
-    :meth:`SeriesWriter.stream` sends, for the rows ``span``."""
+    """``read(band)``, the rows ``span`` of ``band`` as an array: the read
+    of a block of :func:`band_blocks` or :func:`feed_blocks`.  ``band`` may
+    also be a :class:`bounds.NominalEnvelopes`, read as its own rows.  Every
+    read of one envelope, and of every :class:`ShiftedBand` over it, shares
+    one evaluation of the block, made at the first such read, so a reader
+    that reads no envelope evaluates nothing."""
     envs: dict = {}
 
     def read(band) -> np.ndarray:
@@ -312,6 +307,19 @@ def _span_reader(span: slice):
         return envs[env] if env is band else envs[env] + band.shift
 
     return read
+
+
+def feed_blocks(*consumers: Callable) -> Callable[[slice, np.ndarray], None]:
+    """The ``on_block`` of :func:`dynamics.simulate` that calls every consumer
+    with ``(span, errors, read)`` and one :func:`_span_reader` per block, so
+    an envelope is evaluated once per block however many consumers read it."""
+
+    def on_block(span: slice, errors: np.ndarray) -> None:
+        read = _span_reader(span)
+        for consume in consumers:
+            consume(span, errors, read)
+
+    return on_block
 
 
 def compute_bound_curves(
@@ -338,9 +346,9 @@ def compute_bound_curves(
     is a :class:`ShiftedBand` over the same stateless, read-only
     :class:`bounds.NominalEnvelopes`, which holds L = ln f(t) per time and
     evaluates the envelope only for the rows it is asked for.  Read the
-    bands with :func:`band_blocks`, which evaluates each block of rows once
-    for all three; no (times x nodes) array is made unless a whole band is
-    read, and a whole read is filled block by block the same way.  A time
+    bands through a block's :func:`_span_reader`, which evaluates the block
+    once for all three; no (times x nodes) array is made unless a whole band
+    is read, and a whole read is filled block by block the same way.  A time
     outside [0, deadline) raises DomainError here, before any read.  The
     curves constant in time or across nodes (every lower band and the
     envelope kind's upper) are read-only ``np.broadcast_to`` views of one
@@ -390,38 +398,50 @@ def compute_bound_curves(
     return curves
 
 
+class BracketCheck:
+    """The bracket check, fed a block at a time as a :data:`SeriesFile`'s
+    ``rows(span, errors, read)`` is: per kind, ``slacks`` keeps the worst
+    lower slack ``err - lower`` and upper slack ``upper - err`` by
+    ``np.minimum``, so no NaN is dropped, and ``rows`` counts the rows."""
+
+    def __init__(self, g: WeightedDigraph, curves: dict[str, tuple]) -> None:
+        self.cols = [i - 1 for i in g.non_sources]
+        self.curves = curves
+        self.slacks = {kind: np.full(2, np.inf) for kind in curves}
+        self.rows = 0
+
+    def __call__(self, span: slice, errors: np.ndarray, read) -> None:
+        err = errors[:, self.cols]
+        for kind, (lower, upper) in self.curves.items():
+            worst = (err - read(lower)).min(), (read(upper) - err).min()
+            np.minimum(self.slacks[kind], worst, out=self.slacks[kind])
+        self.rows += len(err)
+
+
 def check_brackets(
     g: WeightedDigraph,
     traj: Trajectory,
     curves: dict[str, tuple],
+    check: BracketCheck | None = None,
 ) -> None:
-    """Every emitted curve must bracket the simulated errors pointwise.
-
-    The comparisons are negated so that a NaN anywhere fails the check.
-    They run over the blocks of :func:`band_blocks`, and each block of
-    errors is gathered once for every kind, so the check makes no temporary
-    as large as a curve until one fails, and reads no band of a kind that
-    has failed.  The error names the first failing kind in ``curves`` order
-    and its worst slacks over the whole run.
-    """
-    cols = [i - 1 for i in g.non_sources]
-    failed: set[str] = set()
-    for rows, read in band_blocks(len(traj.times), len(cols)):
-        err = traj.errors[rows, cols]
-        for kind, (lower, upper) in curves.items():
-            if kind not in failed and not (
-                np.all(err >= read(lower) - BRACKET_TOL)
-                and np.all(err <= read(upper) + BRACKET_TOL)
-            ):
-                failed.add(kind)
-    for kind, (lower, upper) in curves.items():
-        if kind in failed:
-            err = traj.errors[:, cols]
-            worst_low = float(np.min(err - lower))
-            worst_high = float(np.min(upper - err))
+    """Every emitted curve must bracket the simulated errors pointwise:
+    judged from ``check``, the :class:`BracketCheck` a run fed every stored
+    time, else from one fed the blocks of :func:`band_blocks`.  A kind fails
+    when a worst slack is NaN or below ``-BRACKET_TOL``; the error names the
+    first failing kind in ``curves`` order and its worst slacks."""
+    n = len(traj.times)
+    if check is None:
+        check = BracketCheck(g, curves)
+        for span, read in band_blocks(n, len(g.non_sources)):
+            check(span, traj.errors[span], read)
+    elif check.rows != n:
+        raise DbmcError(f"the bracket check saw {check.rows} of the run's {n} stored times")
+    for kind in curves:
+        low, high = check.slacks[kind]
+        if not (low >= -BRACKET_TOL and high >= -BRACKET_TOL):
             raise DbmcError(
                 f"bound curve {kind!r} fails to bracket the trajectory "
-                f"(worst lower slack {worst_low:.3e}, upper slack {worst_high:.3e})"
+                f"(worst lower slack {low:.3e}, upper slack {high:.3e})"
             )
 
 
@@ -483,10 +503,10 @@ class SeriesWriter:
 
     The child, ``python -I -S seriesio.py``, imports no numpy and starts in
     about 10 ms, so it is started before the trajectory exists.
-    :meth:`stream` declares the files, in order, and returns the
-    ``on_block`` that sends each block's raw float64 rows of every file
-    through :meth:`rows`; :meth:`commit` names the output directory.  The
-    child formats each message on arrival and writes nothing before the
+    :meth:`stream` declares the files, in order, and returns the consumer
+    of :func:`feed_blocks` that sends a block's raw float64 rows of every
+    file through :meth:`rows`; :meth:`commit` names the output directory.
+    The child formats each message on arrival and writes nothing before the
     commit.  The parent formats none of the rows it streams, and a run
     streams every CSV it writes.
     :meth:`wait` returns once every file is written and raises OSError with
@@ -546,23 +566,18 @@ class SeriesWriter:
         table = np.ascontiguousarray(table, dtype=np.float64)
         self._send({"file": name, "rows": len(table)}, table)
 
-    def stream(self, files: list[SeriesFile]) -> Callable[[slice, np.ndarray], None]:
-        """Declare ``files`` to the child, in order, and return the
-        ``on_block`` of :func:`dynamics.simulate` that streams each block's
-        raw rows of every file, so the child formats a block while the next
-        one is integrated.  Each block has one reader of :func:`band_blocks`,
-        shared by every file's ``rows``, so an envelope is evaluated once
-        per block however many files read it."""
+    def stream(self, files: list[SeriesFile]) -> Callable[[slice, np.ndarray, Callable], None]:
+        """Declare ``files`` to the child, in order, and return the consumer
+        of :func:`feed_blocks` that sends a block's raw rows of every file."""
         for name, header, width, _ in files:
             self.widths[name] = width
             self._send({"file": name, "header": header, "width": width})
 
-        def on_block(span: slice, errors: np.ndarray) -> None:
-            read = _span_reader(span)
+        def send(span: slice, errors: np.ndarray, read) -> None:
             for name, _, _, rows in files:
                 self.rows(name, rows(span, errors, read))
 
-        return on_block
+        return send
 
     def commit(self, out: Path) -> None:
         """Have the child write every declared file into ``out``."""
@@ -722,8 +737,10 @@ def _run_plan(
     )
     bands = (band_rows(g, times, curves), focus_csv(g, times, curves, plan.focus))
     files = [f for f in bands if f is not None] + series_files(times, sol.p)
-    traj = simulate(g, model, sc.params, x0, t_stop, sol=sol, on_block=series.stream(files))
-    check_brackets(g, traj, curves)
+    check = BracketCheck(g, curves)
+    on_block = feed_blocks(series.stream(files), check)
+    traj = simulate(g, model, sc.params, x0, t_stop, sol=sol, on_block=on_block)
+    check_brackets(g, traj, curves, check)
 
     report = build_report(g, sol, model, traj.final_states, t_stop)
     out = make_out_dir(out_dir, sc)

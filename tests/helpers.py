@@ -18,6 +18,9 @@ overflows, and ``nominal_envelopes`` reads every row of
 ``dbmc.bounds.NominalEnvelopes`` at once.  ``current_parents_loop`` (a Python loop per node over
 ``out_edges``) is the oracle for ``dbmc.termination.current_parents``.
 ``out_edges`` is every test's adjacency, a plain loop over ``g.edges``.
+``check_brackets_loop`` is the earlier bracket check, which compares every
+block of :func:`dbmc.harness.band_blocks` and reads the whole run again to
+report a failure, and serves as the oracle for ``dbmc.harness.check_brackets``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from dbmc.bounds import (
     worst_case_offset,
 )
 from dbmc.dynamics import log_integrating_factor
+from dbmc.errors import DbmcError
 from dbmc.graph import parent_chain
+from dbmc.harness import BRACKET_TOL, band_blocks
 
 
 def out_edges(g: WeightedDigraph) -> dict[int, dict[int, tuple[float, int]]]:
@@ -491,3 +496,34 @@ def current_parents_loop(g, model, x, t, tie_tol=0.0):
         best = min(v for v, _ in values)
         out[i] = frozenset(j for v, j in values if v <= best + tie_tol)
     return out
+
+
+def check_brackets_loop(g: WeightedDigraph, traj, curves: dict) -> None:
+    """Every emitted curve must bracket the simulated errors pointwise.
+
+    The comparisons are negated so that a NaN anywhere fails the check.
+    They run over the blocks of :func:`band_blocks`, and each block of
+    errors is gathered once for every kind, so the check makes no temporary
+    as large as a curve until one fails, and reads no band of a kind that
+    has failed.  The error names the first failing kind in ``curves`` order
+    and its worst slacks over the whole run.
+    """
+    cols = [i - 1 for i in g.non_sources]
+    failed: set[str] = set()
+    for rows, read in band_blocks(len(traj.times), len(cols)):
+        err = traj.errors[rows, cols]
+        for kind, (lower, upper) in curves.items():
+            if kind not in failed and not (
+                np.all(err >= read(lower) - BRACKET_TOL)
+                and np.all(err <= read(upper) + BRACKET_TOL)
+            ):
+                failed.add(kind)
+    for kind, (lower, upper) in curves.items():
+        if kind in failed:
+            err = traj.errors[:, cols]
+            worst_low = float(np.min(err - lower))
+            worst_high = float(np.min(upper - err))
+            raise DbmcError(
+                f"bound curve {kind!r} fails to bracket the trajectory "
+                f"(worst lower slack {worst_low:.3e}, upper slack {worst_high:.3e})"
+            )

@@ -67,6 +67,7 @@ from helpers import (
     bands_csv_loop,
     bound_curves_per_node,
     bounds_csv_loop,
+    check_brackets_loop,
     constant_initial,
     current_parents_loop,
     errors_csv_loop,
@@ -839,7 +840,7 @@ class TestColumnFormatterEdges:
         assert len(times) > 2 * 47 and len(times) % 47
         files = [band_rows(plan.g, times, curves)] + ([focus] if focus else [])
         with SeriesWriter() as series:
-            on_block = series.stream(files + series_files(times, plan.sol.p))
+            on_block = harness.feed_blocks(series.stream(files + series_files(times, plan.sol.p)))
             for a in range(0, len(times), 47):
                 on_block(slice(a, a + 47), errors[a : a + 47])
             series.commit(tmp_path)
@@ -902,7 +903,7 @@ def _write_series(out: Path, traj: Trajectory, cuts) -> None:
     into ``out``, streaming the rows in messages that end at ``cuts``."""
     edges = [0, *cuts, len(traj.times)]
     with SeriesWriter() as series:
-        on_block = series.stream(series_files(traj.times, traj.p))
+        on_block = harness.feed_blocks(series.stream(series_files(traj.times, traj.p)))
         for a, b in zip(edges, edges[1:]):
             on_block(slice(a, b), traj.errors[a:b])
         series.commit(out)
@@ -1622,9 +1623,9 @@ class TestBoundCurveMemory:
         assert spans == [(a, min(a + step, len(ts))) for a in range(0, len(ts), step)]
 
     def test_each_reader_evaluates_each_row_once(self, tmp_path, monkeypatch):
-        # A whole run has two readers of the envelope: the bands.csv rows,
-        # from which the focus.csv rows are built, and the bracket check.
-        # Each evaluates every stored time once, every chain at a time.
+        # A whole run reads the envelope once per streamed block, for the
+        # bands.csv rows, the focus.csv rows and the bracket check alike, so
+        # every stored time is evaluated once, every chain at a time.
         sc = load_scenario(Path("scenarios") / "case_study_40pct.ini")
         evaluated = []
         evaluate = bounds._deepest_first_envelopes
@@ -1642,11 +1643,11 @@ class TestBoundCurveMemory:
         counts = Counter(v for _, lp in evaluated for v in lp.tolist())
         lps = dynamics.log_integrating_factor(sc.params, times).tolist()
         assert len(set(lps)) == len(times)
-        assert counts == Counter(lps * 2)
+        assert counts == Counter(lps)
 
     def test_a_run_makes_one_reader_per_streamed_block(self, tmp_path, monkeypatch):
-        # SeriesWriter.stream makes one reader per block of 128 rows and
-        # hands it to every file; the bracket check makes its own readers.
+        # feed_blocks makes one reader per block of 128 rows and hands it to
+        # every file and to the bracket check, which makes no reader of its own.
         sc = load_scenario(Path("scenarios") / "case_study_40pct.ini")
         made = []
         span_reader = harness._span_reader
@@ -1659,11 +1660,8 @@ class TestBoundCurveMemory:
         result = run_scenario(sc, tmp_path)
         assert (tmp_path / "focus.csv").exists() and (tmp_path / "bands.csv").exists()
         n = result.summary["steps"] + 1
-        step = harness.CHECK_BLOCK // len(plan_scenario(sc).g.non_sources)
-        assert n > 2 * BLOCK and n % BLOCK and n > step
-        assert made == [(a, min(a + BLOCK, n)) for a in range(0, n, BLOCK)] + [
-            (a, min(a + step, n)) for a in range(0, n, step)
-        ]
+        assert n > 2 * BLOCK and n % BLOCK
+        assert made == [(a, min(a + BLOCK, n)) for a in range(0, n, BLOCK)]
 
     def test_a_walk_frees_each_block_without_the_cycle_collector(self):
         """A block's read holds no cycle, so the envelope rows it evaluated
@@ -1733,3 +1731,171 @@ def _bands_and_check_peak() -> tuple[int, int]:
         tracemalloc.stop()
     assert list(curves) == list(BOUND_KINDS)
     return peak, array
+
+
+@functools.cache
+def _bracket_run():
+    """(g, traj, curves) of standin13 to t = 0.3 with every bound kind:
+    301 stored times, so the streamed path sees two whole 128-row blocks
+    and a short last one."""
+    g = standin13()
+    params = ORACLE_PARAMS
+    sol = solve_shortest_paths(g)
+    model = build_model(SINUSOID, g, 11, horizon=params.deadline)
+    sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
+    x0 = constant_initial(g, 12.0)
+    chi0 = float(max(x0[i - 1] - sol.p[i - 1] for i in g.non_sources))
+    traj = simulate(g, model, params, x0, 0.3, sol=sol)
+    curves = compute_bound_curves(
+        g, sol, sol_minus, model, x0, 3.0, chi0, params, traj.times, BOUND_KINDS
+    )
+    return g, traj, curves
+
+
+def _failure(call) -> str | None:
+    try:
+        call()
+    except DbmcError as exc:
+        return str(exc)
+    return None
+
+
+# rows per block of the standalone check (None: all), or the streamed path
+BRACKET_PATHS = [1, 2, None, "streamed"]
+
+
+def _fed_check(g, traj, curves, stop=None) -> harness.BracketCheck:
+    """A check fed, as a run feeds it, the 128-row blocks of ``traj`` up to
+    the stored time ``stop``, through :func:`harness.feed_blocks`."""
+    check = harness.BracketCheck(g, curves)
+    on_block = harness.feed_blocks(check)
+    n = len(traj.times) if stop is None else stop
+    for a in range(0, n, BLOCK):
+        on_block(slice(a, min(a + BLOCK, n)), traj.errors[a : min(a + BLOCK, n)])
+    return check
+
+
+class TestBracketCheckMatchesTheLoop:
+    """``check_brackets``, standalone or fed from a run's blocks, raises
+    exactly when the earlier whole-read check (``check_brackets_loop``)
+    does, with the same message."""
+
+    @staticmethod
+    def _compare(monkeypatch, path, g, traj, curves) -> str | None:
+        if path != "streamed":
+            rows = path or len(traj.times)
+            monkeypatch.setattr("dbmc.harness.CHECK_BLOCK", rows * len(g.non_sources))
+            got = _failure(lambda: check_brackets(g, traj, curves))
+        else:
+            check = _fed_check(g, traj, curves)
+            got = _failure(lambda: check_brackets(g, traj, curves, check))
+        want = _failure(lambda: check_brackets_loop(g, traj, curves))
+        assert got == want
+        return want
+
+    @staticmethod
+    def _moved(g, traj, curves, kind, side, row, slack):
+        """``curves`` with the cell of node 7 at ``row`` of ``kind``'s
+        ``side`` band moved to ``slack`` from that node's error."""
+        col = g.non_sources.index(7)
+        err = traj.errors[row, 6]
+        bands = list(curves[kind])
+        band = np.array(bands[side])
+        band[row, col] = err - slack if side == 0 else err + slack
+        bands[side] = band
+        return {**curves, kind: tuple(bands)}
+
+    @pytest.mark.parametrize("path", BRACKET_PATHS)
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("shift", [0.5, -0.5, 2.0, -2.0, 10.0, -10.0])  # in BRACKET_TOL
+    @pytest.mark.parametrize("kind, side", [("chain", 1), ("uniform", 0), ("uniform", 1)])
+    def test_a_band_moved_across_the_error(self, monkeypatch, path, at, shift, kind, side):
+        g, traj, curves = _bracket_run()
+        row = {"first": 0, "middle": len(traj.times) // 2, "last": len(traj.times) - 1}[at]
+        moved = self._moved(g, traj, curves, kind, side, row, shift * harness.BRACKET_TOL)
+        want = self._compare(monkeypatch, path, g, traj, moved)
+        assert (want is None) == (shift > -1.0)
+        assert want is None or f"bound curve {kind!r}" in want
+
+    @pytest.mark.parametrize("path", BRACKET_PATHS)
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_the_first_failing_kind_in_curves_order(self, monkeypatch, path, order):
+        # chain fails only in the last row and uniform only in the first
+        g, traj, curves = _bracket_run()
+        tol = harness.BRACKET_TOL
+        moved = self._moved(g, traj, curves, "chain", 1, len(traj.times) - 1, -10 * tol)
+        moved = self._moved(g, traj, moved, "uniform", 0, 0, -2 * tol)
+        kinds = list(moved) if order == "forward" else list(moved)[::-1]
+        moved = {kind: moved[kind] for kind in kinds}
+        want = self._compare(monkeypatch, path, g, traj, moved)
+        first = "chain" if order == "forward" else "uniform"
+        assert want.startswith(f"bound curve {first!r}")
+        # the chain kind's lower is -inf, so its lower slack is inf
+        assert first != "chain" or "worst lower slack inf," in want
+
+    @pytest.mark.parametrize("path", BRACKET_PATHS)
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_a_nan_error(self, monkeypatch, path, at):
+        g, traj, curves = _bracket_run()
+        row = {"first": 0, "middle": len(traj.times) // 2, "last": len(traj.times) - 1}[at]
+        errors = traj.errors.copy()
+        errors[row, 6] = math.nan
+        want = self._compare(monkeypatch, path, g, replace(traj, errors=errors), curves)
+        assert want.startswith(f"bound curve {next(iter(curves))!r}") and "nan" in want
+
+    @pytest.mark.parametrize("path", BRACKET_PATHS)
+    @pytest.mark.parametrize("kind, side", [("chain", 1), ("uniform", 0), ("envelope", 1)])
+    def test_a_nan_band_cell(self, monkeypatch, path, kind, side):
+        g, traj, curves = _bracket_run()
+        moved = self._moved(g, traj, curves, kind, side, len(traj.times) // 2, math.nan)
+        want = self._compare(monkeypatch, path, g, traj, moved)
+        assert want.startswith(f"bound curve {kind!r}") and "nan" in want
+
+    @pytest.mark.parametrize("path", BRACKET_PATHS)
+    def test_bands_that_bracket(self, monkeypatch, path):
+        g, traj, curves = _bracket_run()
+        assert self._compare(monkeypatch, path, g, traj, curves) is None
+
+    @pytest.mark.parametrize("stop", [0, BLOCK, 2 * BLOCK])
+    def test_a_fed_check_must_have_seen_every_stored_time(self, stop):
+        g, traj, curves = _bracket_run()
+        check = _fed_check(g, traj, curves, stop)
+        with pytest.raises(DbmcError, match=f"saw {stop} of the run's 301 stored times"):
+            check_brackets(g, traj, curves, check)
+
+    def test_a_run_whose_blocks_miss_the_check_fails(self, tmp_path, monkeypatch):
+        # the composer drops its last consumer, the check, so the run's
+        # bands would otherwise pass unchecked
+        feed_blocks = harness.feed_blocks
+        monkeypatch.setattr(harness, "feed_blocks", lambda *consumers: feed_blocks(*consumers[:-1]))
+        with pytest.raises(DbmcError, match="the bracket check saw 0 of the run's"):
+            run_scenario(parse_scenario(BASE_SCENARIO), tmp_path / "out")
+        _assert_no_child_process()
+        assert not any(tmp_path.iterdir())
+
+    def test_a_run_calls_check_brackets_once_with_its_run(self, tmp_path, monkeypatch):
+        """The benchmark's tracer wraps ``harness.check_brackets`` by name
+        and reads the run's bracket slack from its first three positional
+        arguments, ``(g, traj, curves)``; a run that does not call it leaves
+        that slack infinite."""
+        calls = []
+        for name in ("compute_bound_curves", "simulate", "check_brackets"):
+            def spy(*args, _real=getattr(harness, name), _name=name, **kwargs):
+                result = _real(*args, **kwargs)
+                calls.append((_name, args, result))
+                return result
+
+            monkeypatch.setattr(harness, name, spy)
+        run_scenario(parse_scenario(BASE_SCENARIO), tmp_path / "out")
+        (bands_args, curves), (_, traj) = [
+            (args, result) for name, args, result in calls if name != "check_brackets"
+        ]
+        (args,) = [args for name, args, _ in calls if name == "check_brackets"]
+        g = bands_args[0]
+        assert args[0] is g and args[1] is traj and args[2] is curves and curves
+        err = traj.errors[:, [i - 1 for i in g.non_sources]]
+        slack = min(
+            min(float(np.min(err - lower)), float(np.min(upper - err)))
+            for lower, upper in curves.values()
+        )
+        assert math.isfinite(slack) and slack >= -harness.BRACKET_TOL
