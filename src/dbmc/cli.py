@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import early_termination_time, optimal_q
 from .dynamics import PTGainParams, simulate, step_grid
 from .errors import DbmcError, InfeasibleError, SpecError
-from .generate import EXTRA_EDGE_PROB, GRAPH_SEED, generate_graph
+from .generate import EXTRA_EDGE_PROB, GENERATED_KINDS, GRAPH_SEED, generate_graph
 from .graph import dump_graph, load_graph, solve_shortest_paths
 from .harness import (
     SeriesWriter,
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("gen", help="generate a benchmark graph")
-    p.add_argument("kind", choices=["line", "hop-random", "grid", "standin13"])
+    p.add_argument("kind", choices=GENERATED_KINDS)
     p.add_argument("--n", type=int, default=13)
     p.add_argument("--extra-edge-prob", type=float, default=EXTRA_EDGE_PROB)
     p.add_argument("--rows", type=int, default=3)
@@ -130,10 +130,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = {"kind": args.kind, "n": args.n, "extra_edge_prob": args.extra_edge_prob,
-            "rows": args.rows, "cols": args.cols, "seed": args.seed}
-    g = generate_graph(spec)
-    text = dump_graph(g)
+    text = dump_graph(generate_graph(vars(args)))  # the kind's keys are flags of the same name
     if args.out:
         write_atomic(Path(args.out), text)
     else:

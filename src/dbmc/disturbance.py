@@ -23,8 +23,6 @@ from .graph import WeightedDigraph
 
 TWO_PI = 2.0 * math.pi
 
-CARRIERS = ("sinusoid", "piecewise")
-
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
@@ -262,11 +260,22 @@ def build_model(
     )
 
 
+# The DisturbanceSpec fields that each kind and each carrier reads, beside
+# kind and the uniform overrides, which every kind reads.  A proportional
+# spec reads the fields of its carrier too.
+CARRIER_FIELDS = {"sinusoid": ("omega", "phase"), "piecewise": ("knot_spacing",)}
+KIND_FIELDS = {
+    "zero": (),
+    **{carrier: ("amplitude", *names) for carrier, names in CARRIER_FIELDS.items()},
+    "proportional": ("alpha_lower", "alpha_upper", "carrier"),
+}
+
+
 def _fractions_and_carrier(spec: DisturbanceSpec) -> tuple[float, float, str | None]:
     """(alpha_lower, alpha_upper, carrier) of any kind, with its fractions checked."""
     if spec.kind == "zero":
         return 0.0, 0.0, None
-    if spec.kind in CARRIERS:
+    if spec.kind in CARRIER_FIELDS:
         _check_fraction(spec.amplitude, "amplitude")
         return spec.amplitude, spec.amplitude, spec.kind
     if spec.kind != "proportional":
@@ -274,7 +283,7 @@ def _fractions_and_carrier(spec: DisturbanceSpec) -> tuple[float, float, str | N
     _check_fraction(spec.alpha_lower, "alpha_lower")
     if spec.alpha_upper < 0.0:
         raise SpecError("alpha_upper must be nonnegative")
-    if spec.carrier not in CARRIERS:
+    if spec.carrier not in CARRIER_FIELDS:
         raise SpecError(f"unknown carrier {spec.carrier!r}")
     return spec.alpha_lower, spec.alpha_upper, spec.carrier
 

@@ -1,4 +1,4 @@
-"""Graph generators for simulation studies.
+"""Graph generators for simulation studies, and GRAPH_KINDS, every graph kind.
 
 All generators emit graphs whose every node reaches node 1, the sole source.
 Weights are 1 unless stated otherwise.
@@ -6,14 +6,16 @@ Weights are 1 unless stated otherwise.
 
 from __future__ import annotations
 
+from dataclasses import MISSING
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .errors import SpecError
-from .graph import WeightedDigraph
+from .graph import WeightedDigraph, load_graph
 
-# hop-random defaults, for the scenario reader, `dbmc gen` and generate_graph
+# hop-random defaults, which `dbmc gen` shares
 EXTRA_EDGE_PROB = 0.2
 GRAPH_SEED = 0
 
@@ -86,25 +88,38 @@ def standin13() -> WeightedDigraph:
     return WeightedDigraph(13, frozenset({1}), tuple(edges))
 
 
+def file_graph(path: str) -> WeightedDigraph:
+    """The graph of the edge-list file at ``path``."""
+    return load_graph(Path(path).read_text(encoding="utf-8"))
+
+
+# Every graph kind: its builder and its [graph] keys, which the builder takes
+# by name, each with its type and default (MISSING for a required key).
+GRAPH_KINDS = {
+    "file": (file_graph, {"path": (str, MISSING)}),
+    "line": (line_graph, {"n": (int, MISSING)}),
+    "hop-random": (hop_random_graph, {"n": (int, MISSING),
+                   "extra_edge_prob": (float, EXTRA_EDGE_PROB), "seed": (int, GRAPH_SEED)}),
+    "grid": (grid_graph, {"rows": (int, MISSING), "cols": (int, MISSING)}),
+    "standin13": (standin13, {}),
+}
+# the kinds `dbmc gen` offers: every kind but file, which reads its graph
+GENERATED_KINDS = tuple(kind for kind in GRAPH_KINDS if kind != "file")
+
+
 def generate_graph(spec: Mapping) -> WeightedDigraph:
-    """Dispatch on ``spec['kind']``: line | hop-random | grid | standin13."""
+    """The graph of the kind ``spec['kind']`` from its keys in ``spec``; other items are ignored."""
     kind = spec.get("kind")
-    try:
-        if kind == "line":
-            return line_graph(int(spec["n"]))
-        if kind == "hop-random":
-            return hop_random_graph(
-                int(spec["n"]),
-                float(spec.get("extra_edge_prob", EXTRA_EDGE_PROB)),
-                int(spec.get("seed", GRAPH_SEED)),
-            )
-        if kind == "grid":
-            return grid_graph(int(spec["rows"]), int(spec["cols"]))
-        if kind == "standin13":
-            return standin13()
-    except KeyError as exc:
-        raise SpecError(f"graph spec is missing key {exc}") from None
-    raise SpecError(f"unknown graph kind {kind!r}")
+    if kind not in GRAPH_KINDS:
+        raise SpecError(f"unknown graph kind {kind!r}")
+    build, keys = GRAPH_KINDS[kind]
+    args = {}
+    for key, (convert, default) in keys.items():
+        value = spec.get(key, default)
+        if value is MISSING:
+            raise SpecError(f"graph spec is missing key {key!r}")
+        args[key] = convert(value)
+    return build(**args)
 
 
 def synthetic_positions(spec: Mapping, g: WeightedDigraph) -> dict[int, tuple[float, float]] | None:

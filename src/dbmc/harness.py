@@ -74,13 +74,12 @@ from .bounds import (
 )
 from .disturbance import DisturbanceModel, build_model
 from .dynamics import Trajectory, check_initial_state, check_t_end, simulate, step_grid
-from .errors import DbmcError, InfeasibleError, PreconditionError, SpecError
+from .errors import DbmcError, InfeasibleError, SpecError
 from .generate import generate_graph, synthetic_positions
 from .graph import (
     ShortestPathSolution,
     WeightedDigraph,
     dump_graph,
-    load_graph,
     minus_graph,
     parent_chain,
     solve_shortest_paths,
@@ -111,13 +110,6 @@ def write_atomic(path: Path, data: str | list[str]) -> None:
     function: imported, the harness's writes would be timed as
     ``seriesio.write_atomic`` and ``harness.write_atomic_s`` would read 0."""
     seriesio.write_atomic(path, data)
-
-
-def resolve_graph(spec: dict) -> WeightedDigraph:
-    if spec.get("kind") == "file":
-        with open(spec["path"], "r", encoding="utf-8") as fh:
-            return load_graph(fh.read())
-    return generate_graph(spec)
 
 
 def initial_state_vector(
@@ -193,7 +185,7 @@ def plan_scenario(sc: Scenario) -> Plan:
     """
     if not 1.0 < sc.q < math.inf:
         raise SpecError(f"q must be finite and exceed 1, got {sc.q!r}")
-    g = resolve_graph(sc.graph_spec)
+    g = generate_graph(sc.graph_spec)
     sol = solve_shortest_paths(g)
     focus = sc.focus_node
     if focus is None:

@@ -2,19 +2,20 @@
 
 Sections and keys (see README for the full reference):
 
-    [graph]        kind = file|line|hop-random|grid|standin13, plus kind args
-    [disturbance]  the fields of DisturbanceSpec, plus seed
+    [graph]        kind, plus the keys of that kind in generate.GRAPH_KINDS
+    [disturbance]  kind, seed, uniform_lower, uniform_upper, plus the fields
+                   of that kind in disturbance.KIND_FIELDS
     [gain]         the fields of PTGainParams: gamma, h, deadline
     [initial]      value = <constant for non-sources>  or  states = x1 x2 ...
     [run]          t_end = auto | <seconds> | <fraction>Ts, q, chi0,
                    bounds = auto|none|<kind list>, focus_node, out
 
 Each key is read once.  A ``[disturbance]`` or ``[gain]`` key takes the
-default declared on its dataclass field, and a hop-random ``[graph]`` key
-the default ``generate`` declares, which ``dbmc gen`` shares; the other
-defaults are declared where ``parse_scenario`` reads them.  A key or a
-section that nothing reads is refused, so a misspelled key or a section
-named with the wrong case raises SpecError instead of being skipped.
+default declared on its dataclass field, and a ``[graph]`` key the default
+``generate.GRAPH_KINDS`` declares; the other defaults are declared where
+``parse_scenario`` reads them.  A key or a section that nothing reads is
+refused, so a misspelled key, a key the chosen kind does not read or a
+section named with the wrong case raises SpecError instead of being skipped.
 Section names are case-sensitive and key names are not.  ``[DEFAULT]`` is
 refused, because configparser would copy its keys into every section.
 """
@@ -26,10 +27,10 @@ import math
 import os
 from dataclasses import MISSING, dataclass, fields
 
-from .disturbance import DisturbanceSpec
+from .disturbance import CARRIER_FIELDS, KIND_FIELDS, DisturbanceSpec
 from .dynamics import PTGainParams
 from .errors import ParseError, SpecError
-from .generate import EXTRA_EDGE_PROB, GRAPH_SEED
+from .generate import GRAPH_KINDS
 
 BOUND_KINDS = ("chain", "proportional", "uniform", "envelope")
 
@@ -72,33 +73,38 @@ def parse_t_end_rule(raw: str) -> tuple:
     return ("explicit", value)
 
 
-def _fields(read, section: str, cls) -> dict:
-    """Every field of the dataclass ``cls`` read from ``section`` with the
-    field's own default; a field whose default is text is read as text, any
-    other as a number."""
+def _fields(read, section: str, cls, names=None) -> dict:
+    """The fields ``names`` of the dataclass ``cls``, or all of them, read
+    from ``section`` with the field's own default; a field whose default is
+    text is read as text, any other as a number."""
     return {
         f.name: read(section, f.name, str if isinstance(f.default, str) else float, f.default)
         for f in fields(cls)
+        if names is None or f.name in names
     }
+
+
+def _disturbance(read) -> DisturbanceSpec:
+    """The kind, the uniform overrides, and the fields that the kind reads
+    (``disturbance.KIND_FIELDS``), then those that its carrier reads."""
+    spec = _fields(read, "disturbance", DisturbanceSpec, ("kind", "uniform_lower", "uniform_upper"))
+    for key, table in (("kind", KIND_FIELDS), ("carrier", CARRIER_FIELDS)):
+        if key in spec:
+            if spec[key] not in table:
+                raise SpecError(f"[disturbance] {key}: unknown {key} {spec[key]!r}")
+            spec.update(_fields(read, "disturbance", DisturbanceSpec, table[spec[key]]))
+    return DisturbanceSpec(**spec)
 
 
 def _graph_spec(read, base_dir: str) -> dict:
     kind = read("graph", "kind")
-    spec: dict = {"kind": kind}
-    if kind == "file":
-        path = read("graph", "path")
-        spec["path"] = os.path.join(base_dir, path) if not os.path.isabs(path) else path
-    elif kind == "line":
-        spec["n"] = read("graph", "n", int)
-    elif kind == "hop-random":
-        spec["n"] = read("graph", "n", int)
-        spec["extra_edge_prob"] = read("graph", "extra_edge_prob", float, EXTRA_EDGE_PROB)
-        spec["seed"] = read("graph", "seed", int, GRAPH_SEED)
-    elif kind == "grid":
-        spec["rows"] = read("graph", "rows", int)
-        spec["cols"] = read("graph", "cols", int)
-    elif kind != "standin13":
+    if kind not in GRAPH_KINDS:
         raise SpecError(f"[graph] kind: unknown kind {kind!r}")
+    spec = {"kind": kind}
+    for key, (convert, default) in GRAPH_KINDS[kind][1].items():
+        spec[key] = read("graph", key, convert, default)
+    if "path" in spec:  # a file graph's path resolves from the scenario's directory
+        spec["path"] = os.path.join(base_dir, spec["path"])
     return spec
 
 
@@ -108,7 +114,8 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
 
     Every key is read and converted before any value is checked, so a key
     that nothing reads is refused before it can cause another error; only
-    an unknown graph kind, whose keys are unknown too, is refused first.
+    an unknown graph kind, disturbance kind or carrier, whose keys are
+    unknown too, is refused first.
     Raises ParseError on malformed text and SpecError on a missing,
     malformed or unknown key or section.
     """
@@ -143,7 +150,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
             raise SpecError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
     graph_spec = _graph_spec(read, base_dir)
-    dist = DisturbanceSpec(**_fields(read, "disturbance", DisturbanceSpec))
+    dist = _disturbance(read)
     seed = read("disturbance", "seed", int, 0)
     gain = _fields(read, "gain", PTGainParams)
     initial_value = read("initial", "value", float, None)

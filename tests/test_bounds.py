@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from dbmc import (
     build_model,
     chain_initial_errors,
     early_termination_time,
+    hop_random_graph,
     line_graph,
     load_graph,
     log_integrating_factor,
@@ -27,7 +29,7 @@ from dbmc import (
     worst_case_offset,
 )
 from dbmc.bounds import NominalEnvelopes, proportional_offsets
-from dbmc.harness import compute_bound_curves
+from dbmc.harness import BOUND_KINDS, BRACKET_TOL, compute_bound_curves, resolve_chi0
 
 from helpers import constant_initial, nominal_envelopes, random_weighted_graph
 
@@ -425,3 +427,39 @@ class TestBoundValidityAgainstSimulation:
             err = traj.errors[:, [i - 1 for i in g.non_sources]]
             assert np.all(err >= lo - 1e-6)
             assert np.all(err <= np.asarray(hi) + 1e-6)
+
+    def test_every_band_brackets_the_two_extremal_runs(self):
+        """The right-hand side is nondecreasing in u, so by the comparison
+        principle the runs with u held at +edge_upper and at -edge_lower
+        bound every admissible run; each band, built from the run's own
+        model, must bracket both.  Criterion 3's graphs, seeds 0-4."""
+        worst = dict.fromkeys(BOUND_KINDS, math.inf)
+        for seed in range(5):
+            g = hop_random_graph(5 + seed % 9, 0.25, seed)
+            sol = solve_shortest_paths(g)
+            x0 = constant_initial(g, 12.0)
+            chi0 = resolve_chi0(g, sol, x0, None)
+            cols = [i - 1 for i in g.non_sources]
+            for amplitude in (0.4, 0.03):
+                model = build_model(
+                    DisturbanceSpec(kind="sinusoid", amplitude=amplitude), g, seed, 5.0
+                )
+                sol_minus = solve_shortest_paths(minus_graph(g, model.edge_lower))
+                for cap in (model.edge_upper, -model.edge_lower):
+                    # two equal knots spanning the horizon: u(t) = cap throughout
+                    extremal = replace(
+                        model, rows=(cap, cap), knot_spacing=model.horizon,
+                        proportional_fractions=(1.0, 1.0),
+                    )
+                    traj = simulate(g, extremal, PARAMS, x0, 0.98 * 5.0, sol=sol)
+                    curves = compute_bound_curves(
+                        g, sol, sol_minus, model, x0, 3.0, chi0, PARAMS, traj.times,
+                        BOUND_KINDS,
+                    )
+                    err = traj.errors[:, cols]
+                    for kind, (lower, upper) in curves.items():
+                        slack = min(float(np.min(err - lower)), float(np.min(upper - err)))
+                        worst[kind] = min(worst[kind], slack)
+        print("extremal-run slack per kind:",
+              ", ".join(f"{kind} {value:.3e}" for kind, value in worst.items()))
+        assert all(value >= -BRACKET_TOL for value in worst.values()), worst

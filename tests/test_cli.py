@@ -9,7 +9,8 @@ import pytest
 from dbmc import dump_graph, load_scenario, parse_scenario
 from dbmc.cli import main
 from dbmc.dynamics import simulate
-from dbmc.harness import compute_bound_curves, plan_scenario, resolve_graph
+from dbmc.generate import GENERATED_KINDS, GRAPH_KINDS
+from dbmc.harness import compute_bound_curves, generate_graph, plan_scenario
 
 from helpers import (
     assert_same_text,
@@ -191,13 +192,20 @@ TYPOS = [
     ("value = 12", "value = 12\nstate = 12", "[initial] state: unknown key"),
     ("bounds = auto", "bounds = auto\nbound = uniform", "[run] bound: unknown key"),
     ("focus_node = 8", "focus_nod = 3", "[run] focus_nod: unknown key"),
+    # keys that the chosen disturbance kind does not read
+    ("kind = sinusoid", "kind = proportional", "[disturbance] amplitude: unknown key"),
+    ("seed = 1", "seed = 1\nalpha_upper = 0.1", "[disturbance] alpha_upper: unknown key"),
+    ("seed = 1", "seed = 1\nknot_spacing = 0.01", "[disturbance] knot_spacing: unknown key"),
+    ("kind = sinusoid", "kind = piecewise\nomega = 3", "[disturbance] omega: unknown key"),
+    ("kind = sinusoid", "kind = piecewise\nphase = 0", "[disturbance] phase: unknown key"),
 ]
 
 
 @pytest.mark.parametrize(
     "old, new, message", TYPOS,
     ids=["amplitud", "Disturbance", "DEFAULT", "n-under-standin13", "hh", "state", "bound",
-         "focus_nod"],
+         "focus_nod", "amplitude-under-proportional", "alpha_upper-under-sinusoid",
+         "knot_spacing-under-sinusoid", "omega-under-piecewise", "phase-under-piecewise"],
 )
 @pytest.mark.parametrize("verb", ["run", "simulate", "bounds"])
 def test_unknown_keys_and_sections_exit_one(tmp_path, capsys, verb, old, new, message):
@@ -469,10 +477,23 @@ def test_ts_refuses_an_infinite_q(capsys):
 
 
 def test_gen_and_a_scenario_share_the_hop_random_defaults(capsys):
-    assert main(["gen", "hop-random", "--n", "9"]) == 0
-    text = capsys.readouterr().out
-    sc = parse_scenario(SCENARIO.replace("kind = standin13", "kind = hop-random\nn = 9"))
-    assert dump_graph(resolve_graph(sc.graph_spec)) == text
+    """Each kind `dbmc gen` offers prints the graph of a scenario with the
+    same [graph] keys, and gen offers every kind of the one table but file."""
+    cases = {
+        "line": (["--n", "7"], "n = 7"),
+        "hop-random": (["--n", "9"], "n = 9"),
+        "grid": (["--rows", "2", "--cols", "3"], "rows = 2\ncols = 3"),
+        "standin13": ([], ""),
+    }
+    for kind, (flags, keys) in cases.items():
+        assert main(["gen", kind, *flags]) == 0
+        text = capsys.readouterr().out
+        sc = parse_scenario(SCENARIO.replace("kind = standin13", f"kind = {kind}\n{keys}"))
+        assert dump_graph(generate_graph(sc.graph_spec)) == text
+    assert main(["gen", "--help"]) == 0
+    offered = re.search(r"\{(.*?)\}", capsys.readouterr().out).group(1).split(",")
+    assert offered == list(GENERATED_KINDS) == [k for k in GRAPH_KINDS if k != "file"]
+    assert offered == list(cases)
 
 
 def test_gen_refuses_a_negative_seed(tmp_path, capsys):

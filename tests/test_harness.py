@@ -244,15 +244,51 @@ class TestScenarioParsing:
             ("gamma = 2", "gama = 2", "[gain] gamma: required"),
             ("n = 5", "n = 5.5", "[graph] n: expected an integer, got '5.5'"),
             ("q = 3", "q = three", "[run] q: expected a number, got 'three'"),
+            # a disturbance key that the chosen kind or carrier does not read
+            ("kind = sinusoid", "kind = proportional", "[disturbance] amplitude: unknown key"),
+            ("kind = sinusoid", "kind = zero", "[disturbance] amplitude: unknown key"),
+            ("seed = 3", "seed = 3\nalpha_upper = 0.1", "[disturbance] alpha_upper: unknown key"),
+            ("seed = 3", "seed = 3\nknot_spacing = 0.01",
+             "[disturbance] knot_spacing: unknown key"),
+            ("kind = sinusoid", "kind = piecewise\nomega = 3", "[disturbance] omega: unknown key"),
+            ("kind = sinusoid", "kind = piecewise\nphase = 0", "[disturbance] phase: unknown key"),
+            ("kind = sinusoid\namplitude = 0.03",
+             "kind = proportional\nalpha_upper = 0.03\ncarrier = piecewise\nomega = 3",
+             "[disturbance] omega: unknown key"),
+            ("kind = sinusoid", "kind = sinusiod", "[disturbance] kind: unknown kind 'sinusiod'"),
+            ("kind = sinusoid\namplitude = 0.03", "kind = proportional\ncarrier = square",
+             "[disturbance] carrier: unknown carrier 'square'"),
         ],
         ids=["graph", "disturbance", "gain", "initial", "run", "Run", "plot", "DEFAULT",
-             "required", "integer", "number"],
+             "required", "integer", "number", "amplitude-under-proportional",
+             "amplitude-under-zero", "alpha_upper-under-sinusoid", "knot_spacing-under-sinusoid",
+             "omega-under-piecewise", "phase-under-piecewise", "omega-under-piecewise-carrier",
+             "unknown-disturbance-kind", "unknown-carrier"],
     )
     def test_every_key_and_section_is_read_or_refused(self, old, new, message):
         assert BASE_SCENARIO.count(old) == 1
         with pytest.raises(SpecError) as exc:
             parse_scenario(BASE_SCENARIO.replace(old, new))
         assert str(exc.value) == message
+
+    def test_each_disturbance_kind_reads_its_own_keys_and_the_shared_ones(self):
+        old = "kind = sinusoid\namplitude = 0.03"
+        extra = "\nuniform_lower = 0.5\nuniform_upper = 0.5"
+        for new, expected in [
+            ("kind = zero", DisturbanceSpec()),
+            ("kind = sinusoid\namplitude = 0.03\nomega = 3\nphase = 0.5",
+             DisturbanceSpec("sinusoid", amplitude=0.03, omega=3.0, phase=0.5)),
+            ("kind = piecewise\namplitude = 0.03\nknot_spacing = 0.01",
+             DisturbanceSpec("piecewise", amplitude=0.03, knot_spacing=0.01)),
+            ("kind = proportional\nalpha_upper = 0.2\ncarrier = piecewise\nknot_spacing = 0.01",
+             DisturbanceSpec("proportional", alpha_upper=0.2, carrier="piecewise",
+                             knot_spacing=0.01)),
+            ("kind = proportional\nalpha_lower = 0.1\nomega = 3\nphase = 0.5",
+             DisturbanceSpec("proportional", alpha_lower=0.1, omega=3.0, phase=0.5)),
+        ]:
+            sc = parse_scenario(BASE_SCENARIO.replace(old, new + extra))
+            assert sc.disturbance == replace(expected, uniform_lower=0.5, uniform_upper=0.5)
+            assert sc.seed == 3
 
     def test_an_unknown_key_is_refused_before_the_values_are_checked(self):
         text = BASE_SCENARIO.replace("value = 12", "valu = 12")
@@ -538,7 +574,9 @@ class TestRunScenario:
 
 def _zero_disturbance_scenario() -> str:
     text = Path("scenarios/case_study_3pct.ini").read_text()
-    return text.replace("kind = sinusoid", "kind = zero").replace("t_end = auto", "t_end = 0.5Ts")
+    # a zero disturbance reads no amplitude, so the line goes with the kind
+    text = text.replace("kind = sinusoid\namplitude = 0.03", "kind = zero")
+    return text.replace("t_end = auto", "t_end = 0.5Ts")
 
 
 def _bounds_csv_of(sc) -> str:
