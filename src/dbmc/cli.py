@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import early_termination_time, optimal_q
 from .dynamics import PTGainParams, simulate, step_grid
 from .errors import DbmcError, InfeasibleError, SpecError
-from .generate import EXTRA_EDGE_PROB, GENERATED_KINDS, GRAPH_SEED, generate_graph
+from .generate import GENERATED_KINDS, GRAPH_KINDS, generate_graph
 from .graph import dump_graph, load_graph, solve_shortest_paths
 from .harness import (
     SeriesWriter,
@@ -36,6 +36,10 @@ from .harness import (
 from .scenario import Scenario, load_scenario, parse_t_end_rule
 
 log = logging.getLogger("dbmc")
+
+# `dbmc gen`'s values of n, rows and cols when no flag gives them; the other
+# keys of a kind fall back on their GRAPH_KINDS defaults
+GEN_DEFAULTS = {"n": 13, "rows": 3, "cols": 4}
 
 
 def _configure_logging() -> None:
@@ -67,11 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a benchmark graph")
     p.add_argument("kind", choices=GENERATED_KINDS)
-    p.add_argument("--n", type=int, default=13)
-    p.add_argument("--extra-edge-prob", type=float, default=EXTRA_EDGE_PROB)
-    p.add_argument("--rows", type=int, default=3)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--seed", type=int, default=GRAPH_SEED)
+    # a [graph] key each, left out of the namespace when not given
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--extra-edge-prob", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--rows", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--cols", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", default=None, help="write here instead of stdout")
 
     p = sub.add_parser("simulate", help="integrate a scenario; write trajectory CSVs")
@@ -130,7 +135,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    text = dump_graph(generate_graph(vars(args)))  # the kind's keys are flags of the same name
+    given = {k: v for k, v in vars(args).items() if k not in ("verb", "kind", "out")}
+    stray = ["--" + k.replace("_", "-") for k in given if k not in GRAPH_KINDS[args.kind][1]]
+    if stray:
+        raise SpecError(f"graph kind {args.kind!r} does not read {', '.join(stray)}")
+    # the kind's keys are flags of the same name
+    text = dump_graph(generate_graph({**GEN_DEFAULTS, **given, "kind": args.kind}))
     if args.out:
         write_atomic(Path(args.out), text)
     else:

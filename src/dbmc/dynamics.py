@@ -26,7 +26,7 @@ import os
 import signal
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -165,12 +165,24 @@ def _segments(
     return model.take(lay.order[a:b]), lay.slots[a:b], offsets, lay.starts[lo:hi] - a
 
 
+def _stage_times(times: Sequence[float], steps: Sequence[float]):
+    """The time of every RK4 stage on the grid, in the order ``simulate``
+    takes them: t, t + h/2, t + h/2, t + h per step, the same floats."""
+    for t, hs in zip(times, steps):
+        half = 0.5 * hs
+        yield t
+        yield t + half
+        yield t + half
+        yield t + hs
+
+
 def _rates(
     lay: CandidateLayout,
     model: DisturbanceModel,
     sol: ShortestPathSolution,
     params: PTGainParams,
     worker: _Worker | None = None,
+    stages: Iterable[float] = (),
 ) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """rates(t, z, own): the time derivative of the m non-source errors.
 
@@ -179,7 +191,10 @@ def _rates(
     smallest candidate of each non-source (:func:`_segments`) minus
     ``own``.  With a ``worker``, this process takes the non-sources before
     ``worker.cut`` and the worker the rest, at the same time; the bits are
-    the same.
+    the same.  ``stages`` then iterates the times of the calls, in order:
+    once this process has its minima of a stage, it samples the next
+    stage's disturbance while it waits for the worker's, which land in
+    ``worker.best``.  A call at any other time samples its own.
     """
     p = np.asarray(sol.p, dtype=float)
     m = len(lay.non_sources)
@@ -195,13 +210,22 @@ def _rates(
 
         return rates
 
-    best = np.empty(m)
-    head, tail = best[:cut], best[cut:]
+    best = worker.best
+    head = best[:cut]
+    stages = iter(stages)
+    next(stages, None)  # the first call's own time
+    t_ahead, ahead = math.nan, None  # the next stage's time and its sample
 
     def split_rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
-        worker.post(t, z)
-        np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts, out=head)
-        worker.collect(tail)
+        nonlocal t_ahead, ahead
+        t_next = next(stages, math.nan)
+        worker.post(t, t_next, z)
+        u = ahead if t == t_ahead else grouped.sample_all(t)
+        np.minimum.reduceat(z[slots] + offsets + u, starts, out=head)
+        t_ahead = t_next
+        if not math.isnan(t_next):
+            ahead = grouped.sample_all(t_next)
+        worker.collect()
         return (gamma + two_h2 / (deadline - t)) * (best - own)
 
     return split_rates
@@ -232,7 +256,13 @@ class _Worker:
     The cut is the segment boundary nearest half the candidate edges.  The
     two processes share one anonymous ``mmap``: two sequence numbers
     (stages posted by the parent, stages done by the worker), the stage
-    time, the stage input ``z`` and the worker's minima.  A side publishes
+    time and the next stage's (NaN after the last), the stage input ``z``
+    and ``best``, the minima of all m non-sources: the parent writes those
+    before ``cut``, and the worker writes the rest in place, so the parent
+    copies nothing.  Once the worker has published a stage, it samples the
+    next stage's disturbance while the parent finishes the RK4 update and
+    posts; once the parent has its own minima, it samples its next stage
+    while it waits for the worker (:func:`_rates`).  A side publishes
     its sequence number under a process-shared lock (the POSIX semaphore of
     a fork-context ``multiprocessing.Lock``), and the reader, once it sees
     the number change, takes and drops that lock before it reads the data,
@@ -262,10 +292,10 @@ class _Worker:
 
         lay, model, p = self._args
         m = len(lay.non_sources)
-        self._mem = mmap.mmap(-1, 8 * (2 + 1 + (m + 1) + (m - self.cut)))
+        self._mem = mmap.mmap(-1, 8 * (2 + 2 + (m + 1) + m))
         self._seq = np.frombuffer(self._mem, dtype=np.int64, count=2)
         floats = np.frombuffer(self._mem, dtype=float, offset=16)
-        self._t, self._z, self._out = floats[:1], floats[1 : m + 2], floats[m + 2 :]
+        self._t, self._z, self.best = floats[:2], floats[2 : m + 3], floats[m + 3 :]
         # A fork-context Lock: kind SEMAPHORE (1), value 1, max 1, its name
         # unlinked at once.
         self._lock = SemLock(1, 1, 1, f"/dbmc-{os.getpid()}-{id(self)}", True)
@@ -301,33 +331,40 @@ class _Worker:
         self._peer = select.poll()
         self._peer.register(ends[1], select.POLLIN)
 
-    def post(self, t: float, z: np.ndarray) -> None:
-        """Hand the worker stage time ``t`` and stage input ``z``."""
+    def post(self, t: float, t_next: float, z: np.ndarray) -> None:
+        """Hand the worker stage time ``t``, the next stage's time (NaN
+        after the last stage) and stage input ``z``."""
         self._t[0] = t
+        self._t[1] = t_next
         np.copyto(self._z, z)
         self._posted += 1
         if not self._publish(0, self._posted):
             raise IntegrationError("the worker of the split RHS is gone")
 
-    def collect(self, out: np.ndarray) -> None:
-        """Wait for the worker's minima of the last posted stage; copy them to ``out``."""
+    def collect(self) -> None:
+        """Wait for the worker's minima of the last posted stage in ``best[cut:]``."""
         if not self._await(1, self._posted):
             raise IntegrationError("the worker of the split RHS is gone")
-        np.copyto(out, self._out)
 
     def _serve(
         self, grouped: DisturbanceModel, slots: np.ndarray, offsets: np.ndarray,
         starts: np.ndarray,
     ) -> None:
         """The worker's loop over the :func:`_segments` from ``cut`` on;
-        returns once the parent is gone."""
-        z, out, done = self._z, self._out, 0
+        returns once the parent is gone.  It reads the next stage's time
+        before it publishes, as the parent may post over it after."""
+        z, out, clock, done = self._z, self.best[self.cut :], self._t, 0
+        t_ahead, ahead = math.nan, None  # the next stage's time and its sample
         while self._await(0, done + 1):
             done += 1
-            t = float(self._t[0])
-            np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts, out=out)
+            t, t_next = float(clock[0]), float(clock[1])
+            u = ahead if t == t_ahead else grouped.sample_all(t)
+            np.minimum.reduceat(z[slots] + offsets + u, starts, out=out)
             if not self._publish(1, done):
                 return
+            t_ahead = t_next
+            if not math.isnan(t_next):
+                ahead = grouped.sample_all(t_next)
 
     def _gone(self) -> bool:
         """Whether the other side has exited: EOF on the pipe only it writes."""
@@ -415,13 +452,17 @@ def simulate(
     blocks to a writer child).  Otherwise, on a graph of at least
     ``SPLIT_EDGES`` candidate edges, ``simulate`` forks one worker that
     computes the minima of about half the candidate edges at every stage,
-    while this process computes the other half (:class:`_Worker`).  The
-    split needs two usable CPUs and a process that runs no other OS
-    thread; numpy's default OpenBLAS pool is one, so a caller enables the
-    split by setting ``OPENBLAS_NUM_THREADS=1`` before numpy is imported,
-    as ``bench/run.py`` does.  The split changes no bit of the result, no
-    sample count (this process still calls ``sample_all`` once per stage,
-    on its half) and no stored time.  The worker never outlives the call.
+    while this process computes the other half (:class:`_Worker`).  Each
+    side samples its next stage's disturbance in the time it would wait
+    for the other, and the worker writes its minima into a buffer shared
+    with this process.  The split needs two usable CPUs and a process that
+    runs no other OS thread; numpy's default OpenBLAS pool is one, so a
+    caller enables the split by setting ``OPENBLAS_NUM_THREADS=1`` before
+    numpy is imported, as ``bench/run.py`` does.  The split changes no bit
+    of the result, no stored time and no sample: this process still calls
+    ``sample_all`` once per stage, on its half, at the same times and in
+    the same order, and none after the last stage.  The worker never
+    outlives the call.
     """
     if sol is None:
         sol = solve_shortest_paths(g)
@@ -446,7 +487,7 @@ def simulate(
     y = np.zeros(m + 1)
     z_own, y_own = z[:m], y[:m]
     with _Worker(lay, model, p) if split else nullcontext() as worker:
-        rates = _rates(lay, model, sol, params, worker)
+        rates = _rates(lay, model, sol, params, worker, _stage_times(times, steps))
         for a in range(0, len(times), BLOCK):
             b = min(a + BLOCK, len(times))
             lo = max(a, 1)

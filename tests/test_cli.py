@@ -9,7 +9,7 @@ import pytest
 from dbmc import dump_graph, load_scenario, parse_scenario
 from dbmc.cli import main
 from dbmc.dynamics import simulate
-from dbmc.generate import GENERATED_KINDS, GRAPH_KINDS
+from dbmc.generate import EXTRA_EDGE_PROB, GENERATED_KINDS, GRAPH_KINDS, GRAPH_SEED
 from dbmc.harness import compute_bound_curves, generate_graph, plan_scenario
 
 from helpers import (
@@ -494,6 +494,41 @@ def test_gen_and_a_scenario_share_the_hop_random_defaults(capsys):
     offered = re.search(r"\{(.*?)\}", capsys.readouterr().out).group(1).split(",")
     assert offered == list(GENERATED_KINDS) == [k for k in GRAPH_KINDS if k != "file"]
     assert offered == list(cases)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["standin13", "--n", "7", "--rows", "9"], "graph kind 'standin13' does not read --n, --rows"),
+    (["line", "--n", "4", "--extra-edge-prob", "0.5"],
+     "graph kind 'line' does not read --extra-edge-prob"),
+    (["line", "--n", "4", "--seed", "3"], "graph kind 'line' does not read --seed"),
+    (["grid", "--n", "4"], "graph kind 'grid' does not read --n"),
+    (["hop-random", "--rows", "2", "--cols", "3"],
+     "graph kind 'hop-random' does not read --rows, --cols"),
+    (["standin13", "--seed", "1"], "graph kind 'standin13' does not read --seed"),
+])
+def test_gen_refuses_a_flag_its_kind_does_not_read(tmp_path, capsys, flags, message):
+    graph_file = tmp_path / "g.txt"
+    assert main(["gen", *flags, "--out", str(graph_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not graph_file.exists()
+
+
+def test_gen_defaults_a_flag_not_given(capsys):
+    """n, rows and cols default to 13, 3 and 4, and hop-random's other keys
+    to the table's defaults, as when every flag carried its default."""
+    for short, full in [
+        (["line"], ["line", "--n", "13"]),
+        (["grid"], ["grid", "--rows", "3", "--cols", "4"]),
+        (["grid", "--cols", "2"], ["grid", "--rows", "3", "--cols", "2"]),
+        (["hop-random"], ["hop-random", "--n", "13", "--extra-edge-prob",
+                          str(EXTRA_EDGE_PROB), "--seed", str(GRAPH_SEED)]),
+    ]:
+        assert main(["gen", *short]) == 0
+        text = capsys.readouterr().out
+        assert main(["gen", *full]) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_gen_refuses_a_negative_seed(tmp_path, capsys):

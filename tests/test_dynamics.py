@@ -560,6 +560,69 @@ print(json.dumps({{"error": error, "seconds": time.monotonic() - start, "gone": 
         assert got["seconds"] < 10.0
         assert got["gone"]
 
+    def test_the_parent_samples_at_the_serial_times_in_the_serial_order(self):
+        """Each side samples its next stage while it waits, yet this process
+        still samples once per stage, at the serial run's times and in its
+        order, and takes no sample after the last stage; the second run's
+        t_end is off the step grid, so its last step is shortened."""
+        got = _split_child("""
+def sample_times(split, t_end):
+    original, times = DisturbanceModel.sample_all, []
+    def sample_all(model, t):
+        if os.getpid() == MAIN:
+            times.append(t)
+        return original(model, t)
+    DisturbanceModel.sample_all = sample_all
+    try:
+        return run(G, SINUSOID, split, t_end)[1], times
+    finally:
+        DisturbanceModel.sample_all = original
+out = {}
+for t_end in (0.05, 0.0505):
+    steps = dynamics.step_grid(PARAMS, t_end)[1]
+    split_forks, split = sample_times(True, t_end)
+    serial_forks, serial = sample_times(False, t_end)
+    out[repr(t_end)] = {"forks": [split_forks, serial_forks], "same": split == serial,
+                        "samples": [len(split), 4 * len(steps)],
+                        "last step": steps[-1] / steps[0]}
+print(json.dumps(out))
+""")
+        for t_end, last_step in (("0.05", 1.0), ("0.0505", 0.5)):
+            case = got[t_end]
+            assert case["forks"] == [1, 0]
+            assert case["same"]
+            assert case["samples"][0] == case["samples"][1]
+            assert case["last step"] == pytest.approx(last_step, rel=1e-9)
+
+    def test_a_worker_killed_while_it_samples_ahead_raises(self):
+        """The worker dies by SIGKILL after it has published stage 6, while
+        it samples stage 7: this process posts stage 7, samples stage 8
+        while it waits, and then raises instead of hanging."""
+        got = _split_child("""
+original, worker_calls, parent_calls = DisturbanceModel.sample_all, [0], [0]
+def sample_all(model, t):
+    if os.getpid() == MAIN:
+        parent_calls[0] += 1
+    else:
+        worker_calls[0] += 1  # call 1 is stage 1's; call k + 1 follows stage k
+        if worker_calls[0] == 7:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return original(model, t)
+DisturbanceModel.sample_all = sample_all
+start = time.monotonic()
+try:
+    run(G, SINUSOID, True)
+    error = None
+except IntegrationError as exc:
+    error = str(exc)
+print(json.dumps({"error": error, "seconds": time.monotonic() - start,
+                  "gone": gone(forks[-1]), "parent samples": parent_calls[0]}))
+""")
+        assert got["error"] is not None and "worker" in got["error"]
+        assert got["seconds"] < 10.0
+        assert got["gone"]
+        assert got["parent samples"] == 8
+
     def test_a_killed_parent_leaves_no_worker(self):
         """The orphaned worker exits by itself, through ``os._exit``: it neither
         flushes the stdout buffer it inherited nor runs the atexit hook."""
