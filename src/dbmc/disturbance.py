@@ -242,8 +242,9 @@ def build_model(
         # drawn edge-major, so a seed keeps giving the same knots
         table = np.ascontiguousarray(rng.uniform(-1.0, 1.0, (n_edges, n_knots)).T)
         table *= scale
-        c_lower = np.maximum(0.0, -table.min(axis=0))
-        c_upper = np.maximum(0.0, table.max(axis=0))
+        # + 0.0 makes a -0.0 extreme, which a zero scale gives, 0.0
+        c_lower = np.maximum(0.0, -table.min(axis=0)) + 0.0
+        c_upper = np.maximum(0.0, table.max(axis=0)) + 0.0
     lower = f_lower * c_lower
     upper = f_upper * c_upper
 
@@ -272,31 +273,37 @@ KIND_FIELDS = {
 
 
 def _fractions_and_carrier(spec: DisturbanceSpec) -> tuple[float, float, str | None]:
-    """(alpha_lower, alpha_upper, carrier) of any kind, with its fractions checked."""
+    """(alpha_lower, alpha_upper, carrier) of any kind, with its fractions
+    checked and each -0.0 made 0.0 (``value + 0.0``): the products and maxima
+    built from a fraction keep its sign, so a model of -0 would otherwise
+    write "-0.0" where a model of 0 writes "0.0"."""
     if spec.kind == "zero":
         return 0.0, 0.0, None
     if spec.kind in CARRIER_FIELDS:
-        _check_fraction(spec.amplitude, "amplitude")
-        return spec.amplitude, spec.amplitude, spec.kind
+        amplitude = _fraction(spec.amplitude, "amplitude")
+        return amplitude, amplitude, spec.kind
     if spec.kind != "proportional":
         raise SpecError(f"unknown disturbance kind {spec.kind!r}")
-    _check_fraction(spec.alpha_lower, "alpha_lower")
+    alpha_lower = _fraction(spec.alpha_lower, "alpha_lower")
     if spec.alpha_upper < 0.0:
         raise SpecError("alpha_upper must be nonnegative")
     if spec.carrier not in CARRIER_FIELDS:
         raise SpecError(f"unknown carrier {spec.carrier!r}")
-    return spec.alpha_lower, spec.alpha_upper, spec.carrier
+    return alpha_lower, spec.alpha_upper + 0.0, spec.carrier
 
 
 def _loosened(bound: float, override: float | None, name: str) -> float:
-    """The spec's uniform override of ``bound``, which may only loosen it."""
+    """The spec's uniform override of ``bound``, which may only loosen it;
+    -0.0 is made 0.0."""
     if override is None:
         return bound
     if override < bound:
         raise SpecError(f"{name} {override} tighter than per-edge bound {bound}")
-    return float(override)
+    return float(override) + 0.0
 
 
-def _check_fraction(value: float, name: str) -> None:
+def _fraction(value: float, name: str) -> float:
+    """``value``, -0.0 made 0.0, if it lies in [0, 1); SpecError otherwise."""
     if not 0.0 <= value < 1.0:
         raise SpecError(f"{name} must lie in [0, 1), got {value!r}")
+    return value + 0.0

@@ -52,11 +52,11 @@ REMAINING_FRACTION = 0.01
 # at 2 991 edges, x0.85-0.94 at 4 963 and about x0.75 at 12 984; a prototype
 # took x1.09 at 4 772 and x0.94 at 5 522.  The threshold is above every loss.
 SPLIT_EDGES = 5000
-# Loop turns a side waiting for the other spins on the shared sequence number
-# before it starts yielding its CPU and polling for the other side's exit.
+# Times a side waiting for the other tries the handoff semaphore before it
+# starts to block on it.
 SPIN = 2000
-# Seconds a side waits for the handoff lock before it checks that the other
-# side still lives.
+# Seconds a side blocks on the handoff semaphore before it checks that the
+# other side still lives.
 POLL_S = 0.05
 
 
@@ -132,10 +132,16 @@ def check_initial_state(
             )
 
 
+def t_end_limit(params: PTGainParams) -> float:
+    """The bound every t_end must stay below: a relative 1e-9 short of the
+    deadline, where the gain is singular."""
+    return params.deadline * (1.0 - 1e-9)
+
+
 def check_t_end(params: PTGainParams, t_end: float, horizon: float) -> None:
     """Raise PreconditionError unless 0 < t_end <= horizon and t_end stays
-    a relative 1e-9 short of the deadline, where the gain is singular."""
-    limit = params.deadline * (1.0 - 1e-9)
+    below :func:`t_end_limit`."""
+    limit = t_end_limit(params)
     if not 0.0 < t_end < limit:
         raise PreconditionError(f"t_end must lie in (0, {limit!r}), got {t_end!r}")
     if horizon < t_end:
@@ -176,6 +182,32 @@ def _stage_times(times: Sequence[float], steps: Sequence[float]):
         yield t + hs
 
 
+class _Half:
+    """The minima of one range of non-sources, from its :func:`_segments`.
+
+    ``minima(t, z, out)`` writes them to ``out``; it uses the sample that
+    ``sample_ahead(t)`` took, if any, and samples stage time ``t`` itself
+    otherwise.  ``sample_ahead(t_next)`` samples the next stage's
+    disturbance; a NaN ``t_next`` (after the last stage) samples nothing.
+    """
+
+    def __init__(
+        self, grouped: DisturbanceModel, slots: np.ndarray, offsets: np.ndarray,
+        starts: np.ndarray,
+    ) -> None:
+        self._grouped, self._slots, self._offsets, self._starts = grouped, slots, offsets, starts
+        self._t_ahead, self._ahead = math.nan, None
+
+    def minima(self, t: float, z: np.ndarray, out: np.ndarray) -> None:
+        u = self._ahead if t == self._t_ahead else self._grouped.sample_all(t)
+        np.minimum.reduceat(z[self._slots] + self._offsets + u, self._starts, out=out)
+
+    def sample_ahead(self, t_next: float) -> None:
+        self._t_ahead = t_next
+        if not math.isnan(t_next):
+            self._ahead = self._grouped.sample_all(t_next)
+
+
 def _rates(
     lay: CandidateLayout,
     model: DisturbanceModel,
@@ -191,18 +223,17 @@ def _rates(
     smallest candidate of each non-source (:func:`_segments`) minus
     ``own``.  With a ``worker``, this process takes the non-sources before
     ``worker.cut`` and the worker the rest, at the same time; the bits are
-    the same.  ``stages`` then iterates the times of the calls, in order:
-    once this process has its minima of a stage, it samples the next
-    stage's disturbance while it waits for the worker's, which land in
-    ``worker.best``.  A call at any other time samples its own.
+    the same.  ``stages`` then iterates the times of the calls, in order.
+    Each call posts its stage to the worker, computes this process's
+    :class:`_Half` of the minima into ``worker.best``, samples the next
+    stage's disturbance while the worker finishes its half, and collects
+    it, which lands in ``worker.best`` too.
     """
     p = np.asarray(sol.p, dtype=float)
-    m = len(lay.non_sources)
-    cut = m if worker is None else worker.cut
-    grouped, slots, offsets, starts = _segments(lay, model, p, 0, cut)
     gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
 
     if worker is None:
+        grouped, slots, offsets, starts = _segments(lay, model, p, 0, len(lay.non_sources))
 
         def rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
             best = np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts)
@@ -210,21 +241,16 @@ def _rates(
 
         return rates
 
-    best = worker.best
-    head = best[:cut]
+    half, best = _Half(*_segments(lay, model, p, 0, worker.cut)), worker.best
+    head = best[: worker.cut]
     stages = iter(stages)
     next(stages, None)  # the first call's own time
-    t_ahead, ahead = math.nan, None  # the next stage's time and its sample
 
     def split_rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
-        nonlocal t_ahead, ahead
         t_next = next(stages, math.nan)
         worker.post(t, t_next, z)
-        u = ahead if t == t_ahead else grouped.sample_all(t)
-        np.minimum.reduceat(z[slots] + offsets + u, starts, out=head)
-        t_ahead = t_next
-        if not math.isnan(t_next):
-            ahead = grouped.sample_all(t_next)
+        half.minima(t, z, head)
+        half.sample_ahead(t_next)
         worker.collect()
         return (gamma + two_h2 / (deadline - t)) * (best - own)
 
@@ -254,23 +280,23 @@ class _Worker:
     """A forked process that takes the non-sources from ``cut`` on, every stage.
 
     The cut is the segment boundary nearest half the candidate edges.  The
-    two processes share one anonymous ``mmap``: two sequence numbers
-    (stages posted by the parent, stages done by the worker), the stage
-    time and the next stage's (NaN after the last), the stage input ``z``
-    and ``best``, the minima of all m non-sources: the parent writes those
-    before ``cut``, and the worker writes the rest in place, so the parent
-    copies nothing.  Once the worker has published a stage, it samples the
-    next stage's disturbance while the parent finishes the RK4 update and
-    posts; once the parent has its own minima, it samples its next stage
-    while it waits for the worker (:func:`_rates`).  A side publishes
-    its sequence number under a process-shared lock (the POSIX semaphore of
-    a fork-context ``multiprocessing.Lock``), and the reader, once it sees
-    the number change, takes and drops that lock before it reads the data,
-    so the handoff does not rely on x86 store order.  A waiting side spins
-    ``SPIN`` times on the number, then calls ``os.sched_yield`` and polls a
-    pipe that only the other side can write: EOF there means the other
-    side is gone.  The parent then raises IntegrationError, and the worker
-    exits.
+    two processes share one anonymous ``mmap``: the stage time and the next
+    stage's (NaN after the last), the stage input ``z`` and ``best``, the
+    minima of all m non-sources: the parent writes those before ``cut``,
+    and the worker writes the rest in place, so the parent copies nothing.
+    Two process-shared POSIX semaphores are the handoff: the parent posts
+    ``posted`` once it has written a stage, and the worker posts ``done``
+    once it has written its minima; each post and each wait is also a
+    memory fence.  Once the worker has posted a stage, it samples the next
+    stage's disturbance while the parent finishes the RK4 update and
+    posts; both sides compute with one :class:`_Half` each.
+
+    A waiting side tries its semaphore ``SPIN`` times, then waits on it
+    ``POLL_S`` seconds at a time.  Between waits it checks that the other
+    side lives: the parent, that the worker has not exited; the worker,
+    that it is still the parent's child.  If not, the parent raises
+    IntegrationError and the worker exits.  A post never blocks, so a side
+    killed at any point leaves nothing held.
 
     The worker leaves only through ``os._exit``: it never returns into its
     caller's frames, runs no atexit hook, flushes no inherited stdio buffer
@@ -281,55 +307,36 @@ class _Worker:
         self._args = lay, model, p
         n = len(lay.order)
         self.cut = int(np.argmin(np.abs(lay.starts[1:] - 0.5 * n))) + 1
-        self._posted = 0
 
     def __enter__(self) -> _Worker:
         import mmap
 
-        # The C semaphore type under multiprocessing.Lock: importing the
+        # The C semaphore type under multiprocessing: importing the
         # multiprocessing package itself adds 0.85 MB to the peak RSS.
         from _multiprocessing import SemLock
 
         lay, model, p = self._args
         m = len(lay.non_sources)
-        self._mem = mmap.mmap(-1, 8 * (2 + 2 + (m + 1) + m))
-        self._seq = np.frombuffer(self._mem, dtype=np.int64, count=2)
-        floats = np.frombuffer(self._mem, dtype=float, offset=16)
+        self._mem = mmap.mmap(-1, 8 * (2 + (m + 1) + m))
+        floats = np.frombuffer(self._mem, dtype=float)
         self._t, self._z, self.best = floats[:2], floats[2 : m + 3], floats[m + 3 :]
-        # A fork-context Lock: kind SEMAPHORE (1), value 1, max 1, its name
-        # unlinked at once.
-        self._lock = SemLock(1, 1, 1, f"/dbmc-{os.getpid()}-{id(self)}", True)
-        to_worker, to_parent = os.pipe(), os.pipe()
-        parent_ends = (to_worker[1], to_parent[0])
-        worker_ends = (to_parent[1], to_worker[0])
+        # Kind SEMAPHORE (1), value 0, max 1, each name unlinked at once.
+        self._parent = os.getpid()
+        name = f"/dbmc-{self._parent}-{id(self)}"
+        self._posted, self._done = (SemLock(1, 0, 1, name + k, True) for k in ("-p", "-d"))
         self._pid = os.fork()
         if self._pid == 0:
             code = 1
             try:
-                self._keep(worker_ends, parent_ends)
-                self._serve(*_segments(lay, model, p, self.cut, m))
+                self._serve(_Half(*_segments(lay, model, p, self.cut, m)))
                 code = 0
             finally:
                 os._exit(code)
-        self._keep(parent_ends, worker_ends)
         return self
 
     def __exit__(self, *exc) -> None:
-        for fd in self._ends:
-            os.close(fd)
         os.kill(self._pid, signal.SIGKILL)
         os.waitpid(self._pid, 0)
-
-    def _keep(self, ends: tuple[int, int], others: tuple[int, int]) -> None:
-        """Close the other side's pipe ends and keep ``ends``: the write end
-        the other side watches and the read end this side watches."""
-        import select
-
-        for fd in others:
-            os.close(fd)
-        self._ends = ends
-        self._peer = select.poll()
-        self._peer.register(ends[1], select.POLLIN)
 
     def post(self, t: float, t_next: float, z: np.ndarray) -> None:
         """Hand the worker stage time ``t``, the next stage's time (NaN
@@ -337,64 +344,42 @@ class _Worker:
         self._t[0] = t
         self._t[1] = t_next
         np.copyto(self._z, z)
-        self._posted += 1
-        if not self._publish(0, self._posted):
-            raise IntegrationError("the worker of the split RHS is gone")
+        self._posted.release()
 
     def collect(self) -> None:
         """Wait for the worker's minima of the last posted stage in ``best[cut:]``."""
-        if not self._await(1, self._posted):
+        if not self._wait(self._done):
             raise IntegrationError("the worker of the split RHS is gone")
 
-    def _serve(
-        self, grouped: DisturbanceModel, slots: np.ndarray, offsets: np.ndarray,
-        starts: np.ndarray,
-    ) -> None:
-        """The worker's loop over the :func:`_segments` from ``cut`` on;
-        returns once the parent is gone.  It reads the next stage's time
-        before it publishes, as the parent may post over it after."""
-        z, out, clock, done = self._z, self.best[self.cut :], self._t, 0
-        t_ahead, ahead = math.nan, None  # the next stage's time and its sample
-        while self._await(0, done + 1):
-            done += 1
+    def _serve(self, half: _Half) -> None:
+        """The worker's loop over its half; returns once the parent is gone.
+        It reads the next stage's time before it posts ``done``, as the
+        parent may post over it after."""
+        z, out, clock = self._z, self.best[self.cut :], self._t
+        while self._wait(self._posted):
             t, t_next = float(clock[0]), float(clock[1])
-            u = ahead if t == t_ahead else grouped.sample_all(t)
-            np.minimum.reduceat(z[slots] + offsets + u, starts, out=out)
-            if not self._publish(1, done):
-                return
-            t_ahead = t_next
-            if not math.isnan(t_next):
-                ahead = grouped.sample_all(t_next)
+            half.minima(t, z, out)
+            self._done.release()
+            half.sample_ahead(t_next)
 
     def _gone(self) -> bool:
-        """Whether the other side has exited: EOF on the pipe only it writes."""
-        return bool(self._peer.poll(0))
+        """Whether the other side has exited: the worker once it can be
+        waited for, the parent once the worker is no longer its child."""
+        if self._pid == 0:
+            return os.getppid() != self._parent
+        try:
+            return os.waitid(os.P_PID, self._pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+        except ChildProcessError:
+            return True
 
-    def _acquire(self) -> bool:
-        while not self._lock.acquire(timeout=POLL_S):
+    def _wait(self, sem) -> bool:
+        """Take ``sem``; False if the other side is gone first."""
+        for _ in range(SPIN):
+            if sem.acquire(False):
+                return True
+        while not sem.acquire(True, POLL_S):
             if self._gone():
                 return False
-        return True
-
-    def _publish(self, word: int, value: int) -> bool:
-        if not self._acquire():
-            return False
-        self._seq[word] = value
-        self._lock.release()
-        return True
-
-    def _await(self, word: int, value: int) -> bool:
-        """Wait until sequence number ``word`` reads ``value``; False if the other side is gone."""
-        seq, spins = self._seq, 0
-        while seq[word] != value:
-            spins += 1
-            if spins > SPIN:
-                os.sched_yield()
-                if self._gone():
-                    return False
-        if not self._acquire():
-            return False
-        self._lock.release()
         return True
 
 
@@ -453,16 +438,17 @@ def simulate(
     ``SPLIT_EDGES`` candidate edges, ``simulate`` forks one worker that
     computes the minima of about half the candidate edges at every stage,
     while this process computes the other half (:class:`_Worker`).  Each
-    side samples its next stage's disturbance in the time it would wait
-    for the other, and the worker writes its minima into a buffer shared
-    with this process.  The split needs two usable CPUs and a process that
-    runs no other OS thread; numpy's default OpenBLAS pool is one, so a
-    caller enables the split by setting ``OPENBLAS_NUM_THREADS=1`` before
-    numpy is imported, as ``bench/run.py`` does.  The split changes no bit
-    of the result, no stored time and no sample: this process still calls
-    ``sample_all`` once per stage, on its half, at the same times and in
-    the same order, and none after the last stage.  The worker never
-    outlives the call.
+    side samples its next stage's disturbance in the time it would wait for
+    the other, and the worker writes its minima into a buffer shared with
+    this process; two semaphores hand each stage over.  The split needs two
+    usable CPUs and a process that runs no other OS thread; numpy's default
+    OpenBLAS pool is one, so a caller enables the split by setting
+    ``OPENBLAS_NUM_THREADS=1`` before numpy is imported, as ``bench/run.py``
+    does.  The split changes no bit of the result, no stored time and no
+    sample: this process still calls ``sample_all`` once per stage, on its
+    half, at the same times and in the same order, and none after the last
+    stage.  The worker never outlives the call, and the split holds no file
+    descriptor and leaves no semaphore name behind.
     """
     if sol is None:
         sol = solve_shortest_paths(g)

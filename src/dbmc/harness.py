@@ -73,7 +73,7 @@ from .bounds import (
     worst_case_offset,
 )
 from .disturbance import DisturbanceModel, build_model
-from .dynamics import Trajectory, check_initial_state, check_t_end, simulate, step_grid
+from .dynamics import Trajectory, check_initial_state, check_t_end, simulate, step_grid, t_end_limit
 from .errors import DbmcError, InfeasibleError, SpecError
 from .generate import generate_graph, synthetic_positions
 from .graph import (
@@ -177,11 +177,12 @@ def plan_scenario(sc: Scenario) -> Plan:
     Every setting comes from ``sc``: to plan another seed, q or stop time,
     pass ``dataclasses.replace(sc, ...)``.  Raises SpecError when q is not
     finite and above 1, when the focus node is a source or no node, when
-    ``t_end = auto`` but no guaranteed stop time exists or when ``[run]
-    bounds`` lists a kind the disturbance does not support, and
-    PreconditionError when x0 fails :func:`dynamics.check_initial_state` or
-    the stop time fails :func:`dynamics.check_t_end`, so every verb enforces
-    the preconditions ``run`` does.
+    ``t_end = auto`` but no guaranteed stop time exists or it is not below
+    :func:`dynamics.t_end_limit`, when ``[run] bounds`` lists a kind the
+    disturbance does not support, and PreconditionError when x0 fails
+    :func:`dynamics.check_initial_state` or the stop time fails
+    :func:`dynamics.check_t_end`, so every verb enforces the preconditions
+    ``run`` does.
     """
     if not 1.0 < sc.q < math.inf:
         raise SpecError(f"q must be finite and exceed 1, got {sc.q!r}")
@@ -223,6 +224,12 @@ def plan_scenario(sc: Scenario) -> Plan:
         if ts_status != "ok":
             raise SpecError(f"t_end = auto needs a guaranteed stop time: {ts_detail}")
         t_stop = max(ts_value, 1e-6 * sc.params.deadline)
+        limit = t_end_limit(sc.params)
+        if t_stop >= limit:
+            raise SpecError(
+                f"t_end = auto needs t_s below {limit!r}, the limit of t_end; "
+                f"got t_s = {ts_value!r}"
+            )
     check_t_end(sc.params, t_stop, model.horizon)
 
     auto_kinds = BOUND_KINDS

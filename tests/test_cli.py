@@ -132,6 +132,28 @@ def test_seed_flag_changes_the_disturbance(tmp_path, capsys):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("disturbance", [
+    "kind = sinusoid\namplitude = {z}",
+    "kind = piecewise\namplitude = {z}",
+    "kind = proportional\nalpha_lower = {z}\nalpha_upper = 0.03",
+    "kind = proportional\nalpha_lower = 0.01\nalpha_upper = {z}\ncarrier = piecewise",
+    "kind = sinusoid\namplitude = {z}\nuniform_lower = {z}\nuniform_upper = {z}",
+], ids=["amplitude", "piecewise-amplitude", "alpha-lower", "alpha-upper", "uniform"])
+def test_a_negative_zero_fraction_writes_the_bytes_of_zero(tmp_path, capsys, disturbance):
+    text = Path("scenarios/case_study_3pct.ini").read_text()
+    text = text.replace("kind = sinusoid\namplitude = 0.03", disturbance)
+    files = {}
+    for z in ("0", "-0"):
+        scenario = tmp_path / f"{z}.ini"
+        scenario.write_text(text.format(z=z))
+        out_dir = tmp_path / f"out{z}"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out_dir)]) == 0
+        files[z] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    capsys.readouterr()
+    assert files["-0"] == files["0"]
+    assert b"-0.0" not in files["0"]["summary.json"]
+
+
 @pytest.mark.parametrize("verb", ["run", "simulate", "bounds"])
 def test_override_flags_equal_the_values_written_into_the_file(tmp_path, capsys, verb):
     """--seed, --q and --t-end write the same bytes as a copy of the
@@ -404,6 +426,24 @@ def test_every_verb_enforces_the_t_end_range(tmp_path, capsys, verb, t_end):
     err = capsys.readouterr().err
     assert err == f"error: t_end must lie in (0, 4.9999999950000005), got {float(t_end)!r}\n"
     assert "array(" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["bounds", "simulate", "run"])
+def test_every_verb_names_t_s_when_t_end_auto_reaches_the_limit(tmp_path, capsys, verb):
+    # This t_s is feasible but within a relative 1e-9 of the deadline 20.
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(
+        SCENARIO.replace("amplitude = 0.03", "amplitude = 0.03846").replace("h = 12", "h = 0")
+        .replace("deadline = 5", "deadline = 20").replace("q = 3", "q = 1.5")
+        .replace("chi0 = 12\n", "")
+    )
+    out_dir = tmp_path / "out"
+    assert main([verb, "--scenario", str(scenario), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: t_end = auto needs t_s below 19.999999980000002, the limit of t_end; "
+        "got t_s = 19.999999999988134\n"
+    )
     assert not out_dir.exists()
 
 

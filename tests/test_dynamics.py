@@ -623,6 +623,26 @@ print(json.dumps({"error": error, "seconds": time.monotonic() - start,
         assert got["gone"]
         assert got["parent samples"] == 8
 
+    def test_the_split_run_holds_no_fd_and_no_named_semaphore(self):
+        """The handoff is two semaphores whose names are unlinked at once, and
+        each side watches the process tree, not a pipe, for the other."""
+        got = _split_child("""
+def fds():
+    return sorted(os.listdir("/proc/self/fd"))
+seen = {}
+def at_stage_7():
+    seen["stage 7"] = fds()
+    seen["semaphores"] = sorted(n for n in os.listdir("/dev/shm") if n.startswith("sem.dbmc-"))
+before = fds()
+parent_sample(7, at_stage_7)
+forks_made = run(G, SINUSOID, True)[1]
+print(json.dumps({"forks": forks_made, "before": before, "after": fds(), **seen}))
+""")
+        assert got["forks"] == 1
+        assert got["stage 7"] == got["before"]
+        assert got["after"] == got["before"]
+        assert got["semaphores"] == []
+
     def test_a_killed_parent_leaves_no_worker(self):
         """The orphaned worker exits by itself, through ``os._exit``: it neither
         flushes the stdout buffer it inherited nor runs the atexit hook."""
