@@ -14,7 +14,8 @@ row per stored step, node and kind.  The file is byte for byte the one
   * every cell of bands.csv is `%.17g`, which reads back to the same float;
   * a chain, proportional or uniform upper is rebuilt as the run forms it,
     the one float add `env + shift`, and its lower is the constant;
-  * the envelope kind is -band and +band of the `envelope` column;
+  * the envelope kind is 0 - band and +band of the `envelope` column, as
+    `compute_bound_curves` forms them, so a zero band prints 0, not -0;
   * the text is written by `harness.bounds_csv` itself.
 
 Exits 0 on success and 1, with an `error:` line, when a file is missing or
@@ -62,7 +63,7 @@ def expand(out: pathlib.Path) -> list[str]:
     for kind in kinds:
         if kind == "envelope":
             band = table[:, -1:]
-            curves[kind] = (np.broadcast_to(-band, shape), np.broadcast_to(band, shape))
+            curves[kind] = (np.broadcast_to(0.0 - band, shape), np.broadcast_to(band, shape))
             continue
         lower = doc[kind]["lower"]
         lower = -np.inf if lower is None else np.array(lower, dtype=float)

@@ -135,7 +135,8 @@ def proportional_offsets(alpha_lower: float, alpha_upper: float, p):
     """
     if not (0.0 <= alpha_lower < 1.0 and 0.0 <= alpha_upper < 1.0):
         raise DomainError("fractional disturbance bounds must lie in [0, 1)")
-    return -alpha_lower * p, alpha_upper * p
+    # 0 - x rather than -x, so that a zero lower is 0.0, not -0.0
+    return 0.0 - alpha_lower * p, alpha_upper * p
 
 
 def uniform_offsets(u_minus: float, u_plus: float, depth, diameter_minus: int):
@@ -146,7 +147,8 @@ def uniform_offsets(u_minus: float, u_plus: float, depth, diameter_minus: int):
     ``depth`` may be an array of depths.
     """
     _check_uniform_bounds(u_minus, u_plus)
-    return -(diameter_minus - 1) * u_minus, depth * u_plus
+    # 0 - x rather than -x, so that a zero lower is 0.0, not -0.0
+    return 0.0 - (diameter_minus - 1) * u_minus, depth * u_plus
 
 
 def power_law_envelope(

@@ -71,12 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a benchmark graph")
     p.add_argument("kind", choices=GENERATED_KINDS)
-    # a [graph] key each, left out of the namespace when not given
-    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--extra-edge-prob", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--rows", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--cols", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    # a flag per [graph] key of the generated kinds, in table order, left
+    # out of the namespace when not given
+    keys = {k: t for kind in GENERATED_KINDS for k, (t, _) in GRAPH_KINDS[kind][1].items()}
+    for key, convert in keys.items():
+        p.add_argument("--" + key.replace("_", "-"), type=convert, default=argparse.SUPPRESS)
     p.add_argument("--out", default=None, help="write here instead of stdout")
 
     p = sub.add_parser("simulate", help="integrate a scenario; write trajectory CSVs")

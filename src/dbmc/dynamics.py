@@ -26,7 +26,7 @@ import os
 import signal
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,24 +171,14 @@ def _segments(
     return model.take(lay.order[a:b]), lay.slots[a:b], offsets, lay.starts[lo:hi] - a
 
 
-def _stage_times(times: Sequence[float], steps: Sequence[float]):
-    """The time of every RK4 stage on the grid, in the order ``simulate``
-    takes them: t, t + h/2, t + h/2, t + h per step, the same floats."""
-    for t, hs in zip(times, steps):
-        half = 0.5 * hs
-        yield t
-        yield t + half
-        yield t + half
-        yield t + hs
-
-
 class _Half:
     """The minima of one range of non-sources, from its :func:`_segments`.
 
     ``minima(t, z, out)`` writes them to ``out``; it uses the sample that
     ``sample_ahead(t)`` took, if any, and samples stage time ``t`` itself
-    otherwise.  ``sample_ahead(t_next)`` samples the next stage's
-    disturbance; a NaN ``t_next`` (after the last stage) samples nothing.
+    otherwise.  ``sample_ahead(t_next)`` samples the next stage's time as
+    ``simulate``'s loop formed it; a NaN (after the last stage) samples
+    nothing.
     """
 
     def __init__(
@@ -211,31 +201,28 @@ class _Half:
 def _rates(
     lay: CandidateLayout,
     model: DisturbanceModel,
-    sol: ShortestPathSolution,
+    p: np.ndarray,
     params: PTGainParams,
     worker: _Worker | None = None,
-    stages: Iterable[float] = (),
-) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
-    """rates(t, z, own): the time derivative of the m non-source errors.
+) -> Callable[[float, np.ndarray, np.ndarray, float], np.ndarray]:
+    """rates(t, z, own, t_next): the time derivative of the m non-source errors.
 
     ``z`` holds the m non-source errors followed by one 0, the error every
     source keeps, and ``own`` is ``z[:m]``; the rates are gain(t) times the
-    smallest candidate of each non-source (:func:`_segments`) minus
-    ``own``.  With a ``worker``, this process takes the non-sources before
+    smallest candidate of each non-source (:func:`_segments` of ``p``)
+    minus ``own``.  ``t_next`` is the next call's ``t``, NaN after the
+    last.  With a ``worker``, this process takes the non-sources before
     ``worker.cut`` and the worker the rest, at the same time; the bits are
-    the same.  ``stages`` then iterates the times of the calls, in order.
-    Each call posts its stage to the worker, computes this process's
-    :class:`_Half` of the minima into ``worker.best``, samples the next
-    stage's disturbance while the worker finishes its half, and collects
-    it, which lands in ``worker.best`` too.
+    the same.  Each call posts ``t`` and ``t_next`` to the worker, computes
+    this process's :class:`_Half` of the minima into ``worker.best``,
+    samples ``t_next`` while the worker finishes its half, and collects it.
     """
-    p = np.asarray(sol.p, dtype=float)
     gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
 
     if worker is None:
         grouped, slots, offsets, starts = _segments(lay, model, p, 0, len(lay.non_sources))
 
-        def rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
+        def rates(t: float, z: np.ndarray, own: np.ndarray, t_next: float) -> np.ndarray:
             best = np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts)
             return (gamma + two_h2 / (deadline - t)) * (best - own)
 
@@ -243,11 +230,8 @@ def _rates(
 
     half, best = _Half(*_segments(lay, model, p, 0, worker.cut)), worker.best
     head = best[: worker.cut]
-    stages = iter(stages)
-    next(stages, None)  # the first call's own time
 
-    def split_rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
-        t_next = next(stages, math.nan)
+    def split_rates(t: float, z: np.ndarray, own: np.ndarray, t_next: float) -> np.ndarray:
         worker.post(t, t_next, z)
         half.minima(t, z, head)
         half.sample_ahead(t_next)
@@ -437,12 +421,13 @@ def simulate(
     blocks to a writer child).  Otherwise, on a graph of at least
     ``SPLIT_EDGES`` candidate edges, ``simulate`` forks one worker that
     computes the minima of about half the candidate edges at every stage,
-    while this process computes the other half (:class:`_Worker`).  Each
-    side samples its next stage's disturbance in the time it would wait for
-    the other, and the worker writes its minima into a buffer shared with
-    this process; two semaphores hand each stage over.  The split needs two
-    usable CPUs and a process that runs no other OS thread; numpy's default
-    OpenBLAS pool is one, so a caller enables the split by setting
+    while this process computes the other half (:class:`_Worker`).  The
+    loop below forms every stage time and hands each stage the next one's,
+    which each side samples in the time it would wait for the other, and
+    the worker writes its minima into a buffer shared with this process;
+    two semaphores hand each stage over.  The split needs two usable CPUs
+    and a process that runs no other OS thread; numpy's default OpenBLAS
+    pool is one, so a caller enables the split by setting
     ``OPENBLAS_NUM_THREADS=1`` before numpy is imported, as ``bench/run.py``
     does.  The split changes no bit of the result, no stored time and no
     sample: this process still calls ``sample_all`` once per stage, on its
@@ -473,19 +458,23 @@ def simulate(
     y = np.zeros(m + 1)
     z_own, y_own = z[:m], y[:m]
     with _Worker(lay, model, p) if split else nullcontext() as worker:
-        rates = _rates(lay, model, sol, params, worker, _stage_times(times, steps))
+        rates = _rates(lay, model, p, params, worker)
+        last = len(times) - 1
         for a in range(0, len(times), BLOCK):
             b = min(a + BLOCK, len(times))
             lo = max(a, 1)
             for k, t, hs in zip(range(lo, b), times[lo - 1 : b - 1], steps[lo - 1 : b - 1]):
+                # every stage time is formed here, once, and each stage is
+                # also handed the next one's: the next step starts at times[k]
                 half = 0.5 * hs
-                k1 = rates(t, z, z_own)
+                t_half, t_full = t + half, t + hs
+                k1 = rates(t, z, z_own, t_half)
                 np.add(z_own, half * k1, out=y_own)
-                k2 = rates(t + half, y, y_own)
+                k2 = rates(t_half, y, y_own, t_half)
                 np.add(z_own, half * k2, out=y_own)
-                k3 = rates(t + half, y, y_own)
+                k3 = rates(t_half, y, y_own, t_full)
                 np.add(z_own, hs * k3, out=y_own)
-                k4 = rates(t + hs, y, y_own)
+                k4 = rates(t_full, y, y_own, times[k] if k < last else math.nan)
                 z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
                 errors[k, ns] = z_own
             if on_block is not None:

@@ -390,7 +390,8 @@ def compute_bound_curves(
         band = offset + power_law_envelope(
             chi0, sol.effective_diameter - 1, q, params, times
         )
-        lower = np.broadcast_to(-band[:, None], shape)
+        # 0 - band rather than -band, so that a zero band's lower prints 0, not -0
+        lower = np.broadcast_to(0.0 - band[:, None], shape)
         upper = np.broadcast_to(band[:, None], shape)
         curves["envelope"] = (lower, upper)
 

@@ -438,7 +438,8 @@ def bound_curves_per_node(
     envelope=nominal_envelope_loop,
 ):
     """Every bound kind's (lower, upper) arrays, filled column by column,
-    with ``envelope`` giving each node's nominal envelope."""
+    with ``envelope`` giving each node's nominal envelope.  A lower is
+    0 - x, so a zero one is 0.0, never -0.0."""
     ns = g.non_sources
     shape = (len(times), len(ns))
     adj = out_edges(g)
@@ -462,13 +463,13 @@ def bound_curves_per_node(
         a_lower, a_upper = model.proportional_fractions
         lower, upper = np.empty(shape), np.empty(shape)
         for col, i in enumerate(ns):
-            lower[:, col] = -a_lower * sol.p[i - 1]
+            lower[:, col] = 0.0 - a_lower * sol.p[i - 1]
             upper[:, col] = env[i] + a_upper * sol.p[i - 1]
         curves["proportional"] = (lower, upper)
     if "uniform" in kinds:
         lower, upper = np.empty(shape), np.empty(shape)
         for col, i in enumerate(ns):
-            lower[:, col] = -(sol_minus.effective_diameter - 1) * model.u_minus
+            lower[:, col] = 0.0 - (sol_minus.effective_diameter - 1) * model.u_minus
             upper[:, col] = env[i] + (len(chains[i]) - 1) * model.u_plus
         curves["uniform"] = (lower, upper)
     if "envelope" in kinds:
@@ -479,7 +480,7 @@ def bound_curves_per_node(
         band = offset + power_law_envelope(
             chi0, sol.effective_diameter - 1, q, params, times
         )
-        curves["envelope"] = (np.tile(-band[:, None], (1, len(ns))),
+        curves["envelope"] = (np.tile(0.0 - band[:, None], (1, len(ns))),
                               np.tile(band[:, None], (1, len(ns))))
     return curves
 

@@ -28,7 +28,7 @@ from dbmc import (
     solve_shortest_paths,
     worst_case_offset,
 )
-from dbmc.bounds import NominalEnvelopes, proportional_offsets
+from dbmc.bounds import NominalEnvelopes, proportional_offsets, uniform_offsets
 from dbmc.harness import BOUND_KINDS, BRACKET_TOL, compute_bound_curves, resolve_chi0
 
 from helpers import constant_initial, nominal_envelopes, random_weighted_graph
@@ -251,6 +251,40 @@ class TestProportionalBounds:
         ((lower, upper),) = bound_curves(self.g, spec, self.x0, ts, ("proportional",)).values()
         assert lower.shape == upper.shape == (len(ts), 2)
         assert np.all(lower <= upper)
+
+
+class TestLowerSigns:
+    """Every constant lower is formed as 0 - x: a zero x gives 0.0, whose
+    sign bit is clear, and any other x the bits of -x."""
+
+    def test_zero_inputs_give_a_clear_sign_bit(self):
+        lows = [
+            proportional_offsets(0.0, 0.3, np.array([0.0, 1.0, 2.5]))[0],
+            proportional_offsets(0.2, 0.3, np.array([0.0]))[0],
+            *(uniform_offsets(u, 0.1, np.array([1, 2]), dm)[0]
+              for u, dm in ((0.0, 4), (0.3, 1), (0.0, 1))),
+        ]
+        for low in lows:
+            assert np.all(low == 0.0) and not np.any(np.signbit(low))
+
+    def test_nonzero_inputs_keep_the_bits_of_the_negation(self):
+        rng = np.random.default_rng(0)
+        p = np.concatenate((rng.uniform(0.0, 50.0, 200), [1e-310, 1.0]))
+        for a1 in (*rng.uniform(0.0, 1.0, 20), 1e-3, 0.5):
+            assert np.all(a1 * p != 0.0)
+            assert same_bits(proportional_offsets(a1, 0.3, p)[0], -a1 * p)
+        for u in (*rng.uniform(0.0, 2.0, 20), 5e-324):
+            for dm in (2, 3, 17):
+                assert same_bits(uniform_offsets(u, 0.1, np.array([1, 2]), dm)[0], -(dm - 1) * u)
+
+    def test_the_envelope_lower_of_a_zero_band_is_zero(self):
+        g = load_graph(PATH3)
+        ts = np.linspace(0.0, 4.0, 9)
+        ((lower, upper),) = bound_curves(
+            g, DisturbanceSpec(kind="zero"), [0.0, 1.0, 2.0], ts, ("envelope",)
+        ).values()
+        assert np.all(upper == 0.0) and np.all(lower == 0.0)
+        assert not np.any(np.signbit(lower))
 
 
 class TestUniformBounds:

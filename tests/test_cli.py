@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -152,6 +153,33 @@ def test_a_negative_zero_fraction_writes_the_bytes_of_zero(tmp_path, capsys, dis
     capsys.readouterr()
     assert files["-0"] == files["0"]
     assert b"-0.0" not in files["0"]["summary.json"]
+
+
+@pytest.mark.parametrize("disturbance", [
+    "kind = sinusoid\namplitude = 0",
+    "kind = piecewise\namplitude = 0",
+    "kind = proportional\nalpha_lower = 0\nalpha_upper = 0.03",
+], ids=["amplitude", "piecewise-amplitude", "alpha-lower"])
+def test_no_band_lower_is_written_as_a_negative_zero(tmp_path, capsys, disturbance):
+    text = Path("scenarios/case_study_3pct.ini").read_text()
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(text.replace("kind = sinusoid\namplitude = 0.03", disturbance))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def negative_zeros(cells):
+        return [c for c in cells if float(c) == 0.0 and math.copysign(1.0, float(c)) < 0.0]
+
+    doc = json.loads((out / "bands.json").read_text())
+    lowers = [v for kind in ("proportional", "uniform") for v in doc[kind]["lower"]]
+    assert lowers and all(v == 0.0 for v in lowers)
+    assert negative_zeros(map(repr, lowers)) == []
+    focus = (out / "focus.csv").read_text().splitlines()[1:]
+    assert negative_zeros(line.split(",")[2] for line in focus) == []
+    expanded = "".join(expand_bands().expand(out)).splitlines()[1:]
+    cells = [line.split(",")[2] for line in expanded]
+    assert "0" in cells and negative_zeros(cells) == []
 
 
 @pytest.mark.parametrize("verb", ["run", "simulate", "bounds"])
@@ -569,6 +597,27 @@ def test_gen_defaults_a_flag_not_given(capsys):
         text = capsys.readouterr().out
         assert main(["gen", *full]) == 0
         assert capsys.readouterr().out == text
+
+
+def test_gen_takes_its_flags_from_the_graph_kinds_table(monkeypatch, capsys):
+    """A key added to a kind of GRAPH_KINDS becomes a gen flag of the
+    table's type, and --help lists the flags in table order."""
+    build, keys = GRAPH_KINDS["grid"]
+    seen = []
+
+    def grid_with_holes(rows, cols, hole_prob):
+        seen.append(hole_prob)
+        return build(rows, cols)
+
+    monkeypatch.setitem(GRAPH_KINDS, "grid", (grid_with_holes, {**keys, "hole_prob": (float, 0.0)}))
+    assert main(["gen", "grid", "--hole-prob", "1"]) == 0
+    assert capsys.readouterr().out == dump_graph(build(3, 4))
+    assert seen == [1.0] and type(seen[0]) is float
+    assert main(["gen", "line", "--hole-prob", "1"]) == 1
+    assert capsys.readouterr().err == "error: graph kind 'line' does not read --hole-prob\n"
+    assert main(["gen", "--help"]) == 0
+    flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+    assert flags == ["--n", "--extra-edge-prob", "--seed", "--rows", "--cols", "--hole-prob", "--out"]
 
 
 def test_gen_refuses_a_negative_seed(tmp_path, capsys):

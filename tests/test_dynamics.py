@@ -160,15 +160,15 @@ class TestSimulate:
         sol = solve_shortest_paths(g)
         m = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), g, 2, 5.0)
         lay = candidate_layout(g, m)
-        rates = dynamics._rates(lay, m, sol, PARAMS)
-        rng = np.random.default_rng(0)
         p = np.array(sol.p)
+        rates = dynamics._rates(lay, m, p, PARAMS)
+        rng = np.random.default_rng(0)
         adj = out_edges(g)
         for t in rng.uniform(0.0, 4.5, 50):
             e = rng.uniform(0.0, 12.0, 13)
             e[0] = 0.0
             z = np.append(e[lay.non_sources], 0.0)
-            de = rates(float(t), z, z[:-1])
+            de = rates(float(t), z, z[:-1], math.nan)
             u = m.sample_all(float(t))
             x = p + e
             for k, i in enumerate(g.non_sources):

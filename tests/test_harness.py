@@ -597,7 +597,7 @@ class TestBandArtifact:
 
     @pytest.mark.parametrize("scenario", ["case_study_3pct", "case_study_40pct", "zero"])
     def test_expansion_equals_bounds_csv(self, tmp_path, capsys, scenario):
-        if scenario == "zero":  # the -0 lower bands of the writer test above
+        if scenario == "zero":  # the zero lower bands of the writer test above
             sc = parse_scenario(_zero_disturbance_scenario())
         else:
             sc = load_scenario(f"scenarios/{scenario}.ini")
@@ -607,7 +607,7 @@ class TestBandArtifact:
         text = (tmp_path / "bounds.csv").read_text(encoding="utf-8")
         assert_same_text(text, _bounds_csv_of(sc), scenario)
         if scenario == "zero":
-            assert ",-0," in text
+            assert ",0," in text and ",-0," not in text
 
     @pytest.mark.parametrize("bounds", ["envelope", "chain", "uniform proportional", "none"])
     def test_each_kind_selection_round_trips(self, tmp_path, capsys, bounds):
@@ -668,7 +668,7 @@ class TestWritersMatchPerValueLoops:
 
     @pytest.mark.parametrize("scenario", ["case_study_3pct", "case_study_40pct", "zero"])
     def test_scenario_artifacts(self, scenario):
-        if scenario == "zero":  # emits -0 lower bands
+        if scenario == "zero":  # zero lower bands, written as 0, not -0
             sc = parse_scenario(_zero_disturbance_scenario())
         else:
             sc = load_scenario(f"scenarios/{scenario}.ini")
@@ -685,7 +685,8 @@ class TestWritersMatchPerValueLoops:
             focus_csv_loop(plan.g, traj, curves, plan.focus, "proportional"),
         )
         if scenario == "zero":
-            assert ",-0," in "".join(bounds_csv(plan.g, traj.times, curves))
+            text = "".join(bounds_csv(plan.g, traj.times, curves))
+            assert ",0," in text and ",-0," not in text
 
     def test_crafted_curves(self):
         g = line_graph(4)  # non-sources 2, 3, 4
