@@ -77,6 +77,7 @@ class DisturbanceModel:
     rows: tuple[np.ndarray, ...]  # a tuple item is ~7x cheaper to index than a 2-D row
     omega: float = 0.0
     knot_spacing: float | None = None
+    first_knot: int = 0  # the knot ``rows[0]`` holds; nonzero only in a ``window``
 
     def sample_all(self, t: float) -> np.ndarray:
         """Disturbance value of every edge at time t, in the model's edge order."""
@@ -86,15 +87,33 @@ class DisturbanceModel:
             wt = self.omega * t
             k, a, b = 0, math.sin(wt), math.cos(wt)
         else:
-            k = min(int(t / self.knot_spacing), len(self.rows) - 2)
+            k = min(int(t / self.knot_spacing), self.first_knot + len(self.rows) - 2)
             b = t / self.knot_spacing - k
             a = 1.0 - b
+            k -= self.first_knot
+            if k < 0:
+                raise DomainError(f"time {t!r} before the window's first knot")
         c = self.rows[k] * a + self.rows[k + 1] * b
         lo, hi = self.proportional_fractions
         if lo == hi:
             return c
         # a two-entry table read: the bits of np.where(c >= 0.0, hi, lo) * c, faster
         return np.array((lo, hi)).take(c >= 0.0) * c
+
+    def window(self, t0: float, t1: float) -> DisturbanceModel:
+        """The model for sampling on [t0, t1] alone, with only the knot rows
+        ``sample_all`` reads there, so that ``take`` copies no other.
+
+        Its ``sample_all(t)`` equals this model's bit for bit on [t0, t1],
+        and raises DomainError past t1 or before its first knot.
+        """
+        horizon = min(t1, self.horizon)
+        if self.knot_spacing is None:
+            return replace(self, horizon=horizon)
+        last = self.first_knot + len(self.rows) - 2
+        k0, k1 = (min(int(t / self.knot_spacing), last) for t in (t0, horizon))
+        rows = self.rows[k0 - self.first_knot : k1 + 2 - self.first_knot]
+        return replace(self, horizon=horizon, rows=rows, first_knot=k0)
 
     def take(self, order: Sequence[int] | np.ndarray) -> DisturbanceModel:
         """The model restricted to the edges ``order`` indexes, in that order.

@@ -22,9 +22,6 @@ z_j + w_ij + u_ij(t) come from the tail-grouped
 from __future__ import annotations
 
 import math
-import os
-import signal
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,18 +43,18 @@ from .seriesio import BLOCK
 STEPS_PER_DEADLINE = 5000.0
 REMAINING_FRACTION = 0.01
 
-# simulate splits each RHS call with a forked worker from this many candidate
-# edges on.  Below it the handoff can cost more than half the edge work saves.
-# On 1000-node graphs (2-vCPU host) the split took x0.92-1.07 the serial time
-# at 2 991 edges, x0.85-0.94 at 4 963 and about x0.75 at 12 984; a prototype
-# took x1.09 at 4 772 and x0.94 at 5 522.  The threshold is above every loss.
-SPLIT_EDGES = 5000
-# Times a side waiting for the other tries the handoff semaphore before it
-# starts to block on it.
-SPIN = 2000
-# Seconds a side blocks on the handoff semaphore before it checks that the
-# other side still lives.
-POLL_S = 0.05
+# simulate evaluates only the active candidates (:class:`_ActiveRates`)
+# from this many candidate edges on.  Against the RHS that evaluates every
+# candidate, with sinusoid 3% to 1.7 (2 vCPU host), the active one took
+# x1.09 the time at 1 069 edges (100 nodes), x0.95 at 1 988 (1000 nodes),
+# x0.86 at 2 502 (100 nodes) and x0.67 at 2 991 (1000 nodes).
+ACTIVE_EDGES = 2500
+# A refresh costs what several pruned stages save, so a kept set that fails
+# its test within this many pruned stages has barely paid for itself, and the
+# next one is kept wider (:class:`_ActiveRates`).  Without the widening, zero
+# disturbance on continuous weights refreshed at every second stage and took
+# x2.06 the full RHS's time on a 1000-node graph; with it, x0.53.
+SHORT_LIVED = 16
 
 
 @dataclass(frozen=True)
@@ -151,220 +148,144 @@ def check_t_end(params: PTGainParams, t_end: float, horizon: float) -> None:
 
 
 def _segments(
-    lay: CandidateLayout, model: DisturbanceModel, p: np.ndarray, lo: int, hi: int
-) -> tuple[DisturbanceModel, np.ndarray, np.ndarray, np.ndarray]:
-    """(grouped, slots, offsets, starts) of the segments of non-sources lo..hi-1.
+    lay: CandidateLayout, model: DisturbanceModel, p: np.ndarray
+) -> tuple[DisturbanceModel, np.ndarray]:
+    """(grouped, offsets) of the layout's candidate edges.
 
-    ``grouped`` is ``model`` taken in the order of those segments' edges.
-    The smallest candidate z_j + (p_j + w_ij - p_i) + u_ij(t) of each of
-    those non-sources is ``np.minimum.reduceat(z[slots] + offsets +
-    grouped.sample_all(t), starts)``, where ``z`` holds the m non-source
-    errors followed by one 0, the error every source keeps.  The offset
-    term vanishes on true-parent edges, so at the solution with zero
-    disturbance every minimum is exactly 0.  Each value is an elementwise
-    op or a per-segment minimum, so the minima of any split of 0..m into
-    ranges have the bits of the minima of the whole.
+    ``grouped`` is ``model`` taken in layout order.  The smallest candidate
+    z_j + (p_j + w_ij - p_i) + u_ij(t) of each non-source is
+    ``np.minimum.reduceat(z[lay.slots] + offsets + grouped.sample_all(t),
+    lay.starts)``, where ``z`` holds the m non-source errors followed by one
+    0, the error every source keeps.  The offset term vanishes on
+    true-parent edges, so at the solution with zero disturbance every
+    minimum is exactly 0.
     """
-    a = lay.starts[lo]
-    b = lay.starts[hi] if hi < len(lay.starts) else len(lay.order)
-    offsets = p[lay.heads[a:b]] + lay.weights[a:b] - p[lay.tails[a:b]]
-    return model.take(lay.order[a:b]), lay.slots[a:b], offsets, lay.starts[lo:hi] - a
-
-
-class _Half:
-    """The minima of one range of non-sources, from its :func:`_segments`.
-
-    ``minima(t, z, out)`` writes them to ``out``; it uses the sample that
-    ``sample_ahead(t)`` took, if any, and samples stage time ``t`` itself
-    otherwise.  ``sample_ahead(t_next)`` samples the next stage's time as
-    ``simulate``'s loop formed it; a NaN (after the last stage) samples
-    nothing.
-    """
-
-    def __init__(
-        self, grouped: DisturbanceModel, slots: np.ndarray, offsets: np.ndarray,
-        starts: np.ndarray,
-    ) -> None:
-        self._grouped, self._slots, self._offsets, self._starts = grouped, slots, offsets, starts
-        self._t_ahead, self._ahead = math.nan, None
-
-    def minima(self, t: float, z: np.ndarray, out: np.ndarray) -> None:
-        u = self._ahead if t == self._t_ahead else self._grouped.sample_all(t)
-        np.minimum.reduceat(z[self._slots] + self._offsets + u, self._starts, out=out)
-
-    def sample_ahead(self, t_next: float) -> None:
-        self._t_ahead = t_next
-        if not math.isnan(t_next):
-            self._ahead = self._grouped.sample_all(t_next)
+    offsets = p[lay.heads] + lay.weights - p[lay.tails]
+    return model.take(lay.order), offsets
 
 
 def _rates(
-    lay: CandidateLayout,
-    model: DisturbanceModel,
-    p: np.ndarray,
-    params: PTGainParams,
-    worker: _Worker | None = None,
-) -> Callable[[float, np.ndarray, np.ndarray, float], np.ndarray]:
-    """rates(t, z, own, t_next): the time derivative of the m non-source errors.
+    lay: CandidateLayout, model: DisturbanceModel, p: np.ndarray, params: PTGainParams
+) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
+    """rates(t, z, own): the time derivative of the m non-source errors.
 
     ``z`` holds the m non-source errors followed by one 0, the error every
     source keeps, and ``own`` is ``z[:m]``; the rates are gain(t) times the
     smallest candidate of each non-source (:func:`_segments` of ``p``)
-    minus ``own``.  ``t_next`` is the next call's ``t``, NaN after the
-    last.  With a ``worker``, this process takes the non-sources before
-    ``worker.cut`` and the worker the rest, at the same time; the bits are
-    the same.  Each call posts ``t`` and ``t_next`` to the worker, computes
-    this process's :class:`_Half` of the minima into ``worker.best``,
-    samples ``t_next`` while the worker finishes its half, and collects it.
+    minus ``own``.
     """
     gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
+    grouped, offsets = _segments(lay, model, p)
+    slots, starts = lay.slots, lay.starts
 
-    if worker is None:
-        grouped, slots, offsets, starts = _segments(lay, model, p, 0, len(lay.non_sources))
-
-        def rates(t: float, z: np.ndarray, own: np.ndarray, t_next: float) -> np.ndarray:
-            best = np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts)
-            return (gamma + two_h2 / (deadline - t)) * (best - own)
-
-        return rates
-
-    half, best = _Half(*_segments(lay, model, p, 0, worker.cut)), worker.best
-    head = best[: worker.cut]
-
-    def split_rates(t: float, z: np.ndarray, own: np.ndarray, t_next: float) -> np.ndarray:
-        worker.post(t, t_next, z)
-        half.minima(t, z, head)
-        half.sample_ahead(t_next)
-        worker.collect()
+    def rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
+        best = np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts)
         return (gamma + two_h2 / (deadline - t)) * (best - own)
 
-    return split_rates
+    return rates
 
 
-def _may_split(lay: CandidateLayout) -> bool:
-    """Whether ``simulate`` may fork a :class:`_Worker` for this layout.
+class _ActiveRates:
+    """The rates of :func:`_rates`, bit for bit, from only the candidates
+    that can still be a node's minimum.
 
-    It needs at least ``SPLIT_EDGES`` candidate edges over two or more
-    non-sources, ``os.fork``, two CPUs this process may run on, and this
-    process to be its only OS thread (Linux ``/proc/self/task``): forking
-    a process that runs threads, such as a BLAS pool, can copy a lock that
-    a lost thread holds.
-    """
-    if len(lay.order) < SPLIT_EDGES or len(lay.starts) < 2 or not hasattr(os, "fork"):
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-    except (AttributeError, OSError):
-        return False
-    return cpus >= 2 and threads == 1
+    Between two samples an edge's disturbance moves by at most W_e =
+    edge_lower + edge_upper, so a candidate c_e moves by at most W_e + D,
+    where D = max|y - z_ref| is how far the stage input y lies from the
+    input z_ref the candidates were last evaluated at.  A *refresh*
+    evaluates every candidate, as :func:`_rates` does, records z_ref and
+    keeps, per non-source, the candidates with c_e - W_e <= min(c + W) +
+    sigma: the node's smallest candidate is among them.  Each dropped
+    candidate clears the kept minimum by at least the margin S = min over
+    nodes of (min over its dropped ones of c - W) - min(c + W), which is
+    stored less 2 eps, eps = 1e-12 (1 + max|c| + max W) a rounding
+    allowance.  So while 2D < S, every dropped candidate stays above its
+    node's minimum, and a stage samples (``window(...).take``) and reduces
+    only the kept ones.  No candidate is -0 (a sum is -0 only when both
+    terms are, and no offset is) and a NaN input fails the test, so the
+    minimum has the bits of the full one.
 
-
-class _Worker:
-    """A forked process that takes the non-sources from ``cut`` on, every stage.
-
-    The cut is the segment boundary nearest half the candidate edges.  The
-    two processes share one anonymous ``mmap``: the stage time and the next
-    stage's (NaN after the last), the stage input ``z`` and ``best``, the
-    minima of all m non-sources: the parent writes those before ``cut``,
-    and the worker writes the rest in place, so the parent copies nothing.
-    Two process-shared POSIX semaphores are the handoff: the parent posts
-    ``posted`` once it has written a stage, and the worker posts ``done``
-    once it has written its minima; each post and each wait is also a
-    memory fence.  Once the worker has posted a stage, it samples the next
-    stage's disturbance while the parent finishes the RK4 update and
-    posts; both sides compute with one :class:`_Half` each.
-
-    A waiting side tries its semaphore ``SPIN`` times, then waits on it
-    ``POLL_S`` seconds at a time.  Between waits it checks that the other
-    side lives: the parent, that the worker has not exited; the worker,
-    that it is still the parent's child.  If not, the parent raises
-    IntegrationError and the worker exits.  A post never blocks, so a side
-    killed at any point leaves nothing held.
-
-    The worker leaves only through ``os._exit``: it never returns into its
-    caller's frames, runs no atexit hook, flushes no inherited stdio buffer
-    and writes nothing.  Leaving the ``with`` block kills and reaps it.
+    A stage refreshes at the start of each block (:meth:`start_block`) and
+    when the test fails.  sigma starts each block at 2 max W and is never
+    taken below 4 eps, so that S > 2 eps.  A kept set that fails the test within
+    ``SHORT_LIVED`` pruned stages widens the next one: sigma becomes twice
+    the larger of sigma and D, so a steady drift breaks each set later than
+    the last.  A refresh that keeps more than half the candidates, or whose
+    padded (K x m) minimum buffer would outgrow twice the candidate array,
+    leaves the stages up to the next block in full.  The choice between a
+    full and a pruned stage is made before sampling, so each stage samples
+    once.
     """
 
-    def __init__(self, lay: CandidateLayout, model: DisturbanceModel, p: np.ndarray) -> None:
-        self._args = lay, model, p
-        n = len(lay.order)
-        self.cut = int(np.argmin(np.abs(lay.starts[1:] - 0.5 * n))) + 1
+    def __init__(
+        self, lay: CandidateLayout, model: DisturbanceModel, p: np.ndarray,
+        params: PTGainParams,
+    ) -> None:
+        self._params = params.gamma, 2.0 * (1.0 + params.h), params.deadline
+        self._grouped, self._offsets = _segments(lay, model, p)
+        self._slots, self._starts = lay.slots, lay.starts
+        self._degree = lay.degree
+        self._w_max = float((self._grouped.edge_lower + self._grouped.edge_upper).max())
+        self._dz = np.empty(len(lay.starts) + 1)
+        self._best = np.empty(len(lay.starts))
+        self.start_block(model.horizon)
 
-    def __enter__(self) -> _Worker:
-        import mmap
+    def start_block(self, t_last: float) -> None:
+        """Refresh at the next stage; no stage before the next call samples
+        past ``t_last``."""
+        self._kept, self._due, self._t_last = None, True, t_last
+        self._sigma = 2.0 * self._w_max
 
-        # The C semaphore type under multiprocessing: importing the
-        # multiprocessing package itself adds 0.85 MB to the peak RSS.
-        from _multiprocessing import SemLock
+    def __call__(self, t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
+        gamma, two_h2, deadline = self._params
+        best = None if self._kept is None else self._pruned(t, z)
+        if best is None:
+            cand = z[self._slots] + self._offsets + self._grouped.sample_all(t)
+            best = np.minimum.reduceat(cand, self._starts)
+            if self._due:
+                self._refresh(t, z, cand)
+        return (gamma + two_h2 / (deadline - t)) * (best - own)
 
-        lay, model, p = self._args
-        m = len(lay.non_sources)
-        self._mem = mmap.mmap(-1, 8 * (2 + (m + 1) + m))
-        floats = np.frombuffer(self._mem, dtype=float)
-        self._t, self._z, self.best = floats[:2], floats[2 : m + 3], floats[m + 3 :]
-        # Kind SEMAPHORE (1), value 0, max 1, each name unlinked at once.
-        self._parent = os.getpid()
-        name = f"/dbmc-{self._parent}-{id(self)}"
-        self._posted, self._done = (SemLock(1, 0, 1, name + k, True) for k in ("-p", "-d"))
-        self._pid = os.fork()
-        if self._pid == 0:
-            code = 1
-            try:
-                self._serve(_Half(*_segments(lay, model, p, self.cut, m)))
-                code = 0
-            finally:
-                os._exit(code)
-        return self
+    def _pruned(self, t: float, z: np.ndarray) -> np.ndarray | None:
+        """The minima from the kept candidates at stage input ``z``, or None
+        (a refresh due) when ``z`` lies too far from the refresh's input."""
+        sub, slots, offsets, pos, flat, buf, z_ref, margin = self._kept
+        dz = np.subtract(z, z_ref, out=self._dz)
+        d = float(np.abs(dz, out=dz).max())
+        if 2.0 * d < margin:
+            self._served += 1
+            flat[pos] = z[slots] + offsets + sub.sample_all(t)
+            return np.minimum.reduce(buf, axis=0, out=self._best)
+        if self._served < SHORT_LIVED:
+            self._sigma = 2.0 * max(self._sigma, d)
+        self._due = True
+        return None
 
-    def __exit__(self, *exc) -> None:
-        os.kill(self._pid, signal.SIGKILL)
-        os.waitpid(self._pid, 0)
-
-    def post(self, t: float, t_next: float, z: np.ndarray) -> None:
-        """Hand the worker stage time ``t``, the next stage's time (NaN
-        after the last stage) and stage input ``z``."""
-        self._t[0] = t
-        self._t[1] = t_next
-        np.copyto(self._z, z)
-        self._posted.release()
-
-    def collect(self) -> None:
-        """Wait for the worker's minima of the last posted stage in ``best[cut:]``."""
-        if not self._wait(self._done):
-            raise IntegrationError("the worker of the split RHS is gone")
-
-    def _serve(self, half: _Half) -> None:
-        """The worker's loop over its half; returns once the parent is gone.
-        It reads the next stage's time before it posts ``done``, as the
-        parent may post over it after."""
-        z, out, clock = self._z, self.best[self.cut :], self._t
-        while self._wait(self._posted):
-            t, t_next = float(clock[0]), float(clock[1])
-            half.minima(t, z, out)
-            self._done.release()
-            half.sample_ahead(t_next)
-
-    def _gone(self) -> bool:
-        """Whether the other side has exited: the worker once it can be
-        waited for, the parent once the worker is no longer its child."""
-        if self._pid == 0:
-            return os.getppid() != self._parent
-        try:
-            return os.waitid(os.P_PID, self._pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
-        except ChildProcessError:
-            return True
-
-    def _wait(self, sem) -> bool:
-        """Take ``sem``; False if the other side is gone first."""
-        for _ in range(SPIN):
-            if sem.acquire(False):
-                return True
-        while not sem.acquire(True, POLL_S):
-            if self._gone():
-                return False
-        return True
+    def _refresh(self, t: float, z: np.ndarray, cand: np.ndarray) -> None:
+        """Keep the candidates that can still be a minimum, from the
+        candidates ``cand`` of stage input ``z`` at time ``t``."""
+        self._due, self._kept = False, None
+        starts, m = self._starts, len(self._starts)
+        w = self._grouped.edge_lower + self._grouped.edge_upper
+        eps = 1e-12 * (1.0 + float(np.abs(cand).max()) + self._w_max)
+        top = np.minimum.reduceat(cand + w, starts)
+        low = cand - w
+        keep = low <= np.repeat(top + max(self._sigma, 4.0 * eps), self._degree)
+        kept = np.flatnonzero(keep)
+        kept_node = np.searchsorted(starts, kept, side="right") - 1
+        counts = np.bincount(kept_node, minlength=m)
+        rows = int(counts.max())
+        if 2 * len(kept) > len(cand) or rows * m > 2 * len(cand):
+            return
+        low[keep] = np.inf
+        margin = float((np.minimum.reduceat(low, starts) - top).min()) - 2.0 * eps
+        # the k-th kept candidate of node i goes to row k, column i
+        pos = (np.arange(len(kept)) - (np.cumsum(counts) - counts)[kept_node]) * m + kept_node
+        buf = np.full((rows, m), np.inf)
+        sub = self._grouped.window(t, self._t_last).take(kept)
+        self._kept = (sub, self._slots[kept], self._offsets[kept], pos, buf.reshape(-1), buf,
+                      z.copy(), margin)
+        self._served = 0
 
 
 def step_grid(params: PTGainParams, t_end: float) -> tuple[list[float], list[float]]:
@@ -416,24 +337,11 @@ def simulate(
     of ``BLOCK`` rows of ``errors`` (the last may be shorter), in order, as
     soon as its last step is taken: ``rows`` is ``errors[span]``, final.
 
-    Which process gets a second CPU: when ``on_block`` is given, the
-    caller's consumer does (``dbmc run`` and ``dbmc simulate`` hand the
-    blocks to a writer child).  Otherwise, on a graph of at least
-    ``SPLIT_EDGES`` candidate edges, ``simulate`` forks one worker that
-    computes the minima of about half the candidate edges at every stage,
-    while this process computes the other half (:class:`_Worker`).  The
-    loop below forms every stage time and hands each stage the next one's,
-    which each side samples in the time it would wait for the other, and
-    the worker writes its minima into a buffer shared with this process;
-    two semaphores hand each stage over.  The split needs two usable CPUs
-    and a process that runs no other OS thread; numpy's default OpenBLAS
-    pool is one, so a caller enables the split by setting
-    ``OPENBLAS_NUM_THREADS=1`` before numpy is imported, as ``bench/run.py``
-    does.  The split changes no bit of the result, no stored time and no
-    sample: this process still calls ``sample_all`` once per stage, on its
-    half, at the same times and in the same order, and none after the last
-    stage.  The worker never outlives the call, and the split holds no file
-    descriptor and leaves no semaphore name behind.
+    On a layout of at least ``ACTIVE_EDGES`` candidate edges, most stages
+    evaluate only the candidates that can still be a node's minimum
+    (:class:`_ActiveRates`); the result has the same bits, and the samples
+    the same times, as a run that evaluates all of them.  Nothing forks, so
+    no setting such as ``OPENBLAS_NUM_THREADS=1`` is needed.
     """
     if sol is None:
         sol = solve_shortest_paths(g)
@@ -445,7 +353,8 @@ def simulate(
     lay = candidate_layout(g, model)
     ns = lay.non_sources
     p = np.asarray(sol.p, dtype=float)
-    split = on_block is None and _may_split(lay)
+    active = len(lay.order) >= ACTIVE_EDGES
+    rates = (_ActiveRates if active else _rates)(lay, model, p, params)
 
     # Only the m non-source errors are integrated.  ``z`` and the stage
     # input ``y`` carry one trailing 0 that every source head reads, and each
@@ -457,27 +366,25 @@ def simulate(
     z = np.append(errors[0, ns], 0.0)
     y = np.zeros(m + 1)
     z_own, y_own = z[:m], y[:m]
-    with _Worker(lay, model, p) if split else nullcontext() as worker:
-        rates = _rates(lay, model, p, params, worker)
-        last = len(times) - 1
-        for a in range(0, len(times), BLOCK):
-            b = min(a + BLOCK, len(times))
-            lo = max(a, 1)
-            for k, t, hs in zip(range(lo, b), times[lo - 1 : b - 1], steps[lo - 1 : b - 1]):
-                # every stage time is formed here, once, and each stage is
-                # also handed the next one's: the next step starts at times[k]
-                half = 0.5 * hs
-                t_half, t_full = t + half, t + hs
-                k1 = rates(t, z, z_own, t_half)
-                np.add(z_own, half * k1, out=y_own)
-                k2 = rates(t_half, y, y_own, t_half)
-                np.add(z_own, half * k2, out=y_own)
-                k3 = rates(t_half, y, y_own, t_full)
-                np.add(z_own, hs * k3, out=y_own)
-                k4 = rates(t_full, y, y_own, times[k] if k < last else math.nan)
-                z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
-                errors[k, ns] = z_own
-            if on_block is not None:
-                on_block(slice(a, b), errors[a:b])
+    for a in range(0, len(times), BLOCK):
+        b = min(a + BLOCK, len(times))
+        lo = max(a, 1)
+        if active:
+            # the block's last stage time, formed as its last step forms it
+            rates.start_block(times[b - 2] + steps[b - 2])
+        for k, t, hs in zip(range(lo, b), times[lo - 1 : b - 1], steps[lo - 1 : b - 1]):
+            half = 0.5 * hs
+            t_half = t + half
+            k1 = rates(t, z, z_own)
+            np.add(z_own, half * k1, out=y_own)
+            k2 = rates(t_half, y, y_own)
+            np.add(z_own, half * k2, out=y_own)
+            k3 = rates(t_half, y, y_own)
+            np.add(z_own, hs * k3, out=y_own)
+            k4 = rates(t + hs, y, y_own)
+            z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+            errors[k, ns] = z_own
+        if on_block is not None:
+            on_block(slice(a, b), errors[a:b])
 
     return Trajectory(p=p, times=np.array(times), errors=errors)

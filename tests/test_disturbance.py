@@ -426,3 +426,53 @@ def test_rows_are_views_of_one_time_major_block(spec, n_rows):
         assert block.flags.c_contiguous
         assert block.shape == (n_rows, len(g.edges))
         assert all(row.base is block for row in model.rows)
+
+
+WINDOW_SPECS = [
+    DisturbanceSpec(kind="zero"),
+    DisturbanceSpec(kind="sinusoid", amplitude=0.3),
+    DisturbanceSpec(kind="piecewise", amplitude=0.3),
+    DisturbanceSpec(kind="proportional", alpha_lower=0.0, alpha_upper=0.3,
+                    carrier="piecewise", knot_spacing=0.3),
+]
+
+
+@pytest.mark.parametrize("spec", WINDOW_SPECS, ids=["zero", "sinusoid", "piecewise", "prop-pw-coarse"])
+@pytest.mark.parametrize(
+    "t0, t1",
+    [(0.0, 0.127), (1.237, 1.5), (0.25, 0.35), (HORIZON - 0.128, HORIZON)],
+    ids=["first-block", "crosses-knots", "crosses-a-coarse-knot", "last-knot"],
+)
+def test_a_window_of_the_kept_edges_samples_their_bits(spec, t0, t1):
+    """``window(t0, t1).take(kept)`` samples ``sample_all(t)[kept]`` bit for
+    bit on [t0, t1], at every knot time there and at both ends, from only
+    the knot rows those times read."""
+    g = random_weighted_graph(12, max_nodes=10)
+    m = build_model(spec, g, 3, HORIZON)
+    kept = np.random.default_rng(8).permutation(len(g.edges))[: len(g.edges) // 2]
+    window = m.window(t0, t1)
+    taken = window.take(kept)
+    times = [t0, t1] + np.linspace(t0, t1, 301).tolist()
+    if m.knot_spacing is not None:
+        times += [t for t in sample_times(m.knot_spacing) if t0 <= t <= t1]
+    for t in times:
+        got, want = taken.sample_all(t), m.sample_all(t)[kept]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
+    if m.knot_spacing is not None:
+        last = len(m.rows) - 2
+        k0, k1 = (min(int(t / m.knot_spacing), last) for t in (t0, t1))
+        assert window.first_knot == taken.first_knot == k0
+        assert len(taken.rows) == k1 - k0 + 2
+        assert all(np.array_equal(row, m.rows[k0 + r][kept]) for r, row in enumerate(taken.rows))
+    if t1 < HORIZON:
+        with pytest.raises(DomainError):
+            taken.sample_all(t1 + 1e-9)
+
+
+def test_a_window_refuses_a_time_before_its_first_knot():
+    g = random_weighted_graph(12, max_nodes=10)
+    m = build_model(DisturbanceSpec(kind="piecewise", amplitude=0.3), g, 3, HORIZON)
+    window = m.window(1.237, 1.5)
+    window.sample_all(1.235)  # after knot 123, which the window keeps
+    with pytest.raises(DomainError, match="first knot"):
+        window.sample_all(1.229)

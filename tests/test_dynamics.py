@@ -1,11 +1,4 @@
-import json
 import math
-import os
-import signal
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +11,10 @@ from dbmc import (
     PTGainParams,
     PreconditionError,
     ValidationError,
+    WeightedDigraph,
     build_model,
     chain_initial_errors,
+    hop_random_graph,
     load_graph,
     log_integrating_factor,
     line_graph,
@@ -168,7 +163,7 @@ class TestSimulate:
             e = rng.uniform(0.0, 12.0, 13)
             e[0] = 0.0
             z = np.append(e[lay.non_sources], 0.0)
-            de = rates(float(t), z, z[:-1], math.nan)
+            de = rates(float(t), z, z[:-1])
             u = m.sample_all(float(t))
             x = p + e
             for k, i in enumerate(g.non_sources):
@@ -316,372 +311,272 @@ class TestAccuracyAgainstExactChains:
     ],
     ids=["zero", "sinusoid", "proportional-piecewise"],
 )
-def test_simulate_samples_the_disturbance_four_times_per_step(monkeypatch, spec):
-    """One sample per RK4 stage, through ``DisturbanceModel.sample_all``."""
-    g = standin13()
+@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+def test_simulate_samples_the_disturbance_four_times_per_step(monkeypatch, spec, large):
+    """One sample per RK4 stage, through ``DisturbanceModel.sample_all``.
+    The large layout takes the active RHS, which samples fewer edges on
+    most stages."""
+    g = hop_random_graph(300, 0.05, 1) if large else standin13()
+    assert (len(candidate_layout(g, zero_model(g)).order) >= dynamics.ACTIVE_EDGES) == large
     m = build_model(spec, g, 3, 5.0)
     calls = []
     original = DisturbanceModel.sample_all
 
     def counted(model, t):
-        calls.append(t)
+        calls.append(len(model.edge_lower))
         return original(model, t)
 
     monkeypatch.setattr(DisturbanceModel, "sample_all", counted)
     traj = simulate(g, m, PARAMS, constant_initial(g, 12.0), 1.5)
     assert len(calls) == 4 * (len(traj.times) - 1)
+    assert (min(calls) < len(g.edges)) == large
 
-
-# The split RHS runs only in a process with one OS thread.  Each test below
-# runs ``simulate`` in a child interpreter started with OPENBLAS_NUM_THREADS=1,
-# which keeps numpy's BLAS pool from starting a thread, so the thread check
-# holds without patching it.  The prelude records every pid ``os.fork``
-# returns to the parent in ``forks``.
-SPLIT_PRELUDE = """
-import json, os, signal, sys, threading, time
-import numpy as np
-from dbmc import (DisturbanceModel, DisturbanceSpec, IntegrationError, PTGainParams,
-                  WeightedDigraph, build_model, hop_random_graph, simulate,
-                  solve_shortest_paths)
-from dbmc import dynamics
-from dbmc.disturbance import candidate_layout
-
-PARAMS = PTGainParams(gamma=2.0, h=12.0, deadline=5.0)
-MAIN = os.getpid()
-forks = []
-_fork = os.fork
-
-def fork():
-    pid = _fork()
-    if pid:
-        forks.append(pid)
-    return pid
-
-os.fork = fork
 
 def x0_of(g):
     x0 = np.array(solve_shortest_paths(g).p) + 12.0
     x0[[s - 1 for s in g.sources]] = 0.0
     return x0
 
-def run(g, model, split, t_end=1.0, **kw):
-    dynamics.SPLIT_EDGES = 1 if split else 10**12
-    before = len(forks)
-    traj = simulate(g, model, PARAMS, x0_of(g), t_end, **kw)
-    return traj, len(forks) - before
 
-def parent_sample(at, action):
-    # patch sample_all to call action() before the parent's at-th sample;
-    # the worker's samples are left alone
-    original, calls = DisturbanceModel.sample_all, [0]
+def run_counted(monkeypatch, g, model, active, t_end=1.0, params=PARAMS, x0=None):
+    """``simulate`` on the active RHS (``active``, every layout) or the full
+    one (no layout), and the counts of its stages: ``full`` and ``pruned``
+    samples (of the whole layout's edges and of fewer), and the active RHS's
+    refreshes, ``mid`` of them inside a block."""
+    monkeypatch.setattr(dynamics, "ACTIVE_EDGES", 1 if active else 10**12)
+    n_edges = len(candidate_layout(g, model).order)
+    counts = {"full": 0, "pruned": 0, "refresh": 0, "mid": 0}
+    sample_all, refresh = DisturbanceModel.sample_all, dynamics._ActiveRates._refresh
 
-    def sample_all(model, t):
-        if os.getpid() == MAIN:
-            calls[0] += 1
-            if calls[0] == at:
-                action()
-        return original(model, t)
+    def counted_sample(m, t):
+        counts["full" if len(m.edge_lower) == n_edges else "pruned"] += 1
+        return sample_all(m, t)
 
-    DisturbanceModel.sample_all = sample_all
+    def counted_refresh(rates, *args):
+        counts["refresh"] += 1
+        counts["mid"] += rates._kept is not None  # a failed test, not a block start
+        return refresh(rates, *args)
 
-def gone(pid):
+    monkeypatch.setattr(DisturbanceModel, "sample_all", counted_sample)
+    monkeypatch.setattr(dynamics._ActiveRates, "_refresh", counted_refresh)
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    return False
-
-G = hop_random_graph(40, 0.3, 1)
-SINUSOID = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), G, 1, 5.0)
-"""
+        traj = simulate(g, model, params, x0_of(g) if x0 is None else x0, t_end)
+    finally:
+        monkeypatch.setattr(DisturbanceModel, "sample_all", sample_all)
+        monkeypatch.setattr(dynamics._ActiveRates, "_refresh", refresh)
+    return traj, counts
 
 
-def _split_env() -> dict:
-    src = str(Path(dynamics.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                PYTHONPATH=src + (os.pathsep + path if path else ""))
+def assert_same_bits(a, b):
+    assert np.array_equal(a.errors.view(np.uint64), b.errors.view(np.uint64))
 
 
-def _split_child(code: str) -> dict:
-    """Run ``SPLIT_PRELUDE + code`` in a child; its stdout must be one JSON line."""
-    proc = subprocess.run(
-        [sys.executable, "-c", SPLIT_PRELUDE + code],
-        capture_output=True, text=True, env=_split_env(), timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    return json.loads(proc.stdout)
-
-
-# Each case is a graph and a disturbance, simulated split and serial in one
-# child; the child also reports where the cut fell.
-SPLIT_CASES = """
-def relabel(g, f):
+def _relabel(g, f):
     return WeightedDigraph(g.node_count, frozenset(f(s) for s in g.sources),
                            tuple((f(i), f(j), w) for i, j, w in g.edges))
 
-spec = DisturbanceSpec
 
-n = 60
-chain_to_source = WeightedDigraph(
-    n, frozenset({1}),
-    tuple((i, i - 1, 1.0) for i in range(2, n + 1)) + tuple((i, 1, float(i)) for i in range(3, n + 1)))
-tree = hop_random_graph(60, 0.0, 3)  # node 30 holds about half the edges
-hub = WeightedDigraph(60, tree.sources, tree.edges + tuple(
-    (30, j, 5.0) for j in range(1, 61) if j != 30 and all(e[:2] != (30, j) for e in tree.edges)))
-cases = {
-    "sinusoid": (G, spec(kind="sinusoid", amplitude=0.3)),
-    "piecewise": (G, spec(kind="piecewise", amplitude=0.3)),
-    "proportional": (G, spec(kind="proportional", alpha_lower=0.1, alpha_upper=0.4,
-                             carrier="sinusoid")),
-    "proportional-piecewise": (G, spec(kind="proportional", alpha_lower=0.0,
-                                       alpha_upper=0.4, carrier="piecewise")),
-    "zero": (G, spec(kind="zero")),
-    "two-sources": (WeightedDigraph(40, frozenset({1, 7}), G.edges), spec(kind="sinusoid", amplitude=0.3)),
-    "source-not-1": (relabel(G, lambda i: 41 - i), spec(kind="piecewise", amplitude=0.3)),
-    "unequal-halves": (hub, spec(kind="sinusoid", amplitude=0.3)),
-    "source-slot-at-cut": (chain_to_source, spec(kind="sinusoid", amplitude=0.3)),
-}
-out = {}
-for name, (g, s) in cases.items():
-    model = build_model(s, g, 2, 5.0)
-    split, split_forks = run(g, model, True)
-    serial, serial_forks = run(g, model, False)
-    lay = candidate_layout(g, model)
-    cut = dynamics._Worker(lay, model, np.zeros(g.node_count)).cut
-    m, starts = len(lay.starts), list(lay.starts) + [len(lay.order)]
-    out[name] = {
-        "same": split.errors.tobytes() == serial.errors.tobytes(),
-        "forks": [split_forks, serial_forks],
-        "sources": sorted(g.sources),
-        "edges": [int(starts[cut]), int(len(lay.order) - starts[cut])],
-        "reads_source": [bool(np.any(lay.slots[starts[k]:starts[k + 1]] == m))
-                         for k in (cut - 1, cut)],
+def _active_cases():
+    """name -> (graph, spec): graphs of 40-60 nodes, each simulated on the
+    active and the full RHS."""
+    spec = DisturbanceSpec
+    g = hop_random_graph(40, 0.3, 1)
+    n = 60
+    # every non-source reads the source slot, and all but node 2 also a
+    # non-source one
+    chain_to_source = WeightedDigraph(
+        n, frozenset({1}),
+        tuple((i, i - 1, 1.0) for i in range(2, n + 1))
+        + tuple((i, i - 2, 2.0) for i in range(4, n + 1))
+        + tuple((i, 1, float(i)) for i in range(3, n + 1)),
+    )
+    sparse = hop_random_graph(60, 0.05, 3)
+    hub = WeightedDigraph(60, sparse.sources, sparse.edges + tuple(
+        (30, j, 1.0) for j in range(1, 61)
+        if j != 30 and all(e[:2] != (30, j) for e in sparse.edges)))
+    sinusoid = spec(kind="sinusoid", amplitude=0.1)
+    return {
+        "sinusoid": (g, spec(kind="sinusoid", amplitude=0.3)),
+        "piecewise": (g, spec(kind="piecewise", amplitude=0.1)),
+        "proportional": (g, spec(kind="proportional", alpha_lower=0.05, alpha_upper=0.1,
+                                 carrier="sinusoid")),
+        "proportional-piecewise": (g, spec(kind="proportional", alpha_lower=0.0,
+                                           alpha_upper=0.4, carrier="piecewise")),
+        "zero": (g, spec(kind="zero")),
+        "two-sources": (WeightedDigraph(40, frozenset({1, 7}), g.edges), sinusoid),
+        "source-not-1": (_relabel(g, lambda i: 41 - i), spec(kind="piecewise", amplitude=0.1)),
+        "hub": (hub, sinusoid),
+        "chain-to-source": (chain_to_source, spec(kind="sinusoid", amplitude=0.01)),
     }
-print(json.dumps(out))
-"""
 
 
-@pytest.fixture(scope="module")
-def split_cases():
-    return _split_child(SPLIT_CASES)
+ACTIVE_CASES = _active_cases()
 
 
-class TestSplitRates:
-    """A forked worker takes the non-sources from a segment boundary near half
-    the candidate edges; every value is the same elementwise op or
-    per-segment minimum as in the serial RHS, so the bits are the same."""
+class TestActiveCandidates:
+    """The active RHS keeps the full RHS's bits: a dropped candidate provably
+    stays above its node's minimum, and no candidate is -0."""
 
-    @pytest.mark.parametrize("case", [
-        "sinusoid", "piecewise", "proportional", "proportional-piecewise", "zero",
-        "two-sources", "source-not-1", "unequal-halves", "source-slot-at-cut",
-    ])
-    def test_split_errors_have_the_serial_bits(self, split_cases, case):
-        got = split_cases[case]
-        assert got["forks"] == [1, 0]
-        assert got["same"]
+    @pytest.mark.parametrize("case", list(ACTIVE_CASES))
+    def test_active_errors_have_the_full_bits(self, monkeypatch, case):
+        g, spec = ACTIVE_CASES[case]
+        model = build_model(spec, g, 2, 5.0)
+        active, counts = run_counted(monkeypatch, g, model, True)
+        full, full_counts = run_counted(monkeypatch, g, model, False)
+        assert_same_bits(active, full)
+        assert full_counts == {"full": 4000, "pruned": 0, "refresh": 0, "mid": 0}
+        assert counts["full"] + counts["pruned"] == 4000
 
-    def test_the_cases_reach_what_they_name(self, split_cases):
-        assert split_cases["two-sources"]["sources"] == [1, 7]
-        assert split_cases["source-not-1"]["sources"] == [40]
-        parent, worker = split_cases["unequal-halves"]["edges"]
-        assert max(parent, worker) > 2 * min(parent, worker)
-        assert split_cases["source-slot-at-cut"]["reads_source"] == [True, True]
+    def test_the_cases_reach_what_they_name(self, monkeypatch):
+        cases = ACTIVE_CASES
+        assert sorted(cases["two-sources"][0].sources) == [1, 7]
+        assert sorted(cases["source-not-1"][0].sources) == [40]
+        g, spec = cases["chain-to-source"]
+        lay = candidate_layout(g, build_model(spec, g, 2, 5.0))
+        reads_source = np.maximum.reduceat(lay.slots == len(lay.starts), lay.starts)
+        assert reads_source.all()
+        g, spec = cases["hub"]
+        lay = candidate_layout(g, build_model(spec, g, 2, 5.0))
+        assert lay.degree.max() > 10 * np.median(lay.degree)
+        for name, (g, spec) in cases.items():
+            counts = run_counted(monkeypatch, g, build_model(spec, g, 2, 5.0), True)[1]
+            assert counts["pruned"] > 0, name
 
-    def test_fork_only_when_every_condition_holds(self):
-        got = _split_child("""
-model = SINUSOID
-x0 = x0_of(G)
-edges = len(candidate_layout(G, model).order)
-def forks_in(threshold, **kw):
-    dynamics.SPLIT_EDGES = threshold
-    before = len(forks)
-    simulate(G, model, PARAMS, x0, 0.05, **kw)
-    return len(forks) - before
-out = {"at the threshold": forks_in(edges),
-       "below the threshold": forks_in(edges + 1),
-       "streaming": forks_in(1, on_block=lambda span, rows: None)}
-affinity = os.sched_getaffinity
-os.sched_getaffinity = lambda pid: {0}
-out["one CPU"] = forks_in(1)
-os.sched_getaffinity = affinity
-stop = threading.Event()
-thread = threading.Thread(target=stop.wait)
-thread.start()
-out["second thread"] = forks_in(1)
-stop.set()
-thread.join()
-out["after the thread"] = forks_in(1)
-print(json.dumps(out))
-""")
-        assert got == {
-            "at the threshold": 1, "below the threshold": 0, "streaming": 0,
-            "one CPU": 0, "second thread": 0, "after the thread": 1,
-        }
+    def test_a_test_that_fails_inside_a_block_refreshes_there(self, monkeypatch):
+        """Far from the solution the errors move faster than a small
+        disturbance's margin allows, so the test fails inside the first
+        block, and the stage refreshes and goes on pruning."""
+        g = hop_random_graph(40, 0.3, 1)
+        model = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.01), g, 2, 5.0)
+        x0 = np.array(solve_shortest_paths(g).p) + 10.0
+        x0[0] = 0.0
+        active, counts = run_counted(monkeypatch, g, model, True, 0.127, x0=x0)
+        full, _ = run_counted(monkeypatch, g, model, False, 0.127, x0=x0)
+        assert_same_bits(active, full)
+        assert len(active.times) == dynamics.BLOCK  # one block
+        assert counts["mid"] >= 1
+        assert counts["refresh"] == 1 + counts["mid"]
+        assert counts["pruned"] > 0
 
-    def test_no_worker_outlives_simulate(self):
-        got = _split_child("""
-out = {"forks": run(G, SINUSOID, True)[1], "returned": gone(forks[-1])}
-def fail():
-    raise RuntimeError("stage 7")
-parent_sample(7, fail)
-try:
-    run(G, SINUSOID, True)
-except RuntimeError as exc:
-    out["raised"] = str(exc)
-out["raised, gone"] = gone(forks[-1])
-print(json.dumps(out))
-""")
-        assert got == {"forks": 1, "returned": True, "raised": "stage 7", "raised, gone": True}
+    @pytest.mark.parametrize("case", ["sinusoid", "piecewise", "proportional-piecewise", "zero"])
+    def test_no_input_the_test_admits_moves_a_minimum(self, case):
+        """The margin is a bound, not an estimate: stage inputs at just under
+        half the margin from the refresh's input, with random signs, at times
+        across the block, give the full RHS's bits on a pruned stage, and
+        one just over half the margin refreshes."""
+        g, spec = ACTIVE_CASES[case]
+        model = build_model(spec, g, 2, 5.0)
+        lay = candidate_layout(g, model)
+        p = np.array(solve_shortest_paths(g).p)
+        active = dynamics._ActiveRates(lay, model, p, PARAMS)
+        full = dynamics._rates(lay, model, p, PARAMS)
+        rng = np.random.default_rng(0)
+        m = len(lay.starts)
+        z = np.append(rng.uniform(0.0, 3.0, m), 0.0)
+        active.start_block(0.428)
+        active(0.3, z, z[:m])
+        kept = active._kept
+        margin = kept[-1]
+        assert margin > 0.0
+        for t in np.linspace(0.3, 0.428, 33):
+            for _ in range(30):
+                y = z.copy()
+                y[:m] += 0.4999 * margin * rng.choice((-1.0, 1.0), m)
+                got, want = active(float(t), y, y[:m]), full(float(t), y, y[:m])
+                assert active._kept is kept  # a pruned stage
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # just over half the margin, the stage refreshes
+        y = z.copy()
+        y[:m] += 0.5001 * margin
+        active(0.428, y, y[:m])
+        assert active._kept is not kept
 
-    @pytest.mark.parametrize("how", ["killed", "raises"])
-    def test_a_lost_worker_raises_instead_of_hanging(self, how):
-        """The worker leaves silently: the child's stderr stays empty."""
-        got = _split_child(f"""
-if {how!r} == "killed":
-    parent_sample(7, lambda: os.kill(forks[-1], signal.SIGKILL))
-else:
-    original = DisturbanceModel.sample_all
-    def sample_all(model, t):
-        if os.getpid() != MAIN:
-            raise RuntimeError("worker")
-        return original(model, t)
-    DisturbanceModel.sample_all = sample_all
-start = time.monotonic()
-try:
-    run(G, SINUSOID, True)
-    error = None
-except IntegrationError as exc:
-    error = str(exc)
-print(json.dumps({{"error": error, "seconds": time.monotonic() - start, "gone": gone(forks[-1])}}))
-""")
-        assert got["error"] is not None and "worker" in got["error"]
-        assert got["seconds"] < 10.0
-        assert got["gone"]
+    def test_samples_at_the_full_times_in_the_full_order(self, monkeypatch):
+        """The second run's t_end is off the step grid, so its last step is
+        shortened and its last stage time is not a stored time."""
+        g, spec = ACTIVE_CASES["sinusoid"]
+        model = build_model(spec, g, 2, 5.0)
+        original = DisturbanceModel.sample_all
+        for t_end, last_step in ((0.05, 1.0), (0.0505, 0.5)):
+            times = {True: [], False: []}
+            for active in times:
+                def sample_all(m, t, seen=times[active]):
+                    seen.append(t)
+                    return original(m, t)
 
-    def test_the_parent_samples_at_the_serial_times_in_the_serial_order(self):
-        """Each side samples its next stage while it waits, yet this process
-        still samples once per stage, at the serial run's times and in its
-        order, and takes no sample after the last stage; the second run's
-        t_end is off the step grid, so its last step is shortened."""
-        got = _split_child("""
-def sample_times(split, t_end):
-    original, times = DisturbanceModel.sample_all, []
-    def sample_all(model, t):
-        if os.getpid() == MAIN:
-            times.append(t)
-        return original(model, t)
-    DisturbanceModel.sample_all = sample_all
-    try:
-        return run(G, SINUSOID, split, t_end)[1], times
-    finally:
-        DisturbanceModel.sample_all = original
-out = {}
-for t_end in (0.05, 0.0505):
-    steps = dynamics.step_grid(PARAMS, t_end)[1]
-    split_forks, split = sample_times(True, t_end)
-    serial_forks, serial = sample_times(False, t_end)
-    out[repr(t_end)] = {"forks": [split_forks, serial_forks], "same": split == serial,
-                        "samples": [len(split), 4 * len(steps)],
-                        "last step": steps[-1] / steps[0]}
-print(json.dumps(out))
-""")
-        for t_end, last_step in (("0.05", 1.0), ("0.0505", 0.5)):
-            case = got[t_end]
-            assert case["forks"] == [1, 0]
-            assert case["same"]
-            assert case["samples"][0] == case["samples"][1]
-            assert case["last step"] == pytest.approx(last_step, rel=1e-9)
+                monkeypatch.setattr(DisturbanceModel, "sample_all", sample_all)
+                monkeypatch.setattr(dynamics, "ACTIVE_EDGES", 1 if active else 10**12)
+                simulate(g, model, PARAMS, x0_of(g), t_end)
+            steps = dynamics.step_grid(PARAMS, t_end)[1]
+            assert times[True] == times[False]
+            assert len(times[True]) == 4 * len(steps)
+            assert steps[-1] / steps[0] == pytest.approx(last_step, rel=1e-9)
 
-    def test_a_worker_killed_while_it_samples_ahead_raises(self):
-        """The worker dies by SIGKILL after it has published stage 6, while
-        it samples stage 7: this process posts stage 7, samples stage 8
-        while it waits, and then raises instead of hanging."""
-        got = _split_child("""
-original, worker_calls, parent_calls = DisturbanceModel.sample_all, [0], [0]
-def sample_all(model, t):
-    if os.getpid() == MAIN:
-        parent_calls[0] += 1
+    def test_a_refresh_that_keeps_most_candidates_runs_the_block_in_full(self, monkeypatch):
+        """On a line every node has one candidate, so no stage can prune."""
+        g = line_graph(30)
+        model = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), g, 2, 5.0)
+        active, counts = run_counted(monkeypatch, g, model, True, 0.3)
+        full, _ = run_counted(monkeypatch, g, model, False, 0.3)
+        assert_same_bits(active, full)
+        assert counts == {"full": 1200, "pruned": 0, "refresh": 3, "mid": 0}
+
+
+CARRIERS = (
+    DisturbanceSpec(kind="zero"),
+    DisturbanceSpec(kind="sinusoid", amplitude=0.05),
+    DisturbanceSpec(kind="piecewise", amplitude=0.05),
+    DisturbanceSpec(kind="proportional", alpha_lower=0.02, alpha_upper=0.05, carrier="sinusoid"),
+    DisturbanceSpec(kind="proportional", alpha_lower=0.0, alpha_upper=0.05, carrier="piecewise"),
+)
+
+
+def random_two_source_case(seed):
+    """A seeded random graph of 20-40 nodes with sources 1 and 2, with its
+    disturbance, gain and initial state, over every carrier, gamma in
+    {0.1, 2}, h in {0, 2, 12} and x0 = p + {0, U(0, 1), U(0, 10)}; the
+    weights lie on a 0.5 grid (many ties) or are continuous."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 41))
+    if seed % 2:
+        def weight():
+            return float(rng.uniform(0.2, 3.0))
     else:
-        worker_calls[0] += 1  # call 1 is stage 1's; call k + 1 follows stage k
-        if worker_calls[0] == 7:
-            os.kill(os.getpid(), signal.SIGKILL)
-    return original(model, t)
-DisturbanceModel.sample_all = sample_all
-start = time.monotonic()
-try:
-    run(G, SINUSOID, True)
-    error = None
-except IntegrationError as exc:
-    error = str(exc)
-print(json.dumps({"error": error, "seconds": time.monotonic() - start,
-                  "gone": gone(forks[-1]), "parent samples": parent_calls[0]}))
-""")
-        assert got["error"] is not None and "worker" in got["error"]
-        assert got["seconds"] < 10.0
-        assert got["gone"]
-        assert got["parent samples"] == 8
-
-    def test_the_split_run_holds_no_fd_and_no_named_semaphore(self):
-        """The handoff is two semaphores whose names are unlinked at once, and
-        each side watches the process tree, not a pipe, for the other."""
-        got = _split_child("""
-def fds():
-    return sorted(os.listdir("/proc/self/fd"))
-seen = {}
-def at_stage_7():
-    seen["stage 7"] = fds()
-    seen["semaphores"] = sorted(n for n in os.listdir("/dev/shm") if n.startswith("sem.dbmc-"))
-before = fds()
-parent_sample(7, at_stage_7)
-forks_made = run(G, SINUSOID, True)[1]
-print(json.dumps({"forks": forks_made, "before": before, "after": fds(), **seen}))
-""")
-        assert got["forks"] == 1
-        assert got["stage 7"] == got["before"]
-        assert got["after"] == got["before"]
-        assert got["semaphores"] == []
-
-    def test_a_killed_parent_leaves_no_worker(self):
-        """The orphaned worker exits by itself, through ``os._exit``: it neither
-        flushes the stdout buffer it inherited nor runs the atexit hook."""
-        code = """
-import atexit
-sys.stdout.write("buffered\\n")
-atexit.register(lambda: sys.stdout.write("atexit\\n"))
-def stop():
-    print(forks[-1], flush=True)
-    time.sleep(600)
-parent_sample(7, stop)
-run(G, SINUSOID, True)
-"""
-        proc = subprocess.Popen(
-            [sys.executable, "-c", SPLIT_PRELUDE + code],
-            stdout=subprocess.PIPE, text=True, env=_split_env(),
-        )
-        try:
-            assert proc.stdout.readline() == "buffered\n"
-            worker = int(proc.stdout.readline())
-        finally:
-            proc.kill()
-            proc.wait(timeout=60)
-        deadline = time.monotonic() + 10.0
-        try:
-            while _alive(worker) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not _alive(worker)
-        finally:
-            if _alive(worker):
-                os.kill(worker, signal.SIGKILL)
-        assert proc.stdout.read() == ""  # EOF: the worker wrote nothing
-        proc.stdout.close()
+        def weight():
+            return 0.5 * float(rng.integers(1, 7))
+    edges = [(k, int(rng.integers(1, k)), weight()) for k in range(3, n + 1)]
+    present = {(i, j) for i, j, _ in edges}
+    for i in range(3, n + 1):
+        for j in range(1, n + 1):
+            if i != j and (i, j) not in present and rng.random() < 0.3:
+                edges.append((i, j, weight()))
+                present.add((i, j))
+    g = WeightedDigraph(n, frozenset({1, 2}), tuple(edges))
+    spec = CARRIERS[seed % len(CARRIERS)]
+    params = PTGainParams(gamma=(0.1, 2.0)[seed // 5 % 2], h=(0.0, 2.0, 12.0)[seed % 3],
+                          deadline=5.0)
+    spread = (0.0, 1.0, 10.0)[seed // 3 % 3]
+    x0 = np.array(solve_shortest_paths(g).p) + rng.uniform(0.0, spread, n)
+    x0[:2] = 0.0
+    return g, build_model(spec, g, seed, 5.0), params, x0
 
 
-def _alive(pid: int) -> bool:
-    """Whether ``pid`` runs; an orphan's zombie counts as gone."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
+@pytest.mark.parametrize("seed", range(48))
+def test_active_rhs_keeps_the_bits_on_random_graphs(monkeypatch, seed):
+    g, model, params, x0 = random_two_source_case(seed)
+    active, counts = run_counted(monkeypatch, g, model, True, 0.5, params, x0)
+    full, _ = run_counted(monkeypatch, g, model, False, 0.5, params, x0)
+    assert_same_bits(active, full)
+    assert counts["full"] + counts["pruned"] == 2000
+
+
+@pytest.mark.parametrize("seed", [5, 15, 25, 35])
+def test_a_set_that_breaks_early_makes_the_next_one_wider(monkeypatch, seed):
+    """Zero disturbance on continuous weights: sigma starts each block at
+    0, so the first kept sets break within a few stages.  Widening them
+    keeps the refreshes to at most one per ``SHORT_LIVED`` stages."""
+    g, model, params, x0 = random_two_source_case(seed)
+    assert model.u_plus == 0.0 and len({w for _, _, w in g.edges}) == len(g.edges)
+    counts = run_counted(monkeypatch, g, model, True, 0.5, params, x0)[1]
+    assert counts["mid"] > 0
+    assert counts["refresh"] * dynamics.SHORT_LIVED <= counts["full"] + counts["pruned"]
