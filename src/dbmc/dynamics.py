@@ -53,7 +53,10 @@ ACTIVE_EDGES = 2500
 # its test within this many pruned stages has barely paid for itself, and the
 # next one is kept wider (:class:`_ActiveRates`).  Without the widening, zero
 # disturbance on continuous weights refreshed at every second stage and took
-# x2.06 the full RHS's time on a 1000-node graph; with it, x0.53.
+# x2.06 the full RHS's time on a 1000-node graph; with it, x0.53.  It is also
+# the first wait, in stages, before a refresh that bails is retried.  On that
+# graph with x0 = 12, retrying there in place of refreshing at every block
+# start took the full stages of a run to t_s from 540 to 242.
 SHORT_LIVED = 16
 
 
@@ -177,10 +180,12 @@ def _rates(
     gamma, two_h2, deadline = params.gamma, 2.0 * (1.0 + params.h), params.deadline
     grouped, offsets = _segments(lay, model, p)
     slots, starts = lay.slots, lay.starts
+    gain = np.zeros(())  # see simulate's step sizes
 
     def rates(t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
         best = np.minimum.reduceat(z[slots] + offsets + grouped.sample_all(t), starts)
-        return (gamma + two_h2 / (deadline - t)) * (best - own)
+        gain[()] = gamma + two_h2 / (deadline - t)
+        return gain * (best - own)
 
     return rates
 
@@ -205,16 +210,16 @@ class _ActiveRates:
     terms are, and no offset is) and a NaN input fails the test, so the
     minimum has the bits of the full one.
 
-    A stage refreshes at the start of each block (:meth:`start_block`) and
-    when the test fails.  sigma starts each block at 2 max W and is never
-    taken below 4 eps, so that S > 2 eps.  A kept set that fails the test within
-    ``SHORT_LIVED`` pruned stages widens the next one: sigma becomes twice
-    the larger of sigma and D, so a steady drift breaks each set later than
-    the last.  A refresh that keeps more than half the candidates, or whose
-    padded (K x m) minimum buffer would outgrow twice the candidate array,
-    leaves the stages up to the next block in full.  The choice between a
-    full and a pruned stage is made before sampling, so each stage samples
-    once.
+    The first stage refreshes, and so does a stage whose test fails; a
+    kept set outlives a block start (:meth:`start_block`).  sigma starts
+    each block at 2 max W and is never taken below 4 eps, so that S > 2
+    eps.  A kept set that fails the test within ``SHORT_LIVED`` pruned
+    stages widens the next one: sigma becomes twice the larger of sigma
+    and D, so a steady drift breaks each set later than the last.  A
+    refresh that would keep more than half the candidates *bails*: it
+    keeps none, and the stages up to its retry run in full.  The choice
+    between a full and a pruned stage is made before sampling, so each
+    stage samples once.
     """
 
     def __init__(
@@ -225,15 +230,23 @@ class _ActiveRates:
         self._grouped, self._offsets = _segments(lay, model, p)
         self._slots, self._starts = lay.slots, lay.starts
         self._degree = lay.degree
+        # the position among the non-sources of each candidate's tail
+        self._node = np.repeat(np.arange(len(lay.starts)), lay.degree)
         self._w_max = float((self._grouped.edge_lower + self._grouped.edge_upper).max())
         self._dz = np.empty(len(lay.starts) + 1)
-        self._best = np.empty(len(lay.starts))
+        self._gain = np.zeros(())
+        # _left: the full stages before the next refresh.  A bail retries
+        # after _wait stages, which starts at SHORT_LIVED, grows 1.5 times
+        # with each bail in a row, across block starts, and resets once a
+        # refresh keeps a set.
+        self._kept, self._wait, self._left = None, SHORT_LIVED, 0
         self.start_block(model.horizon)
 
     def start_block(self, t_last: float) -> None:
-        """Refresh at the next stage; no stage before the next call samples
-        past ``t_last``."""
-        self._kept, self._due, self._t_last = None, True, t_last
+        """No stage before the next call samples past ``t_last``."""
+        # a kept set stays; the first stage that passes its test re-windows
+        # its sub-model to the block, with no full stage
+        self._t_last, self._stale = t_last, True
         self._sigma = 2.0 * self._w_max
 
     def __call__(self, t: float, z: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -242,49 +255,58 @@ class _ActiveRates:
         if best is None:
             cand = z[self._slots] + self._offsets + self._grouped.sample_all(t)
             best = np.minimum.reduceat(cand, self._starts)
-            if self._due:
+            if self._left:
+                self._left -= 1
+            else:
                 self._refresh(t, z, cand)
-        return (gamma + two_h2 / (deadline - t)) * (best - own)
+        gain = self._gain
+        gain[()] = gamma + two_h2 / (deadline - t)
+        return gain * (best - own)
 
     def _pruned(self, t: float, z: np.ndarray) -> np.ndarray | None:
         """The minima from the kept candidates at stage input ``z``, or None
         (a refresh due) when ``z`` lies too far from the refresh's input."""
-        sub, slots, offsets, pos, flat, buf, z_ref, margin = self._kept
+        kept, slots, offsets, extra, z_ref, margin = self._kept
         dz = np.subtract(z, z_ref, out=self._dz)
         d = float(np.abs(dz, out=dz).max())
         if 2.0 * d < margin:
+            if self._stale:
+                self._sub, self._stale = self._grouped.window(t, self._t_last).take(kept), False
             self._served += 1
-            flat[pos] = z[slots] + offsets + sub.sample_all(t)
-            return np.minimum.reduce(buf, axis=0, out=self._best)
+            cand = z[slots] + offsets + self._sub.sample_all(t)
+            m = len(z) - 1  # z ends with the sources' 0
+            best = cand[:m]  # each node's first kept candidate
+            np.minimum.at(best, extra, cand[m:])
+            return best
         if self._served < SHORT_LIVED:
             self._sigma = 2.0 * max(self._sigma, d)
-        self._due = True
         return None
 
     def _refresh(self, t: float, z: np.ndarray, cand: np.ndarray) -> None:
         """Keep the candidates that can still be a minimum, from the
-        candidates ``cand`` of stage input ``z`` at time ``t``."""
-        self._due, self._kept = False, None
-        starts, m = self._starts, len(self._starts)
+        candidates ``cand`` of stage input ``z`` at time ``t``, or bail."""
+        self._kept = None
         w = self._grouped.edge_lower + self._grouped.edge_upper
         eps = 1e-12 * (1.0 + float(np.abs(cand).max()) + self._w_max)
-        top = np.minimum.reduceat(cand + w, starts)
+        top = np.minimum.reduceat(cand + w, self._starts)
         low = cand - w
         keep = low <= np.repeat(top + max(self._sigma, 4.0 * eps), self._degree)
         kept = np.flatnonzero(keep)
-        kept_node = np.searchsorted(starts, kept, side="right") - 1
-        counts = np.bincount(kept_node, minlength=m)
-        rows = int(counts.max())
-        if 2 * len(kept) > len(cand) or rows * m > 2 * len(cand):
+        if 2 * len(kept) > len(cand):
+            self._left, self._wait = self._wait - 1, self._wait + self._wait // 2
             return
-        low[keep] = np.inf
-        margin = float((np.minimum.reduceat(low, starts) - top).min()) - 2.0 * eps
-        # the k-th kept candidate of node i goes to row k, column i
-        pos = (np.arange(len(kept)) - (np.cumsum(counts) - counts)[kept_node]) * m + kept_node
-        buf = np.full((rows, m), np.inf)
-        sub = self._grouped.window(t, self._t_last).take(kept)
-        self._kept = (sub, self._slots[kept], self._offsets[kept], pos, buf.reshape(-1), buf,
-                      z.copy(), margin)
+        self._wait = SHORT_LIVED
+        # min over the dropped e of (c_e - W_e) - min(c + W) of e's node
+        gap = np.where(keep, np.inf, low) - np.repeat(top, self._degree)
+        margin = float(gap.min()) - 2.0 * eps
+        # each node's first kept candidate, in node order, then the others
+        node = self._node[kept]
+        first = np.ones(len(kept), dtype=bool)
+        np.not_equal(node[1:], node[:-1], out=first[1:])
+        kept = np.concatenate((kept[first], kept[~first]))
+        self._sub, self._stale = self._grouped.window(t, self._t_last).take(kept), False
+        self._kept = (kept, self._slots[kept], self._offsets[kept], node[~first], z.copy(),
+                      margin)
         self._served = 0
 
 
@@ -337,11 +359,12 @@ def simulate(
     of ``BLOCK`` rows of ``errors`` (the last may be shorter), in order, as
     soon as its last step is taken: ``rows`` is ``errors[span]``, final.
 
-    On a layout of at least ``ACTIVE_EDGES`` candidate edges, most stages
-    evaluate only the candidates that can still be a node's minimum
-    (:class:`_ActiveRates`); the result has the same bits, and the samples
-    the same times, as a run that evaluates all of them.  Nothing forks, so
-    no setting such as ``OPENBLAS_NUM_THREADS=1`` is needed.
+    On a layout of at least ``ACTIVE_EDGES`` candidate edges, and twice its
+    non-sources, most stages evaluate only the candidates that can still
+    be a node's minimum (:class:`_ActiveRates`); the result has the same
+    bits, and the samples the same times, as a run that evaluates all of
+    them.  Nothing forks, so no setting such as ``OPENBLAS_NUM_THREADS=1``
+    is needed.
     """
     if sol is None:
         sol = solve_shortest_paths(g)
@@ -353,7 +376,9 @@ def simulate(
     lay = candidate_layout(g, model)
     ns = lay.non_sources
     p = np.asarray(sol.p, dtype=float)
-    active = len(lay.order) >= ACTIVE_EDGES
+    # Every non-source keeps at least one candidate, so where 2m > E no
+    # refresh could keep half or fewer.
+    active = len(lay.order) >= ACTIVE_EDGES and 2 * len(ns) <= len(lay.order)
     rates = (_ActiveRates if active else _rates)(lay, model, p, params)
 
     # Only the m non-source errors are integrated.  ``z`` and the stage
@@ -366,6 +391,12 @@ def simulate(
     z = np.append(errors[0, ns], 0.0)
     y = np.zeros(m + 1)
     z_own, y_own = z[:m], y[:m]
+    # a basic slice when the non-sources are one id range, as when node 1 is
+    # the only source: a row store then takes about a sixth of the time
+    cols = slice(ns[0], ns[-1] + 1) if m and ns[-1] - ns[0] == m - 1 else ns
+    # The step sizes and the gain are 0-d arrays: an array times a Python
+    # float costs about 150 ns more than an array times a 0-d array.
+    half, step, sixth = np.zeros(()), np.zeros(()), np.zeros(())
     for a in range(0, len(times), BLOCK):
         b = min(a + BLOCK, len(times))
         lo = max(a, 1)
@@ -373,17 +404,17 @@ def simulate(
             # the block's last stage time, formed as its last step forms it
             rates.start_block(times[b - 2] + steps[b - 2])
         for k, t, hs in zip(range(lo, b), times[lo - 1 : b - 1], steps[lo - 1 : b - 1]):
-            half = 0.5 * hs
-            t_half = t + half
+            half[()], step[()], sixth[()] = 0.5 * hs, hs, hs / 6.0
+            t_half = t + 0.5 * hs
             k1 = rates(t, z, z_own)
             np.add(z_own, half * k1, out=y_own)
             k2 = rates(t_half, y, y_own)
             np.add(z_own, half * k2, out=y_own)
             k3 = rates(t_half, y, y_own)
-            np.add(z_own, hs * k3, out=y_own)
+            np.add(z_own, step * k3, out=y_own)
             k4 = rates(t + hs, y, y_own)
-            z_own += (hs / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
-            errors[k, ns] = z_own
+            z_own += sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+            errors[k, cols] = z_own
         if on_block is not None:
             on_block(slice(a, b), errors[a:b])
 

@@ -338,24 +338,33 @@ def x0_of(g):
     return x0
 
 
-def run_counted(monkeypatch, g, model, active, t_end=1.0, params=PARAMS, x0=None):
-    """``simulate`` on the active RHS (``active``, every layout) or the full
-    one (no layout), and the counts of its stages: ``full`` and ``pruned``
-    samples (of the whole layout's edges and of fewer), and the active RHS's
-    refreshes, ``mid`` of them inside a block."""
+def run_counted(monkeypatch, g, model, active, t_end=1.0, params=PARAMS, x0=None, log=None):
+    """``simulate`` on the active RHS (``active``, every layout with 2m <= E)
+    or the full one (no layout), and the counts of its stages: ``full`` and
+    ``pruned`` samples (of the whole layout's edges and of fewer), and the
+    active RHS's refreshes, ``mid`` of them after a failed test.
+
+    ``log``, if given, is a dict that receives ``samples``: the (time,
+    edges sampled, model horizon, model first knot) of every stage, and
+    ``refreshes``: the (stage, candidates kept, None on a bail) of every
+    refresh, stages counted from 0."""
     monkeypatch.setattr(dynamics, "ACTIVE_EDGES", 1 if active else 10**12)
     n_edges = len(candidate_layout(g, model).order)
     counts = {"full": 0, "pruned": 0, "refresh": 0, "mid": 0}
+    log = {} if log is None else log
+    samples, refreshes = log.setdefault("samples", []), log.setdefault("refreshes", [])
     sample_all, refresh = DisturbanceModel.sample_all, dynamics._ActiveRates._refresh
 
     def counted_sample(m, t):
         counts["full" if len(m.edge_lower) == n_edges else "pruned"] += 1
+        samples.append((t, len(m.edge_lower), m.horizon, m.first_knot))
         return sample_all(m, t)
 
     def counted_refresh(rates, *args):
         counts["refresh"] += 1
-        counts["mid"] += rates._kept is not None  # a failed test, not a block start
-        return refresh(rates, *args)
+        counts["mid"] += rates._kept is not None  # a failed test, not a first try
+        refresh(rates, *args)
+        refreshes.append((len(samples) - 1, None if rates._kept is None else len(rates._kept[0])))
 
     monkeypatch.setattr(DisturbanceModel, "sample_all", counted_sample)
     monkeypatch.setattr(dynamics._ActiveRates, "_refresh", counted_refresh)
@@ -369,6 +378,16 @@ def run_counted(monkeypatch, g, model, active, t_end=1.0, params=PARAMS, x0=None
 
 def assert_same_bits(a, b):
     assert np.array_equal(a.errors.view(np.uint64), b.errors.view(np.uint64))
+
+
+def run_both(monkeypatch, g, model, t_end=1.0, x0=None):
+    """``run_counted`` on the active RHS, its ``log``, after checking that
+    the full RHS gives the same bits and samples at the same times."""
+    logs = {True: {}, False: {}}
+    runs = {a: run_counted(monkeypatch, g, model, a, t_end, x0=x0, log=logs[a]) for a in logs}
+    assert_same_bits(runs[True][0], runs[False][0])
+    assert [s[0] for s in logs[True]["samples"]] == [s[0] for s in logs[False]["samples"]]
+    return (*runs[True], logs[True])
 
 
 def _relabel(g, f):
@@ -462,8 +481,9 @@ class TestActiveCandidates:
     def test_no_input_the_test_admits_moves_a_minimum(self, case):
         """The margin is a bound, not an estimate: stage inputs at just under
         half the margin from the refresh's input, with random signs, at times
-        across the block, give the full RHS's bits on a pruned stage, and
-        one just over half the margin refreshes."""
+        across two blocks, give the full RHS's bits on a pruned stage, and
+        one just over half the margin refreshes.  The kept set outlives the
+        block start; only its sub-model is re-windowed."""
         g, spec = ACTIVE_CASES[case]
         model = build_model(spec, g, 2, 5.0)
         lay = candidate_layout(g, model)
@@ -478,17 +498,21 @@ class TestActiveCandidates:
         kept = active._kept
         margin = kept[-1]
         assert margin > 0.0
-        for t in np.linspace(0.3, 0.428, 33):
-            for _ in range(30):
-                y = z.copy()
-                y[:m] += 0.4999 * margin * rng.choice((-1.0, 1.0), m)
-                got, want = active(float(t), y, y[:m]), full(float(t), y, y[:m])
-                assert active._kept is kept  # a pruned stage
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for t0, t1 in ((0.3, 0.428), (0.428, 0.556)):
+            if t0 > 0.3:
+                active.start_block(t1)
+            for t in np.linspace(t0, t1, 33):
+                for _ in range(30):
+                    y = z.copy()
+                    y[:m] += 0.4999 * margin * rng.choice((-1.0, 1.0), m)
+                    got, want = active(float(t), y, y[:m]), full(float(t), y, y[:m])
+                    assert active._kept is kept  # a pruned stage
+                    assert active._sub.horizon == t1
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # just over half the margin, the stage refreshes
         y = z.copy()
         y[:m] += 0.5001 * margin
-        active(0.428, y, y[:m])
+        active(0.556, y, y[:m])
         assert active._kept is not kept
 
     def test_samples_at_the_full_times_in_the_full_order(self, monkeypatch):
@@ -512,14 +536,89 @@ class TestActiveCandidates:
             assert len(times[True]) == 4 * len(steps)
             assert steps[-1] / steps[0] == pytest.approx(last_step, rel=1e-9)
 
-    def test_a_refresh_that_keeps_most_candidates_runs_the_block_in_full(self, monkeypatch):
-        """On a line every node has one candidate, so no stage can prune."""
+    def test_a_layout_where_every_refresh_keeps_most_candidates_runs_in_full(self, monkeypatch):
+        """On a line every node has one candidate (2m > E), so a refresh
+        keeps every candidate and bails, and ``simulate`` takes the full
+        RHS: no stage refreshes or prunes."""
         g = line_graph(30)
         model = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), g, 2, 5.0)
+        lay = candidate_layout(g, model)
+        assert 2 * len(lay.starts) > len(lay.order)
+        rates = dynamics._ActiveRates(lay, model, np.array(solve_shortest_paths(g).p), PARAMS)
+        z = np.append(x0_of(g)[lay.non_sources], 0.0)
+        for t in (0.0, 0.1):
+            rates._left = 0
+            rates(t, z, z[:-1])
+            assert rates._kept is None  # it bailed
         active, counts = run_counted(monkeypatch, g, model, True, 0.3)
         full, _ = run_counted(monkeypatch, g, model, False, 0.3)
         assert_same_bits(active, full)
-        assert counts == {"full": 1200, "pruned": 0, "refresh": 3, "mid": 0}
+        assert counts == {"full": 1200, "pruned": 0, "refresh": 0, "mid": 0}
+
+    def test_a_constant_x0_prunes_inside_the_first_block(self, monkeypatch):
+        """x0 = 12 everywhere ties most candidates at t = 0, so the first
+        refresh bails; a retry ``SHORT_LIVED`` stages on keeps a set, well
+        before the first block ends."""
+        g = hop_random_graph(300, 0.05, 1)
+        model = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.03), g, 3, 5.0)
+        traj, counts, log = run_both(monkeypatch, g, model, 0.127, constant_initial(g, 12.0))
+        assert len(traj.times) == dynamics.BLOCK  # one block
+        refreshes = log["refreshes"]
+        assert refreshes[0] == (0, None)
+        assert refreshes[1][0] == dynamics.SHORT_LIVED and refreshes[1][1] is not None
+        n_edges = len(candidate_layout(g, model).order)
+        widths = [s[1] for s in log["samples"]]
+        assert min(k for k, w in enumerate(widths) if w < n_edges) == dynamics.SHORT_LIVED + 1
+        assert counts["pruned"] > 3 * counts["full"]
+
+    def test_a_refresh_that_bails_backs_off_across_blocks(self, monkeypatch):
+        """Each non-source of this layered graph has two candidates through
+        the two nodes of the layer below, which tie under zero disturbance
+        and stay within each other's envelope under this one, so every
+        refresh keeps all of them and bails (2m = E, so the layout takes the
+        active RHS).  The first retry comes ``SHORT_LIVED`` stages on, each
+        later wait is 1.5 times the last, and block starts do not refresh."""
+        n = 40
+        g = WeightedDigraph(n, frozenset({1, 2}), tuple(
+            (a, b, 1.0) for k in range(1, n // 2) for a in (2 * k + 1, 2 * k + 2)
+            for b in (2 * k - 1, 2 * k)))
+        model = build_model(DisturbanceSpec(kind="sinusoid", amplitude=0.3), g, 2, 5.0)
+        lay = candidate_layout(g, model)
+        assert 2 * len(lay.starts) == len(lay.order)
+        _, counts, log = run_both(monkeypatch, g, model)
+        assert counts == {"full": 4000, "pruned": 0, "refresh": 12, "mid": 0}
+        stages = [stage for stage, kept in log["refreshes"]]
+        assert all(kept is None for _, kept in log["refreshes"])
+        waits = np.diff(stages)
+        assert stages[0] == 0 and waits[0] == dynamics.SHORT_LIVED
+        assert list(waits[1:]) == [w + w // 2 for w in waits[:-1]]
+        block = 4 * (dynamics.BLOCK - 1)  # stages per block
+        assert stages[-1] > 5 * block
+        assert not any(stage % block == 0 for stage in stages[1:])
+
+    def test_a_kept_set_that_passes_at_a_block_start_is_rewindowed(self, monkeypatch):
+        """Near the solution a piecewise kept set passes its test at every
+        block start.  The first stage of each block samples the same kept
+        edges, pruned, with no refresh, through a sub-model re-windowed to
+        the new block: its horizon is the block's last stage time and its
+        first knot the one at the stage's time."""
+        g, spec = ACTIVE_CASES["piecewise"]
+        model = build_model(spec, g, 2, 5.0)
+        _, _, log = run_both(monkeypatch, g, model)
+        samples = log["samples"]
+        refreshed = {stage for stage, _ in log["refreshes"]}
+        times, steps = dynamics.step_grid(PARAMS, 1.0)
+        n_edges = len(candidate_layout(g, model).order)
+        starts = range(dynamics.BLOCK, len(times), dynamics.BLOCK)
+        assert len(starts) == 7
+        for a in starts:
+            b = min(a + dynamics.BLOCK, len(times))
+            stage = 4 * (a - 1)
+            t, width, horizon, first_knot = samples[stage]
+            assert stage not in refreshed
+            assert width == samples[stage - 1][1] < n_edges
+            assert samples[stage - 1][2] == t < horizon == times[b - 2] + steps[b - 2]
+            assert first_knot == int(t / model.knot_spacing)
 
 
 CARRIERS = (
